@@ -42,10 +42,11 @@ telemetry-smoke:
 	dune build @telemetry-smoke
 
 # Chaos-serve smoke: seeded fault-injected load (torn writes, truncated
-# responses, resets, one injected worker crash) through the retrying
-# client; gate pins success >= 99%, zero byte mismatches, zero stranded
-# tickets, >= 1 supervised restart, and a hard wall budget (also part
-# of @ci).
+# responses, resets) through the retrying client, plus one handler
+# crash injected on a live reactor shard; gate pins success >= 99%,
+# zero byte mismatches, the crash answered internal_error with its
+# connection's next answer byte-identical, and a hard wall budget
+# (also part of @ci).
 chaos-serve-smoke:
 	dune build @chaos-serve-smoke
 
@@ -87,11 +88,11 @@ lint-deep-smoke:
 bench-baseline:
 	dune exec bench/main.exe -- --json BENCH_mc.json
 
-# Full serve load run: 10k requests against the socket server (2
-# workers, 4 clients), byte-compared against direct library calls,
-# then the same corpus again through the seeded chaos transports
-# (fault-injected clients + one injected worker crash), written to
-# SERVE_bench.json ("serve" + "chaos" sections).
+# Full serve load run: 100k requests against the socket reactor (4
+# pipelined clients, both codecs), byte-compared against direct
+# library calls, then the first 10k again through the seeded chaos
+# transports (fault-injected clients + one handler crash on a live
+# shard), written to SERVE_bench.json ("serve" + "chaos" sections).
 serve-bench:
 	dune exec bench/main.exe -- serve --json SERVE_bench.json --chaos
 

@@ -443,8 +443,8 @@ let mc_wall_clock ~trials ~jobs_n =
    codecs — newline-delimited htlc-serve/v1 JSON and length-prefixed
    htlc-serve/b1 binary — with concurrent pipelining client domains,
    and byte-compare every response body against a direct-call
-   reference: an identically configured zero-worker engine answering
-   the same typed requests via [Engine.handle_decoded].  Any byte
+   reference: an identically configured engine answering the same
+   typed requests via [Engine.handle_decoded].  Any byte
    difference is a mismatch; a missing response is a drop.  Both legs
    are reported in the htlc-bench JSON under "codecs". *)
 
@@ -584,11 +584,11 @@ let percentile sorted q =
 (* --- chaos phase ---------------------------------------------------------- *)
 
 (* `bench serve --chaos`: re-run the load through fault-injected
-   transports (Serve.Chaos wrapping Serve.Client dialers) against a
-   supervised engine that additionally takes one injected worker crash
-   mid-run.  Every response that does arrive must still be
-   byte-identical to the zero-worker reference; the gate is the
-   "chaos" JSON section validate_serve pins in CI. *)
+   transports (Serve.Chaos wrapping Serve.Client dialers) while one
+   request on its own clean connection crashes its handler mid-run.
+   Every response that does arrive must still be byte-identical to the
+   reference engine; the gate is the "chaos" JSON section
+   validate_serve pins in CI. *)
 
 type chaos_summary = {
   c_seed : int;
@@ -598,8 +598,7 @@ type chaos_summary = {
   c_reconnects : int;
   c_failures : int;
   c_mismatches : int;
-  c_stranded : int;
-  c_worker_restarts : int;
+  c_crashes_absorbed : int;
   c_internal_errors : int;
   c_connection_errors : int;
   c_ops : int;
@@ -608,7 +607,7 @@ type chaos_summary = {
 }
 
 (* The hang gate: a watchdog domain that kills the whole bench (exit 3)
-   if the chaos phase outlives its wall budget — a stranded ticket or a
+   if the chaos phase outlives its wall budget — a lost response or a
    deadlocked shutdown can then never masquerade as a slow pass. *)
 let with_watchdog ~budget_s f =
   let finished = Atomic.make false in
@@ -620,7 +619,7 @@ let with_watchdog ~budget_s f =
           else if Obs.Monotonic.elapsed_s ~since_ns:t0 > budget_s then begin
             Printf.eprintf
               "bench serve --chaos: wall budget %.1fs exceeded -- aborting \
-               (stranded ticket or hung shutdown?)\n\
+               (lost response or hung shutdown?)\n\
                %!"
               budget_s;
             exit 3
@@ -649,54 +648,61 @@ let run_chaos_client ~client ~requests ~(expected : string array) ~lo ~hi =
   Serve.Client.close client;
   (!succeeded, !mismatched, !failed, Serve.Client.stats client)
 
-(* Force at least one real worker death/restart cycle: inject the
-   poisoned task (retrying past admission-control sheds), check its
-   ticket resolves with the structured internal_error, then wait for
-   the supervisor's restart to land in the stats. *)
-let force_worker_crash engine =
-  let rec inject tries =
-    if tries = 0 then failwith "bench serve --chaos: could not inject crash"
-    else
-      match Serve.Engine.inject_crash engine with
-      | `Ticket t -> Serve.Engine.await t
-      | `Done _ ->
-        Unix.sleepf 0.01;
-        inject (tries - 1)
-  in
-  let resp = inject 100 in
-  let has_internal_error =
-    let marker = "\"internal_error\"" in
-    let n = String.length resp and m = String.length marker in
-    let rec find i =
-      i + m <= n && (String.sub resp i m = marker || find (i + 1))
-    in
-    find 0
-  in
-  if not has_internal_error then
-    failwith ("bench serve --chaos: crash ticket resolved oddly: " ^ resp);
-  let t0 = Obs.Monotonic.now_ns () in
-  while
-    (Serve.Engine.stats engine).Serve.Engine.worker_restarts < 1
-    && Obs.Monotonic.elapsed_s ~since_ns:t0 < 2.
-  do
-    Unix.sleepf 0.005
-  done
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 
-let chaos_phase ~seed ~budget_s ~corpus ~expected ~clients ~workers
-    ~make_engine =
+(* Crash one handler on a live reactor shard: arm a crash for a fresh
+   id and send that request on its own clean connection.  The crash is
+   absorbed when its answer is the structured internal_error echoing
+   the id and kind, and the same connection's next request is answered
+   byte-identically to the reference. *)
+let crash_on_live_shard engine ~path ~(probe : Serve.Request.t) ~expected =
+  let id = "chaos-crash" in
+  Serve.Engine.inject_crash engine ~id;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let ic = Unix.in_channel_of_descr fd
+  and oc = Unix.out_channel_of_descr fd in
+  let ask req =
+    output_string oc (Serve.Request.encode req);
+    output_char oc '\n';
+    flush oc;
+    input_line ic
+  in
+  let absorbed =
+    match
+      let crashed = ask { probe with Serve.Request.id = Some id } in
+      (crashed, ask probe)
+    with
+    | crashed, after ->
+      contains crashed "\"error\":\"internal_error\""
+      && contains crashed
+           (Printf.sprintf "\"id\":%S,\"req\":%S" id
+              (Serve.Request.kind probe))
+      && String.equal after expected
+    | exception (End_of_file | Sys_error _) -> false
+  in
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  if not absorbed then
+    prerr_endline "bench serve --chaos: the injected handler crash was not \
+                   absorbed on its connection";
+  absorbed
+
+let chaos_phase ~seed ~budget_s ~corpus ~expected ~probe ~probe_expected
+    ~clients ~make_engine =
   let n = Array.length corpus in
   Printf.printf
-    "bench serve chaos: seed %d, %d requests, %d clients, %d workers, \
-     budget %.1fs\n\
-     %!"
-    seed n clients workers budget_s;
+    "bench serve chaos: seed %d, %d requests, %d clients, budget %.1fs\n%!"
+    seed n clients budget_s;
   let conn_errors_before =
     Obs.Metrics.counter_value (Obs.Metrics.counter "serve.connection_errors")
   and ops_before =
     Obs.Metrics.counter_value (Obs.Metrics.counter "serve.chaos.ops")
   in
   with_watchdog ~budget_s (fun () ->
-      let engine = make_engine ~workers:(max 1 workers) in
+      let engine = make_engine () in
       let path =
         Printf.sprintf "/tmp/htlc-serve-chaos-%d.sock" (Unix.getpid ())
       in
@@ -719,14 +725,12 @@ let chaos_phase ~seed ~budget_s ~corpus ~expected ~clients ~workers
                 in
                 run_chaos_client ~client ~requests:corpus ~expected ~lo ~hi))
       in
-      force_worker_crash engine;
+      let absorbed =
+        crash_on_live_shard engine ~path ~probe ~expected:probe_expected
+      in
       let results = Array.map Domain.join domains in
       let wall_s = Obs.Monotonic.elapsed_s ~since_ns:t0 in
-      (* Every Client.call returned, so any task still queued would be
-         a stranded ticket — the invariant the gate pins to zero. *)
-      let stranded = Serve.Engine.queue_depth engine in
       Serve.Server.shutdown server;
-      Serve.Engine.shutdown ~drain:true engine;
       let sum f = Array.fold_left (fun a r -> a + f r) 0 results in
       let s = Serve.Engine.stats engine in
       {
@@ -739,8 +743,7 @@ let chaos_phase ~seed ~budget_s ~corpus ~expected ~clients ~workers
           sum (fun (_, _, _, cs) -> cs.Serve.Client.reconnects);
         c_failures = sum (fun (_, _, fail, _) -> fail);
         c_mismatches = sum (fun (_, mis, _, _) -> mis);
-        c_stranded = stranded;
-        c_worker_restarts = s.Serve.Engine.worker_restarts;
+        c_crashes_absorbed = (if absorbed then 1 else 0);
         c_internal_errors = s.Serve.Engine.internal_errors;
         c_connection_errors =
           Obs.Metrics.counter_value
@@ -761,8 +764,6 @@ type leg = {
   g_p50_ms : float;
   g_p99_ms : float;
   g_cache_hit_rate : float;
-  g_shed : int;
-  g_deadline_exceeded : int;
   g_mismatches : int;
   g_dropped : int;
   g_identical : bool;
@@ -807,8 +808,8 @@ let write_stage oc ~last (s : Serve.Telemetry.stage_stat) =
    JSON-codec leg, the wire format every prior baseline measured);
    "codecs" carries the per-codec breakdown, "stages" the telemetry
    stage-clock quantiles, "telemetry" the overhead head-to-head. *)
-let write_serve_baseline ?chaos ~file ~requests ~clients ~workers ~shards
-    ~json_leg ~binary_leg ~stages ~telemetry () =
+let write_serve_baseline ?chaos ~file ~requests ~clients ~shards ~json_leg
+    ~binary_leg ~stages ~telemetry () =
   let identical = json_leg.g_identical && binary_leg.g_identical in
   let oc = open_out file in
   Printf.fprintf oc "{\n";
@@ -816,7 +817,6 @@ let write_serve_baseline ?chaos ~file ~requests ~clients ~workers ~shards
   Printf.fprintf oc "  \"serve\": {\n";
   Printf.fprintf oc "    \"requests\": %d,\n" requests;
   Printf.fprintf oc "    \"clients\": %d,\n" clients;
-  Printf.fprintf oc "    \"workers\": %d,\n" workers;
   Printf.fprintf oc "    \"reactor_shards\": %d,\n" shards;
   Printf.fprintf oc "    \"pipeline_window\": %d,\n" pipeline_window;
   Printf.fprintf oc "    \"throughput_rps\": %s,\n"
@@ -825,10 +825,6 @@ let write_serve_baseline ?chaos ~file ~requests ~clients ~workers ~shards
   Printf.fprintf oc "    \"p99_ms\": %s,\n" (json_num json_leg.g_p99_ms);
   Printf.fprintf oc "    \"cache_hit_rate\": %s,\n"
     (json_num json_leg.g_cache_hit_rate);
-  Printf.fprintf oc "    \"shed\": %d,\n"
-    (json_leg.g_shed + binary_leg.g_shed);
-  Printf.fprintf oc "    \"deadline_exceeded\": %d,\n"
-    (json_leg.g_deadline_exceeded + binary_leg.g_deadline_exceeded);
   Printf.fprintf oc "    \"mismatches\": %d,\n"
     (json_leg.g_mismatches + binary_leg.g_mismatches);
   Printf.fprintf oc "    \"dropped\": %d,\n"
@@ -873,8 +869,8 @@ let write_serve_baseline ?chaos ~file ~requests ~clients ~workers ~shards
       Printf.fprintf oc "    \"reconnects\": %d,\n" c.c_reconnects;
       Printf.fprintf oc "    \"failures\": %d,\n" c.c_failures;
       Printf.fprintf oc "    \"mismatches\": %d,\n" c.c_mismatches;
-      Printf.fprintf oc "    \"stranded\": %d,\n" c.c_stranded;
-      Printf.fprintf oc "    \"worker_restarts\": %d,\n" c.c_worker_restarts;
+      Printf.fprintf oc "    \"crashes_absorbed\": %d,\n"
+        c.c_crashes_absorbed;
       Printf.fprintf oc "    \"internal_errors\": %d,\n" c.c_internal_errors;
       Printf.fprintf oc "    \"connection_errors\": %d,\n"
         c.c_connection_errors;
@@ -888,11 +884,11 @@ let write_serve_baseline ?chaos ~file ~requests ~clients ~workers ~shards
 
 (* Run one codec leg on a {e fresh} engine (cold cache — a fair
    head-to-head) sharing the prebuilt quote table. *)
-let run_leg ?label ~codec ~make_engine ~workers ~shards ~path
+let run_leg ?label ~codec ~make_engine ~shards ~path
     ~(payloads : string array) ~(expected : string array) ~clients () =
   let label = Option.value label ~default:codec in
   let n = Array.length payloads in
-  let engine = make_engine ~workers in
+  let engine = make_engine () in
   let server = Serve.Server.listen engine ~path ?shards () in
   let bounds c =
     (* Contiguous per-client slices covering all n requests. *)
@@ -912,7 +908,6 @@ let run_leg ?label ~codec ~make_engine ~workers ~shards ~path
   let wall_s = Obs.Monotonic.elapsed_s ~since_ns:t0 in
   let reactor_shards = Serve.Server.reactor_shards server in
   Serve.Server.shutdown server;
-  Serve.Engine.stop engine;
   let answered = Array.fold_left (fun a r -> a + r.answered) 0 results in
   let mismatches = Array.fold_left (fun a r -> a + r.mismatched) 0 results in
   let dropped = n - answered in
@@ -936,8 +931,6 @@ let run_leg ?label ~codec ~make_engine ~workers ~shards ~path
       g_p50_ms = percentile all_lat 0.50;
       g_p99_ms = percentile all_lat 0.99;
       g_cache_hit_rate = cache_hit_rate;
-      g_shed = s.Serve.Engine.shed;
-      g_deadline_exceeded = s.Serve.Engine.deadline_exceeded;
       g_mismatches = mismatches;
       g_dropped = dropped;
       g_identical = mismatches = 0 && dropped = 0;
@@ -955,8 +948,7 @@ let run_leg ?label ~codec ~make_engine ~workers ~shards ~path
      else "NOT IDENTICAL");
   (leg, reactor_shards)
 
-let serve_bench ~json ~requests:n ~clients ~workers ~shards ~smoke ~chaos
-    ~budget_s =
+let serve_bench ~json ~requests:n ~clients ~shards ~smoke ~chaos ~budget_s =
   (* A reduced quote grid keeps the warm build fast; every engine
      (both legs + the reference) shares one prebuilt table so
      responses are byte-comparable and the build cost is paid once. *)
@@ -966,13 +958,10 @@ let serve_bench ~json ~requests:n ~clients ~workers ~shards ~smoke ~chaos
     Numerics.Grid.linspace ~lo:0.02 ~hi:0.16 ~n:(if smoke then 3 else 4)
   in
   let table = Market.Quote_table.build ~mus ~sigmas p in
-  let make_engine ~workers =
-    Serve.Engine.create ~workers ~table ~base:p ()
-  in
-  Printf.printf
-    "bench serve: %d requests, %d clients, %d workers, window %d\n%!" n
-    clients workers pipeline_window;
-  let reference = make_engine ~workers:0 in
+  let make_engine () = Serve.Engine.create ~table ~base:p () in
+  Printf.printf "bench serve: %d requests, %d clients, window %d\n%!" n
+    clients pipeline_window;
+  let reference = make_engine () in
   let distinct = min 64 (max 8 (n / 8)) in
   let corpus = serve_corpus ~n ~distinct in
   let lines = Array.map Serve.Request.encode corpus in
@@ -985,12 +974,12 @@ let serve_bench ~json ~requests:n ~clients ~workers ~shards ~smoke ~chaos
      overhead looks like). *)
   Serve.Telemetry.reset ();
   let json_leg, reactor_shards =
-    run_leg ~codec:"json" ~make_engine ~workers ~shards ~path ~payloads:lines
+    run_leg ~codec:"json" ~make_engine ~shards ~path ~payloads:lines
       ~expected ~clients ()
   in
   let binary_leg, _ =
-    run_leg ~codec:"binary" ~make_engine ~workers ~shards ~path
-      ~payloads:frames ~expected ~clients ()
+    run_leg ~codec:"binary" ~make_engine ~shards ~path ~payloads:frames
+      ~expected ~clients ()
   in
   if json_leg.g_throughput_rps > 0. then
     Printf.printf "binary/json throughput: %.2fx\n%!"
@@ -1012,7 +1001,7 @@ let serve_bench ~json ~requests:n ~clients ~workers ~shards ~smoke ~chaos
     Serve.Telemetry.set_enabled on;
     let g0 = Gc.quick_stat () in
     let leg, _ =
-      run_leg ~label ~codec:"json" ~make_engine ~workers ~shards ~path
+      run_leg ~label ~codec:"json" ~make_engine ~shards ~path
         ~payloads:lines ~expected ~clients ()
     in
     let g1 = Gc.quick_stat () in
@@ -1071,33 +1060,32 @@ let serve_bench ~json ~requests:n ~clients ~workers ~shards ~smoke ~chaos
         let c_n = min n 10_000 in
         let c =
           chaos_phase ~seed ~budget_s ~corpus:(Array.sub lines 0 c_n)
-            ~expected:(Array.sub expected 0 c_n) ~clients ~workers
-            ~make_engine
+            ~expected:(Array.sub expected 0 c_n) ~probe:corpus.(0)
+            ~probe_expected:expected.(0) ~clients ~make_engine
         in
         Printf.printf
           "chaos: %d/%d succeeded (%.4f), %d retries, %d reconnects, %d \
            failures, %d mismatches\n\
-           chaos: %d worker restarts, %d internal errors, %d connection \
-           errors, %d stranded, %.3fs wall (budget %.1fs)\n"
+           chaos: %d handler crashes absorbed, %d internal errors, %d \
+           connection errors, %.3fs wall (budget %.1fs)\n"
           c.c_succeeded c.c_requests
           (float_of_int c.c_succeeded /. float_of_int (max 1 c.c_requests))
           c.c_retries c.c_reconnects c.c_failures c.c_mismatches
-          c.c_worker_restarts c.c_internal_errors c.c_connection_errors
-          c.c_stranded c.c_wall_s c.c_budget_s;
+          c.c_crashes_absorbed c.c_internal_errors c.c_connection_errors
+          c.c_wall_s c.c_budget_s;
         c)
       chaos
   in
   Option.iter
     (fun file ->
       write_serve_baseline ?chaos:chaos_summary ~file ~requests:n ~clients
-        ~workers ~shards:reactor_shards ~json_leg ~binary_leg ~stages
-        ~telemetry ();
+        ~shards:reactor_shards ~json_leg ~binary_leg ~stages ~telemetry ();
       Printf.printf "wrote %s\n" file)
     json;
   if not identical then exit 1;
   match chaos_summary with
   | Some c
-    when c.c_mismatches > 0 || c.c_stranded > 0 || c.c_worker_restarts < 1
+    when c.c_mismatches > 0 || c.c_crashes_absorbed < 1
          || float_of_int c.c_succeeded
             < 0.99 *. float_of_int c.c_requests ->
     (* Preserve the flight recorder for the post-mortem: the last
@@ -1127,9 +1115,8 @@ let usage () =
   prerr_endline
     "usage: bench [--json FILE] [--mc-trials N] [--jobs N] [--smoke]\n\
     \       bench serve [--json FILE] [--requests N] [--clients N] \
-     [--workers N]\n\
-    \                   [--shards N] [--chaos] [--seed N] [--budget-s X] \
-     [--smoke]";
+     [--shards N]\n\
+    \                   [--chaos] [--seed N] [--budget-s X] [--smoke]";
   exit 2
 
 let int_arg name v =
@@ -1150,7 +1137,6 @@ let parse_serve_args args =
   let json = ref None
   and requests = ref 100_000
   and clients = ref 4
-  and workers = ref 2
   and shards = ref None
   and chaos = ref false
   and seed = ref 42
@@ -1166,9 +1152,6 @@ let parse_serve_args args =
       go rest
     | "--clients" :: v :: rest ->
       clients := int_arg "--clients" v;
-      go rest
-    | "--workers" :: v :: rest ->
-      workers := int_arg "--workers" v;
       go rest
     | "--shards" :: v :: rest ->
       shards := Some (int_arg "--shards" v);
@@ -1193,7 +1176,7 @@ let parse_serve_args args =
     match !budget_s with Some b -> b | None -> if !smoke then 30. else 120.
   in
   serve_bench ~json:!json ~requests:!requests ~clients:!clients
-    ~workers:!workers ~shards:!shards ~smoke:!smoke
+    ~shards:!shards ~smoke:!smoke
     ~chaos:(if !chaos then Some !seed else None)
     ~budget_s
 

@@ -44,9 +44,7 @@ let () =
   in
   let mus = Numerics.Grid.linspace ~lo:(-0.01) ~hi:0.01 ~n:3
   and sigmas = Numerics.Grid.linspace ~lo:0.02 ~hi:0.16 ~n:3 in
-  (* workers:0 exactly like pipe-mode serve-smoke, so the health row
-     pins the same worker/queue fields; the reactor computes inline. *)
-  let engine = Serve.Engine.create ~workers:0 ~mus ~sigmas () in
+  let engine = Serve.Engine.create ~mus ~sigmas () in
   let path = Printf.sprintf "/tmp/htlc-reactor-smoke-%d.sock" (Unix.getpid ()) in
   let server = Serve.Server.listen engine ~path () in
   (* --- JSON leg: one pipelined burst -------------------------------- *)
@@ -94,6 +92,5 @@ let () =
           Out_channel.output_char o '\n')
         bin_rows);
   Serve.Server.shutdown server;
-  Serve.Engine.stop engine;
   Printf.eprintf "reactor_smoke: %d json rows, %d binary rows\n"
     (List.length json_rows) (List.length bin_rows)

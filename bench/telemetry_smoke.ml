@@ -48,7 +48,7 @@ let () =
   Serve.Telemetry.reset ();
   let mus = Numerics.Grid.linspace ~lo:(-0.01) ~hi:0.01 ~n:3
   and sigmas = Numerics.Grid.linspace ~lo:0.02 ~hi:0.16 ~n:3 in
-  let engine = Serve.Engine.create ~workers:0 ~mus ~sigmas () in
+  let engine = Serve.Engine.create ~mus ~sigmas () in
   let path =
     Printf.sprintf "/tmp/htlc-telemetry-smoke-%d.sock" (Unix.getpid ())
   in
@@ -110,7 +110,6 @@ let () =
   (* Shut down before dumping: joining the reactor shard guarantees the
      last clocks (including both stats requests') are finalised. *)
   Serve.Server.shutdown server;
-  Serve.Engine.stop engine;
   Out_channel.with_open_text out_recorder
     (Serve.Telemetry.write_recorder ~reason:"telemetry_smoke");
   Printf.eprintf

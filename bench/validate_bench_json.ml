@@ -62,7 +62,7 @@ let validate_codec_leg ~codec leg =
 (* One stage row under serve.stages: the telemetry stage-clock quantiles
    folded over the measured legs (microseconds, exact reservoirs). *)
 let known_stages =
-  [ "decode"; "cache"; "queue"; "compute"; "encode"; "flush"; "total" ]
+  [ "decode"; "cache"; "compute"; "encode"; "flush"; "total" ]
 
 let validate_stage ~stage row =
   let path key = Printf.sprintf "serve.stages.%s.%s" stage key in
@@ -109,14 +109,8 @@ let validate_telemetry_member tel =
    JSON vs binary head-to-head. *)
 let validate_serve_member serve =
   let num key = as_num ("serve." ^ key) (member "serve" serve key) in
-  let non_negative_int key =
-    let v = num key in
-    if v < 0. || Float.rem v 1. <> 0. then
-      bad "serve.%s must be a non-negative integer (got %g)" key v
-  in
   if num "requests" < 1. then bad "serve.requests must be >= 1";
   if num "clients" < 1. then bad "serve.clients must be >= 1";
-  if num "workers" < 1. then bad "serve.workers must be >= 1";
   if num "reactor_shards" < 1. then bad "serve.reactor_shards must be >= 1";
   if num "pipeline_window" < 1. then bad "serve.pipeline_window must be >= 1";
   if num "throughput_rps" <= 0. then bad "serve.throughput_rps must be > 0";
@@ -126,8 +120,6 @@ let validate_serve_member serve =
   let hit_rate = num "cache_hit_rate" in
   if hit_rate < 0. || hit_rate > 1. then
     bad "serve.cache_hit_rate must be in [0, 1] (got %g)" hit_rate;
-  non_negative_int "shed";
-  non_negative_int "deadline_exceeded";
   if num "mismatches" <> 0. then
     bad "serve.mismatches must be 0: a response was dropped or corrupted";
   if

@@ -603,6 +603,16 @@ let quote_cmd =
 
 (* --- serve ----------------------------------------------------------------- *)
 
+(* Sizes the engine and reactor refuse with [Invalid_argument]: reject
+   them at parse time as usage errors, not as an uncaught exception. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let serve_cmd =
   let socket =
     Arg.(
@@ -614,40 +624,14 @@ let serve_cmd =
              SIGTERM).  Without this flag the server speaks \
              newline-delimited requests on stdin/stdout and exits at EOF.")
   in
-  let workers =
-    Arg.(
-      value & opt int 2
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Dedicated worker domains answering socket requests (pipe mode \
-             computes inline and ignores this).")
-  in
-  let queue_capacity =
-    Arg.(
-      value & opt int 128
-      & info [ "queue-capacity" ] ~docv:"N"
-          ~doc:
-            "Bound on the submission queue; requests beyond it are shed \
-             with an $(b,overloaded) error instead of queueing without \
-             bound.")
-  in
-  let deadline_ms =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:
-            "Answer $(b,deadline_exceeded) without computing when a \
-             request waited in the queue longer than $(docv).")
-  in
   let cache_capacity =
     Arg.(
-      value & opt int 1024
+      value & opt positive_int 1024
       & info [ "cache-capacity" ] ~doc:"Result-cache entries (total).")
   in
   let cache_shards =
     Arg.(
-      value & opt int 8
+      value & opt positive_int 8
       & info [ "cache-shards" ] ~doc:"Result-cache shard count.")
   in
   let max_sweep =
@@ -672,22 +656,11 @@ let serve_cmd =
   let shards =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Reactor event-loop domains multiplexing socket connections \
              (default: the jobs setting).  Pipe mode ignores this.")
-  in
-  let drain =
-    Arg.(
-      value & opt bool true
-      & info [ "drain" ] ~docv:"BOOL"
-          ~doc:
-            "On SIGINT/SIGTERM, finish every queued request before \
-             exiting (graceful drain, the default).  With \
-             $(b,--drain=false) still-queued requests are answered with \
-             a structured $(b,overloaded) reject instead — shutdown \
-             waits only for requests already being computed.")
   in
   let recorder_dump =
     Arg.(
@@ -696,8 +669,9 @@ let serve_cmd =
       & info [ "recorder-dump" ] ~docv:"FILE"
           ~doc:
             "Arm the telemetry flight recorder's dump trigger: when a \
-             worker crashes (and is restarted by its supervisor) the \
-             last completed requests are written to $(docv) as \
+             request handler crashes (the request is answered \
+             $(b,internal_error)) the last completed requests are \
+             written to $(docv) as \
              $(b,htlc-obs/v1) JSONL — one recorder header line, then \
              one line per held request record.")
   in
@@ -708,12 +682,11 @@ let serve_cmd =
           ~doc:
             "Promote ~1/$(docv) of requests to full trace spans \
              (deterministic in the request id, so the sampled set is \
-             identical at any shard or worker count; $(b,1) = every \
+             identical at any shard count; $(b,1) = every \
              request).")
   in
-  let run params socket workers queue_capacity deadline_ms cache_capacity
-      cache_shards max_sweep table_mus table_sigmas shards drain recorder_dump
-      sample_every jobs metrics trace_out =
+  let run params socket cache_capacity cache_shards max_sweep table_mus
+      table_sigmas shards recorder_dump sample_every jobs metrics trace_out =
     with_obs ~metrics ~trace_out @@ fun () ->
     Option.iter Numerics.Pool.set_jobs jobs;
     Serve.Telemetry.set_sample_every sample_every;
@@ -724,62 +697,52 @@ let serve_cmd =
     let sigmas =
       Numerics.Grid.linspace ~lo:0.02 ~hi:0.16 ~n:(max 2 table_sigmas)
     in
-    let make_engine ~workers =
-      Serve.Engine.create ~workers ~queue_capacity
-        ?deadline_s:(Option.map (fun ms -> ms /. 1000.) deadline_ms)
-        ~cache_shards ~cache_capacity ~max_sweep_n:max_sweep ~mus ~sigmas
-        ~base:params ()
+    let engine =
+      Serve.Engine.create ~cache_shards ~cache_capacity ~max_sweep_n:max_sweep
+        ~mus ~sigmas ~base:params ()
     in
     match socket with
     | None ->
       (* Pipe mode: synchronous, deterministic — the serve-smoke path. *)
-      let engine = make_engine ~workers:0 in
       let served = Serve.Server.serve_pipe engine stdin stdout in
       Printf.eprintf "served %d requests\n" served
     | Some path ->
-      let engine = make_engine ~workers:(max 1 workers) in
       let server = Serve.Server.listen engine ~path ?shards () in
       let stop_requested = Atomic.make false in
       let request_stop _ = Atomic.set stop_requested true in
       Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
       Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
-      Printf.eprintf "listening on %s (workers %d, queue %d, cache %d)\n%!"
-        path
-        (Serve.Engine.workers engine)
-        queue_capacity cache_capacity;
+      Printf.eprintf "listening on %s (shards %d, cache %d)\n%!" path
+        (Serve.Server.reactor_shards server)
+        cache_capacity;
       while not (Atomic.get stop_requested) do
         Unix.sleepf 0.1
       done;
       Serve.Server.shutdown server;
-      Serve.Engine.shutdown ~drain engine;
       let s = Serve.Engine.stats engine in
       Printf.eprintf
-        "served %d requests (%d ok, %d errors, %d parse errors, %d shed, \
-         %d past deadline, %d internal errors, %d worker restarts; cache \
-         %d/%d/%d hit/miss/evict)\n"
+        "served %d requests (%d ok, %d errors, %d parse errors, %d internal \
+         errors; cache %d/%d/%d hit/miss/evict)\n"
         s.Serve.Engine.requests s.Serve.Engine.ok s.Serve.Engine.errors
-        s.Serve.Engine.parse_errors s.Serve.Engine.shed
-        s.Serve.Engine.deadline_exceeded s.Serve.Engine.internal_errors
-        s.Serve.Engine.worker_restarts s.Serve.Engine.cache.Serve.Cache.hits
+        s.Serve.Engine.parse_errors s.Serve.Engine.internal_errors
+        s.Serve.Engine.cache.Serve.Cache.hits
         s.Serve.Engine.cache.Serve.Cache.misses
         s.Serve.Engine.cache.Serve.Cache.evictions
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Serve cutoffs/success-rate/quote/sweep/health requests as a \
-          long-lived $(b,htlc-serve/v1) service: newline-delimited JSON on \
-          stdin/stdout, or a Unix-domain socket with a bounded worker \
-          queue, admission control, a sharded result cache, and supervised \
-          workers (a crashed request handler answers \
-          $(b,internal_error) and the worker loop is restarted in place).  \
-          The quote table is warm-built at startup from the given base \
-          parameters.")
+         "Serve cutoffs/success-rate/quote/sweep/route/health/stats \
+          requests as a long-lived $(b,htlc-serve/v1) service: \
+          newline-delimited JSON on stdin/stdout, or a Unix-domain socket \
+          served by an event-driven reactor, both behind a sharded result \
+          cache.  A crashed request handler answers $(b,internal_error) \
+          and the server keeps serving.  The quote table is warm-built at \
+          startup from the given base parameters.")
     Term.(
-      const run $ params_term $ socket $ workers $ queue_capacity
-      $ deadline_ms $ cache_capacity $ cache_shards $ max_sweep $ table_mus
-      $ table_sigmas $ shards $ drain $ recorder_dump $ sample_every
-      $ jobs_term $ metrics_term $ trace_out_term)
+      const run $ params_term $ socket $ cache_capacity $ cache_shards
+      $ max_sweep $ table_mus $ table_sigmas $ shards $ recorder_dump
+      $ sample_every $ jobs_term $ metrics_term $ trace_out_term)
 
 (* --- call ------------------------------------------------------------------ *)
 
@@ -866,7 +829,7 @@ let route_cmd =
        line.  The tiny quote grid keeps startup instant — route never
        touches it. *)
     let engine =
-      Serve.Engine.create ~workers:0
+      Serve.Engine.create
         ~mus:(Numerics.Grid.linspace ~lo:(-0.01) ~hi:0.01 ~n:2)
         ~sigmas:(Numerics.Grid.linspace ~lo:0.02 ~hi:0.16 ~n:2)
         ~base:params ()

@@ -19,7 +19,7 @@
    pushes are in flight may miss a record mid-store or pair a slot's
    fresh sequence number with its previous record (pointer and
    immediate stores don't tear, so each half is always whole).  The
-   intended use — dump on worker crash, chaos-gate failure, or an
+   intended use — dump on a handler crash, chaos-gate failure, or an
    explicit trigger — reads a quiesced or nearly-quiesced ring. *)
 
 let stripes = 8

@@ -7,8 +7,9 @@
     {!dropped} counts how many were lost.  {!dump} recovers records in
     global completion order via per-record sequence numbers.  Dumps are
     not synchronised against writers (a record being pushed during a
-    dump may be missed); the intended dump triggers — worker crash,
-    chaos-gate failure, explicit request — read a quiesced ring. *)
+    dump may be missed); the intended dump triggers — an absorbed
+    handler crash, chaos-gate failure, explicit request — read a
+    quiesced or nearly-quiesced ring. *)
 
 type 'a t
 

@@ -2,7 +2,7 @@
 
    Reads are lock-free: each shard publishes an immutable map snapshot
    through an [Atomic.t], so [find] is one atomic load plus a purely
-   functional lookup — reactor shards and engine workers never contend
+   functional lookup — reactor shards and other callers never contend
    on the read path, no matter how hot one key is.  Mutation
    (add/evict/clear) serialises on the shard's mutex, builds the next
    snapshot copy-on-write, and publishes it with a single atomic store;
@@ -122,7 +122,7 @@ let add t key value =
   let s = shard_of t key in
   Mutex.lock s.mutex;
   let map = Atomic.get s.published in
-  (* A racing worker may have answered the same question first; keep the
+  (* A racing domain may have answered the same question first; keep the
      incumbent so concurrent readers share one value. *)
   if not (Smap.mem key map) then begin
     let map = if s.population >= t.shard_capacity then evict_one t s map else map in

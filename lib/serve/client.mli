@@ -71,8 +71,7 @@ val create :
 type error = {
   code : string;
       (** ["unavailable"] (attempts exhausted) or ["deadline_exceeded"]
-          (client-side deadline; distinct from the server's queue-wait
-          deadline of the same name). *)
+          (the client-side deadline). *)
   message : string;
   attempts : int;  (** Attempts actually made. *)
 }

@@ -1,77 +1,33 @@
-(* The serve engine: request evaluation, result cache, worker pool,
-   admission control, and worker supervision.
+(* The serve engine: request evaluation behind a sharded result cache,
+   with crash absorption.
 
-   Three execution modes share one compute path ([respond]):
+   Every transport computes inline on its own domain: the pipe loop on
+   the caller through [handle], the reactor on each shard through
+   [handle] (JSON lines) or [handle_decoded] (binary frames, decoded by
+   the reactor).  One compute path ([respond]) serves both.
 
-   - [handle] runs synchronously on the caller (pipe transport, tests,
-     and the reference side of the byte-identity checks);
-   - [handle_batch] fans a request array out over the shared
-     Numerics.Pool domains (deterministic order, used by bulk callers
-     and the jobs-invariance guard);
-   - [submit]/[await] hand the request to one of the engine's dedicated
-     worker domains through a *bounded* queue — the socket transport's
-     path.  Dedicated domains rather than Pool chunks because Pool jobs
-     are finite chunked batches while a server needs long-lived
-     consumers; the heavy lifting inside a request still reuses the
-     same solvers (and the quote table warm-build fans out on the
-     Pool).
-
-   Admission control: when the queue is full, [submit] answers an
-   explicit [overloaded] error immediately instead of queueing without
-   bound; when a queued request waits past the configured deadline, the
-   worker answers [deadline_exceeded] without computing.  Both paths
-   bypass the cache.
-
-   Supervision: a request whose evaluation raises must never strand its
-   ticket.  On the worker path the job's ticket is completed with a
-   structured [internal_error] response, the exception is escalated out
-   of the worker loop (the conceptual "worker death"), and a supervisor
-   wrapper restarts the loop on the same domain, counting
-   [serve.worker_restarts].  On the synchronous [handle] path the
-   exception is absorbed into the same [internal_error] response —
-   there is no worker to restart.  [inject_crash] enqueues a poisoned
-   task that takes exactly this path deterministically, so tests and
-   the chaos bench can force a crash/restart cycle and assert the
-   contract ("every submitted request gets exactly one response").
-
-   Shutdown: [shutdown ~drain:true] (the default, and what [stop]
-   does) lets workers finish every queued job before joining them;
-   [~drain:false] rejects the still-queued jobs with an [overloaded]
-   response first, so shutdown latency is one in-flight job, not a
-   queue.  Either way no issued ticket is left unresolved and
-   subsequent [submit]s shed.
+   Crash absorption: a request whose evaluation raises is answered with
+   a structured [internal_error] response that echoes its id and kind,
+   so every transport keeps its one-response-per-request contract and a
+   handler bug costs one answer, never a connection or a shard.
+   [inject_crash] arms exactly this failure for the next request that
+   carries a given id — the hook the crash tests and the chaos bench
+   drive on a live reactor shard.
 
    Byte-identity contract: computed bodies depend only on the canonical
-   request and the engine's configuration (base params + quote grid).
-   The cache stores bodies keyed by canonical request bytes and the id
-   is spliced in at assembly, so cached, pooled, and worker responses
-   are byte-identical to a direct [handle] call.  [Health] is the one
-   deliberate exception: it reports live queue/worker/cache state, is
-   never cached, and sits outside the contract. *)
-
-type job = {
-  req : Request.t;
-  enqueued_ns : int64;
-  clock : Telemetry.clock;
-  cell_mutex : Mutex.t;
-  cell_cond : Condition.t;
-  mutable resp : string option;
-}
-
-(* What the queue actually carries: real work, or a poisoned task that
-   deterministically crashes the worker that takes it (supervision
-   test hook; its ticket still resolves with [internal_error]). *)
-type task = Job of job | Crash of job
+   request and the engine's configuration (base params + quote grid +
+   route universe).  The cache stores bodies keyed by canonical request
+   bytes and the id is spliced in at assembly, so cached and socket
+   responses are byte-identical to a direct [handle] call.  [Health]
+   and [Stats] are the deliberate exceptions: they report live state,
+   are never cached, and sit outside the contract. *)
 
 type stats = {
   requests : int;
   parse_errors : int;
   ok : int;
   errors : int;
-  shed : int;
-  deadline_exceeded : int;
   internal_errors : int;
-  worker_restarts : int;
   cache : Cache.stats;
 }
 
@@ -81,23 +37,15 @@ type t = {
   universe : Swapgraph.Router.t;
   cache : Cache.t;
   max_sweep_n : int;
-  deadline_s : float option;
-  queue_capacity : int;
-  queue : task Queue.t;
-  q_mutex : Mutex.t;
-  q_nonempty : Condition.t;
-  mutable worker_domains : unit Domain.t list;
-  mutable stopping : bool;
+  (* The id [inject_crash] armed; the first request carrying it takes
+     it back out and crashes. *)
+  crash_id : string option Atomic.t;
   (* Exact per-engine counts; the shared Obs registry mirrors them. *)
   n_requests : int Atomic.t;
   n_parse_errors : int Atomic.t;
   n_ok : int Atomic.t;
   n_errors : int Atomic.t;
-  n_shed : int Atomic.t;
-  n_deadline : int Atomic.t;
   n_internal : int Atomic.t;
-  n_restarts : int Atomic.t;
-  n_alive : int Atomic.t;
 }
 
 (* --- shared observability ------------------------------------------------ *)
@@ -106,13 +54,8 @@ let m_requests = Obs.Metrics.counter "serve.requests"
 let m_parse_errors = Obs.Metrics.counter "serve.parse_errors"
 let m_ok = Obs.Metrics.counter "serve.ok"
 let m_errors = Obs.Metrics.counter "serve.errors"
-let m_shed = Obs.Metrics.counter "serve.shed"
-let m_deadline = Obs.Metrics.counter "serve.deadline_exceeded"
 let m_internal = Obs.Metrics.counter "serve.internal_errors"
-let m_restarts = Obs.Metrics.counter "serve.worker_restarts"
-let m_queue_hwm = Obs.Metrics.gauge "serve.queue_depth_hwm"
 let m_latency = Obs.Metrics.histogram "serve.handle_latency_s"
-let m_queue_wait = Obs.Metrics.histogram "serve.queue_wait_s"
 
 (* Resolved once: [Obs.Metrics.counter] walks the registry under its
    mutex, which is too much for a per-request label lookup. *)
@@ -138,20 +81,6 @@ let m_kind = function
 let sr_at params ~p_star ~q =
   if q = 0. then Swap.Success.analytic params ~p_star
   else Swap.Collateral.success_rate (Swap.Collateral.symmetric params ~q) ~p_star
-
-let queue_depth t =
-  Mutex.lock t.q_mutex;
-  let d = Queue.length t.queue in
-  Mutex.unlock t.q_mutex;
-  d
-
-let draining t =
-  Mutex.lock t.q_mutex;
-  let s = t.stopping in
-  Mutex.unlock t.q_mutex;
-  s
-
-let alive_workers t = Atomic.get t.n_alive
 
 let compute_result t (req : Request.t) =
   match req.body with
@@ -212,10 +141,7 @@ let compute_result t (req : Request.t) =
     let cs = Cache.stats t.cache in
     Ok
       (Printf.sprintf
-         "{\"workers\":%d,\"alive\":%d,\"queue_depth\":%d,\"queue_capacity\":%d,\"draining\":%b,\"worker_restarts\":%d,\"internal_errors\":%d,\"cache\":{\"entries\":%d,\"capacity\":%d,\"hits\":%d,\"misses\":%d,\"evictions\":%d}}"
-         (List.length t.worker_domains)
-         (Atomic.get t.n_alive) (queue_depth t) t.queue_capacity (draining t)
-         (Atomic.get t.n_restarts)
+         "{\"internal_errors\":%d,\"cache\":{\"entries\":%d,\"capacity\":%d,\"hits\":%d,\"misses\":%d,\"evictions\":%d}}"
          (Atomic.get t.n_internal) (Cache.length t.cache) (Cache.capacity t.cache)
          cs.Cache.hits cs.Cache.misses cs.Cache.evictions)
   | Stats ->
@@ -258,6 +184,20 @@ let body_is_ok body =
   let rec go i = i <= limit && (matches i 0 || go (i + 1)) in
   go 0
 
+(* The [inject_crash] trigger: one [Atomic.get] per request while
+   nothing is armed.  The compare-and-set disarms before raising, so
+   the crash fires once even when several shards see the id at once. *)
+let crash_if_armed t (req : Request.t) =
+  match Atomic.get t.crash_id with
+  | None -> ()
+  | Some armed as cell -> (
+    match req.id with
+    | Some id
+      when String.equal id armed && Atomic.compare_and_set t.crash_id cell None
+      ->
+      failwith "injected handler crash"
+    | _ -> ())
+
 (* Compute (or fetch) the response body for a parsed request, then
    assemble with the caller's id. *)
 let respond ?(clock = Telemetry.none) t (req : Request.t) =
@@ -267,6 +207,7 @@ let respond ?(clock = Telemetry.none) t (req : Request.t) =
   Atomic.incr t.n_requests;
   Obs.Metrics.incr m_requests;
   Obs.Metrics.incr (m_kind kind);
+  crash_if_armed t req;
   let t0 = if Obs.Metrics.enabled () then Obs.Monotonic.now_int_ns () else 0 in
   let body =
     match req.body with
@@ -295,7 +236,7 @@ let respond ?(clock = Telemetry.none) t (req : Request.t) =
   Telemetry.stamp_encode clock;
   resp
 
-let parse_failure ?(clock = Telemetry.none) t (err : Request.error) =
+let reject ?(clock = Telemetry.none) t (err : Request.error) =
   if Telemetry.is_real clock then begin
     Telemetry.set_kind clock "error";
     Telemetry.set_id clock err.err_id;
@@ -307,333 +248,74 @@ let parse_failure ?(clock = Telemetry.none) t (err : Request.error) =
   Telemetry.stamp_encode clock;
   resp
 
-let internal_error_response ?req ~id exn =
-  Response.error ~id ?req ~code:"internal_error"
-    ~message:
-      (Printf.sprintf "request handler crashed: %s" (Printexc.to_string exn))
-    ()
-
-(* The synchronous path has no worker to restart: absorb the crash
-   into a structured response so pipe servers, the reactor and batch
-   callers keep their one-response-per-request contract. *)
+(* Absorb a crash into a structured response so pipe servers and the
+   reactor keep their one-response-per-request contract. *)
 let handle_decoded ?(clock = Telemetry.none) t (req : Request.t) =
   try respond ~clock t req
   with exn ->
     Atomic.incr t.n_internal;
     Obs.Metrics.incr m_internal;
     Telemetry.set_status clock "error";
+    (* Flight-recorder crash trigger: the last N completed requests at
+       the moment a handler crashed, written to the configured dump
+       path (no-op when none is set). *)
+    Telemetry.dump_to_path ~reason:"handler_crash";
     let resp =
-      internal_error_response ~req:(Request.kind req) ~id:req.Request.id exn
+      Response.error ~id:req.Request.id ~req:(Request.kind req)
+        ~code:"internal_error"
+        ~message:
+          (Printf.sprintf "request handler crashed: %s"
+             (Printexc.to_string exn))
+        ()
     in
     Telemetry.stamp_encode clock;
     resp
-
-let reject ?clock t err = parse_failure ?clock t err
 
 let handle ?(clock = Telemetry.none) t line =
   match Request.decode line with
   | Error err ->
     Telemetry.stamp_decode clock;
-    parse_failure ~clock t err
+    reject ~clock t err
   | Ok req ->
     Telemetry.stamp_decode clock;
     handle_decoded ~clock t req
 
-let handle_batch ?jobs t lines = Numerics.Pool.map_array ?jobs (handle t) lines
-
-(* --- worker pool + admission control ------------------------------------ *)
-
-exception Crashed
-(* Internal: escalates a worker failure out of the worker loop after
-   the in-flight ticket has been completed, so the supervisor registers
-   a restart. *)
-
-let finish_job job resp =
-  Mutex.lock job.cell_mutex;
-  job.resp <- Some resp;
-  Condition.broadcast job.cell_cond;
-  Mutex.unlock job.cell_mutex
-
-let run_job t job =
-  if Obs.Metrics.enabled () then
-    Obs.Metrics.observe m_queue_wait
-      (Obs.Monotonic.elapsed_s ~since_ns:job.enqueued_ns);
-  let expired =
-    match t.deadline_s with
-    | Some d -> Obs.Monotonic.elapsed_s ~since_ns:job.enqueued_ns > d
-    | None -> false
-  in
-  let resp =
-    if expired then begin
-      Atomic.incr t.n_deadline;
-      Obs.Metrics.incr m_deadline;
-      Telemetry.set_status job.clock "error";
-      Response.error ~id:job.req.Request.id ~req:(Request.kind job.req)
-        ~code:"deadline_exceeded"
-        ~message:"request waited past the server deadline" ()
-    end
-    else respond ~clock:job.clock t job.req
-  in
-  finish_job job resp;
-  (* The ticket resolving is the worker path's "flush". *)
-  Telemetry.finish_now job.clock
-
-(* Run one queued task.  A crash (evaluation exception or an injected
-   poison task) completes the ticket with [internal_error] and then
-   raises [Crashed] so the caller decides: workers escalate to their
-   supervisor (restart + counter), [pump] absorbs it. *)
-let run_task t task =
-  match task with
-  | Job job -> (
-    try run_job t job
-    with exn ->
-      Atomic.incr t.n_internal;
-      Obs.Metrics.incr m_internal;
-      finish_job job
-        (internal_error_response ~req:(Request.kind job.req)
-           ~id:job.req.Request.id exn);
-      Telemetry.set_status job.clock "error";
-      Telemetry.finish_now job.clock;
-      raise Crashed)
-  | Crash job ->
-    Atomic.incr t.n_internal;
-    Obs.Metrics.incr m_internal;
-    finish_job job
-      (Response.error ~id:job.req.Request.id ~code:"internal_error"
-         ~message:"injected worker crash" ());
-    raise Crashed
-
-type ticket = job
-
-let await (job : ticket) =
-  Mutex.lock job.cell_mutex;
-  while job.resp = None do
-    Condition.wait job.cell_cond job.cell_mutex
-  done;
-  let r = Option.get job.resp in
-  Mutex.unlock job.cell_mutex;
-  r
-
-let enqueue ?(clock = Telemetry.none) t ~make_task (req : Request.t) =
-  let shed message =
-    Atomic.incr t.n_shed;
-    Obs.Metrics.incr m_shed;
-    if Telemetry.is_real clock then begin
-      Telemetry.set_kind clock (Request.kind req);
-      Telemetry.set_id clock req.Request.id;
-      Telemetry.set_status clock "error";
-      Telemetry.finish_now clock
-    end;
-    `Done
-      (Response.error ~id:req.Request.id ~req:(Request.kind req)
-         ~code:"overloaded" ~message ())
-  in
-  Mutex.lock t.q_mutex;
-  if t.stopping then begin
-    Mutex.unlock t.q_mutex;
-    shed "server is shutting down"
-  end
-  else if Queue.length t.queue >= t.queue_capacity then begin
-    Mutex.unlock t.q_mutex;
-    shed "submission queue is full"
-  end
-  else begin
-    let enqueued_ns = Obs.Monotonic.now_ns () in
-    Telemetry.stamp_queue_at clock (Int64.to_int enqueued_ns);
-    let job =
-      {
-        req;
-        enqueued_ns;
-        clock;
-        cell_mutex = Mutex.create ();
-        cell_cond = Condition.create ();
-        resp = None;
-      }
-    in
-    Queue.push (make_task job) t.queue;
-    Obs.Metrics.max_gauge m_queue_hwm (float_of_int (Queue.length t.queue));
-    Condition.signal t.q_nonempty;
-    Mutex.unlock t.q_mutex;
-    `Ticket job
-  end
-
-let submit ?clock t line =
-  let clock =
-    match clock with
-    | Some c -> c
-    | None ->
-      (* The worker path is its own transport: no reactor read stamp,
-         so the clock starts when the line reaches [submit]. *)
-      Telemetry.make ~codec:"queue" ~read_ns:(Telemetry.now_ns ())
-  in
-  match Request.decode line with
-  | Error err ->
-    Telemetry.stamp_decode clock;
-    let resp = parse_failure ~clock t err in
-    Telemetry.finish_now clock;
-    `Done resp
-  | Ok req ->
-    Telemetry.stamp_decode clock;
-    enqueue ~clock t ~make_task:(fun j -> Job j) req
-
-let inject_crash ?(id = "crash") t =
-  (* The body is irrelevant (the task never reaches [respond]); Health
-     is just the cheapest placeholder to construct. *)
-  enqueue t
-    ~make_task:(fun j -> Crash j)
-    { Request.id = Some id; body = Request.Health }
-
-let take_task t ~block =
-  Mutex.lock t.q_mutex;
-  if block then
-    while Queue.is_empty t.queue && not t.stopping do
-      Condition.wait t.q_nonempty t.q_mutex
-    done;
-  let task = Queue.take_opt t.queue in
-  Mutex.unlock t.q_mutex;
-  task
-
-let pump t =
-  match take_task t ~block:false with
-  | Some task ->
-    (try run_task t task with Crashed -> ());
-    true
-  | None -> false
-
-let rec worker_loop t =
-  match take_task t ~block:true with
-  | Some task ->
-    run_task t task;
-    worker_loop t
-  | None -> () (* stopping and drained *)
-
-(* The supervisor: every escape from the worker loop short of a clean
-   stop is a worker death.  The in-flight ticket was already completed
-   by [run_task], so all that is left is to count the restart and
-   resume consuming — on the same domain, which keeps the domain count
-   an invariant of the engine instead of an unbounded spawn stream. *)
-let supervised_worker t =
-  Atomic.incr t.n_alive;
-  let rec go () =
-    match worker_loop t with
-    | () -> ()
-    | exception _ ->
-      Atomic.incr t.n_restarts;
-      Obs.Metrics.incr m_restarts;
-      (* Flight-recorder crash trigger: the last N completed requests
-         at the moment a worker died, written to the configured dump
-         path (no-op when none is set). *)
-      Telemetry.dump_to_path ~reason:"worker_crash";
-      if not (draining t) then go ()
-  in
-  go ();
-  Atomic.decr t.n_alive
+let inject_crash t ~id = Atomic.set t.crash_id (Some id)
 
 (* --- lifecycle ----------------------------------------------------------- *)
 
-let create ?workers ?(queue_capacity = 128) ?deadline_s ?(cache_shards = 8)
-    ?(cache_capacity = 1024) ?(max_sweep_n = 4096) ?mus ?sigmas ?table
-    ?universe ?(base = Swap.Params.defaults) () =
-  if queue_capacity < 1 then
-    invalid_arg "Engine.create: queue_capacity must be >= 1";
-  (match deadline_s with
-  | Some d when not (d > 0.) ->
-    invalid_arg "Engine.create: deadline_s must be > 0"
-  | _ -> ());
-  let workers =
-    match workers with
-    | None -> Numerics.Pool.jobs ()
-    | Some w when w >= 0 -> w
-    | Some _ -> invalid_arg "Engine.create: workers must be >= 0"
-  in
-  let t =
-    {
-      base;
-      (* Warm build: one full solve per grid node, fanned out on the
-         shared pool, so the first quote request is already
-         microseconds.  A caller holding a prebuilt table (bench legs
-         comparing engines on identical grids) passes it in instead. *)
-      table =
-        (match table with
-        | Some tb -> tb
-        | None -> Market.Quote_table.build ?mus ?sigmas base);
-      (* The route universe is engine configuration like the quote
-         grid: built once (a handful of 2-party solves), then every
-         route answer is a pure function of (universe, query). *)
-      universe =
-        (match universe with
-        | Some u -> u
-        | None -> Swap.Graphlink.default_universe ~base ());
-      cache = Cache.create ~shards:cache_shards ~capacity:cache_capacity ();
-      max_sweep_n;
-      deadline_s;
-      queue_capacity;
-      queue = Queue.create ();
-      q_mutex = Mutex.create ();
-      q_nonempty = Condition.create ();
-      worker_domains = [];
-      stopping = false;
-      n_requests = Atomic.make 0;
-      n_parse_errors = Atomic.make 0;
-      n_ok = Atomic.make 0;
-      n_errors = Atomic.make 0;
-      n_shed = Atomic.make 0;
-      n_deadline = Atomic.make 0;
-      n_internal = Atomic.make 0;
-      n_restarts = Atomic.make 0;
-      n_alive = Atomic.make 0;
-    }
-  in
-  t.worker_domains <-
-    List.init workers (fun _ -> Domain.spawn (fun () -> supervised_worker t));
-  t
+let create ?(cache_shards = 8) ?(cache_capacity = 1024) ?(max_sweep_n = 4096)
+    ?mus ?sigmas ?table ?universe ?(base = Swap.Params.defaults) () =
+  {
+    base;
+    (* Warm build: one full solve per grid node, fanned out on the
+       shared pool, so the first quote request is already
+       microseconds.  A caller holding a prebuilt table (bench legs
+       comparing engines on identical grids) passes it in instead. *)
+    table =
+      (match table with
+      | Some tb -> tb
+      | None -> Market.Quote_table.build ?mus ?sigmas base);
+    (* The route universe is engine configuration like the quote
+       grid: built once (a handful of 2-party solves), then every
+       route answer is a pure function of (universe, query). *)
+    universe =
+      (match universe with
+      | Some u -> u
+      | None -> Swap.Graphlink.default_universe ~base ());
+    cache = Cache.create ~shards:cache_shards ~capacity:cache_capacity ();
+    max_sweep_n;
+    crash_id = Atomic.make None;
+    n_requests = Atomic.make 0;
+    n_parse_errors = Atomic.make 0;
+    n_ok = Atomic.make 0;
+    n_errors = Atomic.make 0;
+    n_internal = Atomic.make 0;
+  }
 
-let workers t = List.length t.worker_domains
 let quote_table t = t.table
 let base_params t = t.base
 let route_universe t = t.universe
-
-let shutdown ?(drain = true) t =
-  Mutex.lock t.q_mutex;
-  let already = t.stopping in
-  t.stopping <- true;
-  let rejected =
-    if drain || already then []
-    else begin
-      (* Fast abort: pull everything still queued and answer it below
-         (outside the lock) so shutdown latency is one in-flight job. *)
-      let l = Queue.fold (fun acc task -> task :: acc) [] t.queue in
-      Queue.clear t.queue;
-      List.rev l
-    end
-  in
-  Condition.broadcast t.q_nonempty;
-  Mutex.unlock t.q_mutex;
-  List.iter
-    (fun task ->
-      Atomic.incr t.n_shed;
-      Obs.Metrics.incr m_shed;
-      match task with
-      | Job job ->
-        finish_job job
-          (Response.error ~id:job.req.Request.id ~req:(Request.kind job.req)
-             ~code:"overloaded" ~message:"server is shutting down" ())
-      | Crash job ->
-        finish_job job
-          (Response.error ~id:job.req.Request.id ~code:"overloaded"
-             ~message:"server is shutting down" ()))
-    rejected;
-  if not already then begin
-    List.iter Domain.join t.worker_domains;
-    t.worker_domains <- [];
-    (* No workers left: drain anything still queued on this domain so
-       every issued ticket resolves. *)
-    while pump t do
-      ()
-    done
-  end
-
-let stop t = shutdown ~drain:true t
 
 let stats t =
   {
@@ -641,9 +323,6 @@ let stats t =
     parse_errors = Atomic.get t.n_parse_errors;
     ok = Atomic.get t.n_ok;
     errors = Atomic.get t.n_errors;
-    shed = Atomic.get t.n_shed;
-    deadline_exceeded = Atomic.get t.n_deadline;
     internal_errors = Atomic.get t.n_internal;
-    worker_restarts = Atomic.get t.n_restarts;
     cache = Cache.stats t.cache;
   }

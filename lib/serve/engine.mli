@@ -1,37 +1,25 @@
 (** The swap-quote engine: request evaluation behind a sharded result
-    cache, a dedicated {e supervised} worker pool with a bounded
-    submission queue, and admission control.
+    cache, computed inline on the calling domain — the pipe loop's, or
+    a reactor shard's.
 
     {b Byte-identity contract.}  Response bodies depend only on the
     canonical request bytes and the engine's configuration (base
-    parameters + quote grid); the cache stores bodies and the id is
-    spliced in at assembly.  Cached, batched ({!handle_batch} at any
-    jobs count), and worker-pool responses are therefore byte-identical
-    to a direct {!handle} call on an identically configured engine.
-    [Health] and [Stats] are the deliberate exceptions: they report
-    live engine state / telemetry and are never cached.
+    parameters + quote grid + route universe); the cache stores bodies
+    and the id is spliced in at assembly.  Cached and socket-served
+    responses are therefore byte-identical to a direct {!handle} call
+    on an identically configured engine, from any domain.  [Health]
+    and [Stats] are the deliberate exceptions: they report live engine
+    state / telemetry and are never cached.
 
-    {b Backpressure.}  {!submit} sheds with an [overloaded] error the
-    moment the queue is full (never queueing without bound), and a
-    queued request older than [deadline_s] is answered
-    [deadline_exceeded] without computing.
-
-    {b Supervision.}  A request whose evaluation raises never strands
-    its ticket: the ticket is completed with a structured
-    [internal_error] response, the worker loop that died is restarted
-    in place (counted in [serve.worker_restarts] and
-    {!stats}[.worker_restarts]), and the engine keeps serving.  On the
-    synchronous {!handle} path the crash is absorbed into the same
-    [internal_error] response.  {!inject_crash} forces one such
-    death/restart cycle deterministically — the fault-injection hook
-    the chaos bench and the supervision tests drive. *)
+    {b Crash absorption.}  A request whose evaluation raises is
+    answered with a structured [internal_error] response echoing its id
+    and kind (counted in [serve.internal_errors] and
+    {!stats}[.internal_errors]); the caller's loop keeps serving.
+    {!inject_crash} forces one such crash deterministically. *)
 
 type t
 
 val create :
-  ?workers:int ->
-  ?queue_capacity:int ->
-  ?deadline_s:float ->
   ?cache_shards:int ->
   ?cache_capacity:int ->
   ?max_sweep_n:int ->
@@ -44,101 +32,45 @@ val create :
   t
 (** Warm-builds the {!Market.Quote_table} (grid [mus] x [sigmas],
     defaults as in [Quote_table.build], fanned out on the shared
-    domain pool) and spawns [workers] dedicated domains (default: the
-    pool's jobs setting; [0] = no background workers — {!handle},
-    {!handle_batch} and {!pump} still work).  [table] supplies a
-    prebuilt quote table instead (then [mus]/[sigmas] are ignored) —
-    for callers standing up several engines that must share one grid,
-    e.g. a served engine and its byte-identity reference.  [universe]
-    supplies the swap graph the [route] kind searches (default:
+    domain pool).  [table] supplies a prebuilt quote table instead
+    (then [mus]/[sigmas] are ignored) — for callers standing up several
+    engines that must share one grid, e.g. a served engine and its
+    byte-identity reference.  [universe] supplies the swap graph the
+    [route] kind searches (default:
     {!Swap.Graphlink.default_universe} over [base]) — like the quote
     grid it is engine configuration, so route answers stay pure
     functions of the canonical request bytes and cache cleanly.
-    [queue_capacity] (default 128) bounds the submission queue;
-    [deadline_s] (default none) bounds queue wait; [max_sweep_n]
-    (default 4096) caps sweep sizes with an [invalid_params] answer.
-    @raise Invalid_argument on non-positive capacities or deadline. *)
+    [max_sweep_n] (default 4096) caps sweep sizes with an
+    [invalid_params] answer.
+    @raise Invalid_argument when the cache shape is rejected by
+    {!Cache.create} ([cache_shards < 1] or
+    [cache_capacity < cache_shards]). *)
 
 val handle : ?clock:Telemetry.clock -> t -> string -> string
 (** Parse, answer from the cache or compute, and encode — synchronously
-    on the calling domain.  Never sheds, never raises on request
-    evaluation (crashes become [internal_error] responses).  [clock]
-    (default {!Telemetry.none}) receives the decode / cache-lookup /
-    compute / encode stage stamps; the transport that owns the clock
-    finalises it at flush. *)
+    on the calling domain.  Never raises on request evaluation (crashes
+    become [internal_error] responses).  [clock] (default
+    {!Telemetry.none}) receives the decode / cache-lookup / compute /
+    encode stage stamps; the transport that owns the clock finalises it
+    at flush. *)
 
 val handle_decoded : ?clock:Telemetry.clock -> t -> Request.t -> string
 (** {!handle} for an already-decoded request — the binary codec's
     compute path (its decoder is not line-based, so the reactor decodes
     and hands the typed request straight in).  Same crash absorption,
-    caching and byte-identity contract as {!handle}. *)
+    caching and byte-identity contract as {!handle}.  A crash also
+    triggers {!Telemetry.dump_to_path} with reason ["handler_crash"]. *)
 
 val reject : ?clock:Telemetry.clock -> t -> Request.error -> string
 (** The structured response for a request that failed decoding
     (either codec): counts the parse error and encodes
     [code]/[message] with the best-effort id echo. *)
 
-val handle_batch : ?jobs:int -> t -> string array -> string array
-(** Order-preserving parallel {!handle} over the shared
-    [Numerics.Pool]; responses are byte-identical for any [jobs]. *)
-
-type ticket
-
-val submit :
-  ?clock:Telemetry.clock -> t -> string -> [ `Done of string | `Ticket of ticket ]
-(** Hand a request line to the worker pool.  [`Done] carries an
-    immediate response: a parse error, or an [overloaded] shed when the
-    queue is full (admission control) or the engine is stopping.
-    [`Ticket] resolves via {!await} — always, even if the worker
-    handling it crashes ([internal_error]) or {!shutdown} rejects it
-    ([overloaded]).  Without an explicit [clock] the worker path stamps
-    its own (codec ["queue"], queue-admit at enqueue, finalised when
-    the ticket resolves). *)
-
-val await : ticket -> string
-(** Block until a worker (or {!pump}) answers the ticket. *)
-
-val pump : t -> bool
-(** Run one queued request on the calling domain; [false] when the
-    queue is empty.  Lets transports or tests drive a worker-less
-    engine deterministically.  A crashing task is absorbed (its ticket
-    still resolves with [internal_error]); no restart is counted — the
-    caller's domain did not die. *)
-
-val inject_crash : ?id:string -> t -> [ `Done of string | `Ticket of ticket ]
-(** Enqueue a poisoned task (admission control as {!submit}): the
-    worker that takes it completes the ticket with [internal_error]
-    ["injected worker crash"] and then dies; its supervisor restarts
-    the loop and counts [serve.worker_restarts].  Deterministic — the
-    chaos bench and the supervision tests force exactly the failure
-    mode a real evaluation crash would produce.  [id] (default
-    ["crash"]) is echoed in the response. *)
-
-val shutdown : ?drain:bool -> t -> unit
-(** Stop accepting new submissions (subsequent {!submit}s shed with
-    [overloaded]).  With [~drain:true] (default) workers finish every
-    queued job before being joined; with [~drain:false] still-queued
-    jobs are answered [overloaded] ("server is shutting down")
-    immediately, so shutdown waits only for the jobs already being
-    computed.  Either way every issued ticket resolves and the queue
-    is empty on return.  Idempotent; {!handle} keeps working after. *)
-
-val stop : t -> unit
-(** [shutdown ~drain:true] — the historical name. *)
-
-val workers : t -> int
-(** Worker domains spawned at {!create} (0 after {!shutdown}). *)
-
-val alive_workers : t -> int
-(** Worker loops currently consuming the queue.  Transiently below
-    {!workers} while a supervisor is restarting a crashed loop; 0 after
-    {!shutdown}. *)
-
-val queue_depth : t -> int
-(** Tasks currently queued (excludes jobs being computed). *)
-
-val draining : t -> bool
-(** True once {!shutdown} (either mode) has begun. *)
+val inject_crash : t -> id:string -> unit
+(** Arm a one-shot crash: the next request carrying [id] raises inside
+    {!handle_decoded}'s handler and is answered [internal_error], like
+    any evaluation crash.  Re-arming replaces the pending id.  Costs
+    one [Atomic.get] per request. *)
 
 val quote_table : t -> Market.Quote_table.t
 val base_params : t -> Swap.Params.t
@@ -147,16 +79,13 @@ val route_universe : t -> Swapgraph.Router.t
 (** The swap graph behind the [route] kind (configured or default). *)
 
 type stats = {
-  requests : int;  (** Parsed requests (all modes). *)
+  requests : int;  (** Decoded requests. *)
   parse_errors : int;
   ok : int;  (** Computed [ok] bodies (cache hits not re-counted). *)
   errors : int;  (** Computed error bodies (ditto). *)
-  shed : int;  (** Admission-control + shutdown rejections. *)
-  deadline_exceeded : int;
   internal_errors : int;
       (** Evaluation crashes answered [internal_error] (includes
           injected ones). *)
-  worker_restarts : int;  (** Supervisor restarts of died worker loops. *)
   cache : Cache.stats;
 }
 

@@ -16,11 +16,11 @@
    couple of syscalls each way, not 128).
 
    Compute runs inline on the shard domain via the engine's
-   crash-absorbing [handle]/[handle_decoded] — at the observed ~99%
-   cache hit rate a handoff to the worker queue would cost more in
-   condvar wake-ups than the lookup itself.  The engine's worker pool
-   still serves [submit]/[await] callers and the supervision story
-   ([inject_crash] crash/restart cycles) unchanged.
+   crash-absorbing [handle]/[handle_decoded] — at the observed ~90%
+   cache hit rate a handoff to another domain would cost more in
+   wake-ups than the lookup itself.  A handler crash comes back as an
+   [internal_error] response like any other answer, so it costs that
+   one request: the connection and the shard keep serving.
 
    Codec negotiation is first-bytes sniffing, per connection: payloads
    starting with [Binary.magic] speak length-prefixed [htlc-serve/b1],

@@ -27,8 +27,8 @@ type body =
           rates, at most [max_hops] legs).  Cached like the other
           computed kinds; unknown tokens answer [invalid_params]. *)
   | Health
-      (** Live engine state: queue depth, workers alive, restart and
-          cache counters.  Never cached (the answer is a snapshot, not
+      (** Live engine state: the internal-error count and cache
+          counters.  Never cached (the answer is a snapshot, not
           a pure function of the request), so it sits outside the
           byte-identity contract. *)
   | Stats

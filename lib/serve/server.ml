@@ -78,6 +78,11 @@ let check_bindable path =
   | _ -> raise (Unix.Unix_error (Unix.ENOTSOCK, "Serve.Server.listen", path))
 
 let listen engine ~path ?(backlog = 16) ?shards () =
+  (* Before binding: a shard count the reactor would refuse must not
+     leave a bound socket file at [path] behind. *)
+  (match shards with
+  | Some n when n < 1 -> invalid_arg "Serve.Server.listen: shards must be >= 1"
+  | _ -> ());
   ignore_sigpipe ();
   check_bindable path;
   let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in

@@ -40,7 +40,8 @@ val listen : Engine.t -> path:string -> ?backlog:int -> ?shards:int -> unit -> t
     server never unlinks a file it cannot prove abandoned.
     @raise Unix.Unix_error as above, or when the socket cannot be
     bound (e.g. a path longer than the [sun_path] limit).
-    @raise Invalid_argument when [shards < 1]. *)
+    @raise Invalid_argument when [shards < 1], before anything is
+    bound (no socket file is left at [path]). *)
 
 val path : t -> string
 

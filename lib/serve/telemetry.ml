@@ -2,11 +2,11 @@
    deterministic trace sampler, exact latency quantiles, a windowed
    request rate, and a bounded flight recorder.
 
-   A [clock] is allocated per request by the transport (reactor shard,
-   pipe loop, or worker queue) and threaded through the engine; each
-   stage stamps a monotonic timestamp into a mutable field — read
-   complete, decode, cache lookup, queue admit, compute start/end,
-   encode, flush.  [finish] folds the stage durations into
+   A [clock] is allocated per request by the transport (reactor shard
+   or pipe loop) and threaded through the engine; each stage stamps a
+   monotonic timestamp into a mutable field — read complete, decode,
+   cache lookup, compute start/end, encode, flush.  [finish] folds the
+   stage durations into
 
    - per-stage [Obs.Metrics] histograms ([serve.stage.*_s]) and
      exact-quantile reservoirs (the `stats` endpoint's p50/p90/p99/p999
@@ -15,15 +15,14 @@
      ([serve.latency.<kind>.<codec>_s]);
    - a windowed req/s meter;
    - the flight recorder — a lock-free ring of the last N completed
-     request records, dumped as htlc-obs/v1 JSONL on worker crash,
+     request records, dumped as htlc-obs/v1 JSONL on a handler crash,
      chaos-gate failure, or an explicit trigger.
 
    The deterministic sampler promotes ~1/[sample_every] requests to
    full [Obs.Trace] spans.  It is a pure function of the request id
-   (FNV-1a), so the sampled set is identical for any shard count,
-   worker count, or replay of the same corpus — a sampled request is
-   sampled everywhere, which makes cross-run span comparisons
-   meaningful.
+   (FNV-1a), so the sampled set is identical for any shard count or
+   replay of the same corpus — a sampled request is sampled
+   everywhere, which makes cross-run span comparisons meaningful.
 
    Byte-identity contract: nothing here touches response bytes.  When
    disabled, [make] hands out a shared dummy clock and every stamp is a
@@ -75,13 +74,12 @@ let should_sample_id id =
    allocating either. *)
 type clock = {
   real : bool;
-  mutable codec : string; (* "json" | "binary" | "pipe" | "queue" *)
+  mutable codec : string; (* "json" | "binary" | "pipe" *)
   mutable kind : string; (* request kind, or "error" for rejects *)
   mutable id : string option;
   mutable t_read : int; (* transport finished reading the bytes *)
   mutable t_decode : int; (* typed request (or reject) in hand *)
   mutable t_cache : int; (* cache lookup returned *)
-  mutable t_queue : int; (* admitted to the worker queue *)
   mutable t_compute0 : int; (* evaluation started *)
   mutable t_compute1 : int; (* evaluation finished *)
   mutable t_encode : int; (* response assembled *)
@@ -100,7 +98,6 @@ let none =
     t_read = 0;
     t_decode = 0;
     t_cache = 0;
-    t_queue = 0;
     t_compute0 = 0;
     t_compute1 = 0;
     t_encode = 0;
@@ -121,7 +118,6 @@ let make ~codec ~read_ns =
       t_read = read_ns;
       t_decode = 0;
       t_cache = 0;
-      t_queue = 0;
       t_compute0 = 0;
       t_compute1 = 0;
       t_encode = 0;
@@ -148,7 +144,6 @@ let reinit c ~codec ~read_ns =
     c.t_read <- read_ns;
     c.t_decode <- 0;
     c.t_cache <- 0;
-    c.t_queue <- 0;
     c.t_compute0 <- 0;
     c.t_compute1 <- 0;
     c.t_encode <- 0;
@@ -169,7 +164,6 @@ let blank_clock () =
     t_read = 0;
     t_decode = 0;
     t_cache = 0;
-    t_queue = 0;
     t_compute0 = 0;
     t_compute1 = 0;
     t_encode = 0;
@@ -186,7 +180,6 @@ let copy_clock src dst =
   dst.t_read <- src.t_read;
   dst.t_decode <- src.t_decode;
   dst.t_cache <- src.t_cache;
-  dst.t_queue <- src.t_queue;
   dst.t_compute0 <- src.t_compute0;
   dst.t_compute1 <- src.t_compute1;
   dst.t_encode <- src.t_encode;
@@ -204,7 +197,6 @@ let stamp_cache c ~hit =
     c.cache_hit <- hit
   end
 
-let stamp_queue_at c ns = if c.real then c.t_queue <- ns
 let stamp_compute_start c = if c.real then c.t_compute0 <- now_ns ()
 let stamp_compute_stop c = if c.real then c.t_compute1 <- now_ns ()
 let stamp_encode c = if c.real then c.t_encode <- now_ns ()
@@ -230,13 +222,12 @@ let kind_index = function
   | "route" -> 6
   | _ -> 7
 
-let codec_names = [| "json"; "binary"; "pipe"; "queue" |]
+let codec_names = [| "json"; "binary"; "pipe" |]
 
 let codec_index = function
   | "json" -> 0
   | "binary" -> 1
-  | "pipe" -> 2
-  | _ -> 3
+  | _ -> 2
 
 (* Resolved once at module load: registration walks the registry under
    a mutex, which is too much for per-request code. *)
@@ -254,7 +245,7 @@ let latency_quantiles =
             (Printf.sprintf "%s.%s" kind_names.(k) codec_names.(c))))
 
 let stage_names =
-  [| "decode"; "cache"; "queue"; "compute"; "encode"; "flush"; "total" |]
+  [| "decode"; "cache"; "compute"; "encode"; "flush"; "total" |]
 
 let stage_hists =
   Array.map
@@ -286,8 +277,7 @@ let recorder_dropped () = Obs.Recorder.dropped (Atomic.get recorder)
 let ns_to_s = 1e-9
 
 (* A stage's duration exists only when both endpoints were stamped
-   (e.g. no compute on a cache hit, no queue stage on the inline
-   path). *)
+   (e.g. no compute on a cache hit). *)
 let stage_dur a b =
   if a > 0 && b >= a then Some (float_of_int (b - a) *. ns_to_s) else None
 
@@ -305,7 +295,6 @@ let stage_durs c =
     stage_dur c.t_read c.t_decode;
     (if c.cache_hit || c.t_cache > 0 then stage_dur c.t_decode c.t_cache
      else None);
-    stage_dur c.t_queue c.t_compute0;
     stage_dur c.t_compute0 c.t_compute1;
     stage_dur (encode_from c) c.t_encode;
     stage_dur c.t_encode c.t_flush;
@@ -348,13 +337,12 @@ let finish c ~flush_ns =
     M.incr m_finished;
     observe_pair 0 c.t_read c.t_decode;
     if c.cache_hit || c.t_cache > 0 then observe_pair 1 c.t_decode c.t_cache;
-    observe_pair 2 c.t_queue c.t_compute0;
-    observe_pair 3 c.t_compute0 c.t_compute1;
-    observe_pair 4 (encode_from c) c.t_encode;
-    observe_pair 5 c.t_encode c.t_flush;
+    observe_pair 2 c.t_compute0 c.t_compute1;
+    observe_pair 3 (encode_from c) c.t_encode;
+    observe_pair 4 c.t_encode c.t_flush;
     if c.t_read > 0 && c.t_flush >= c.t_read then begin
       let total = float_of_int (c.t_flush - c.t_read) *. ns_to_s in
-      observe_stage 6 total;
+      observe_stage 5 total;
       let k = kind_index c.kind and cd = codec_index c.codec in
       M.observe latency_hists.(k).(cd) total;
       Obs.Quantile.record latency_quantiles.(k).(cd) total
@@ -537,11 +525,11 @@ let write_recorder ?(reason = "explicit") oc =
       output_char oc '\n')
     entries
 
-(* Crash dumps: a transport or supervisor notices something fatal and
-   wants the last N requests on disk.  The path is configured once
-   (e.g. by `swap_cli serve --recorder-dump`); without one the trigger
-   is a no-op.  I/O failures are swallowed — a dump must never turn a
-   recoverable worker crash into a server death. *)
+(* Crash dumps: the engine absorbs a handler crash and wants the last
+   N requests on disk.  The path is configured once (e.g. by `swap_cli
+   serve --recorder-dump`); without one the trigger is a no-op.  I/O
+   failures are swallowed — a dump must never turn an absorbed handler
+   crash into a server death. *)
 let dump_path = Atomic.make (None : string option)
 let set_dump_path p = Atomic.set dump_path p
 

@@ -25,8 +25,8 @@ val sample_every : unit -> int
 val should_sample_id : string option -> bool
 (** The sampling decision — a pure function of the request id (FNV-1a
     of the id, empty string when [None], mod {!sample_every}), so the
-    sampled set is identical at any shard/worker count and across
-    replays of the same corpus. *)
+    sampled set is identical at any shard count and across replays of
+    the same corpus. *)
 
 (** {1 Stage clock}
 
@@ -34,7 +34,7 @@ val should_sample_id : string option -> bool
     ({!Obs.Monotonic.now_int_ns} — an [int64] would box on every
     mutable-field store, the dominant telemetry cost at serve
     throughput): read-complete (at {!make}), decode, cache-lookup,
-    queue-admit, compute-start/end, encode, and flush (at {!finish}).
+    compute-start/end, encode, and flush (at {!finish}).
     All mutators are no-ops on the dummy clock. *)
 
 type clock
@@ -44,8 +44,8 @@ val none : clock
 
 val make : codec:string -> read_ns:int -> clock
 (** New clock for a request whose bytes finished arriving at
-    [read_ns]; [codec] is ["json"], ["binary"], ["pipe"], or
-    ["queue"].  Returns {!none} when telemetry is disabled. *)
+    [read_ns]; [codec] is ["json"], ["binary"] or ["pipe"].  Returns
+    {!none} when telemetry is disabled. *)
 
 val is_real : clock -> bool
 
@@ -60,7 +60,6 @@ val reinit : clock -> codec:string -> read_ns:int -> clock
 val now_ns : unit -> int
 val stamp_decode : clock -> unit
 val stamp_cache : clock -> hit:bool -> unit
-val stamp_queue_at : clock -> int -> unit
 val stamp_compute_start : clock -> unit
 val stamp_compute_stop : clock -> unit
 val stamp_encode : clock -> unit
@@ -93,7 +92,7 @@ type stage_stat = {
 
 val stage_stats : unit -> stage_stat list
 (** Per-stage breakdown (stages with at least one sample), in stage
-    order: decode, cache, queue, compute, encode, flush, total. *)
+    order: decode, cache, compute, encode, flush, total. *)
 
 type latency_stat = {
   l_kind : string;
@@ -143,7 +142,7 @@ val set_dump_path : string option -> unit
 
 val dump_to_path : reason:string -> unit
 (** Dump the recorder to the configured path, if any.  I/O errors are
-    swallowed: a failed dump must never escalate a recoverable worker
+    swallowed: a failed dump must never escalate an absorbed handler
     crash into a server death. *)
 
 val reset : unit -> unit

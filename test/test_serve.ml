@@ -1,8 +1,7 @@
 (* The serve subsystem: codec round-trips and golden encodings, the
-   error taxonomy, cache hit/eviction semantics, admission control and
-   deadlines (driven deterministically on worker-less engines via
-   [pump]), the jobs-invariance byte-identity guard, and a live
-   socket-transport round trip. *)
+   error taxonomy, cache hit/eviction semantics, the jobs-invariance
+   byte-identity guard, crash absorption on a live reactor shard, and
+   live socket-transport round trips. *)
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -19,8 +18,7 @@ let contains s sub =
    be meaningless. *)
 let mus = [| -0.01; 0.01 |]
 let sigmas = [| 0.05; 0.1 |]
-let make_engine ?workers ?queue_capacity ?deadline_s () =
-  Serve.Engine.create ?workers ?queue_capacity ?deadline_s ~mus ~sigmas ()
+let make_engine () = Serve.Engine.create ~mus ~sigmas ()
 
 (* --- codec --------------------------------------------------------------- *)
 
@@ -472,10 +470,10 @@ let test_binary_incremental () =
   | _ -> Alcotest.fail "oversized header must be Too_large"
 
 let test_binary_socket_roundtrip () =
-  let e = make_engine ~workers:0 () in
+  let e = make_engine () in
   let path = Printf.sprintf "/tmp/htlc-serve-bin-%d.sock" (Unix.getpid ()) in
   let server = Serve.Server.listen e ~path () in
-  let reference = make_engine ~workers:0 () in
+  let reference = make_engine () in
   let json_lines =
     [
       "{\"schema\":\"htlc-serve/v1\",\"id\":\"s1\",\"req\":\"success_rate\",\"p_star\":2}";
@@ -555,9 +553,7 @@ let test_binary_socket_roundtrip () =
       (contains body "\"status\":\"ok\"" && contains body "\"id\":\"again\"")
   | None -> Alcotest.fail "server must still answer after violations");
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  Serve.Server.shutdown server;
-  Serve.Engine.stop e;
-  Serve.Engine.stop reference
+  Serve.Server.shutdown server
 
 (* --- cache --------------------------------------------------------------- *)
 
@@ -614,7 +610,7 @@ let test_cache_capacity_bound () =
 (* --- engine -------------------------------------------------------------- *)
 
 let test_engine_handle () =
-  let e = make_engine ~workers:0 () in
+  let e = make_engine () in
   let ok line frag =
     let resp = Serve.Engine.handle e line in
     check_bool (Printf.sprintf "ok response for %s" frag) true
@@ -644,14 +640,16 @@ let test_engine_handle () =
   in
   check_bool "sweep size is capped" true
     (contains resp "\"error\":\"invalid_params\"");
+  check_bool "an undecodable line is a parse error" true
+    (contains (Serve.Engine.handle e "not json") "\"error\":\"parse_error\"");
   let s = Serve.Engine.stats e in
   check_int "requests counted" 6 s.Serve.Engine.requests;
   check_int "ok bodies" 3 s.Serve.Engine.ok;
   check_int "error bodies" 3 s.Serve.Engine.errors;
-  Serve.Engine.stop e
+  check_int "parse errors counted apart" 1 s.Serve.Engine.parse_errors
 
 let test_engine_cache_identity () =
-  let e = make_engine ~workers:0 () in
+  let e = make_engine () in
   let line id =
     Printf.sprintf
       "{\"schema\":\"htlc-serve/v1\",\"id\":%s,\"req\":\"success_rate\",\"p_star\":2}"
@@ -679,11 +677,10 @@ let test_engine_cache_identity () =
   check_bool "ids differ" true (r1 <> r2);
   let s = Serve.Engine.stats e in
   check_int "second answer came from the cache"
-    1 s.Serve.Engine.cache.Serve.Cache.hits;
-  Serve.Engine.stop e
+    1 s.Serve.Engine.cache.Serve.Cache.hits
 
 let test_engine_route () =
-  let e = make_engine ~workers:0 () in
+  let e = make_engine () in
   let line = function
     | Some (from_tok, to_tok, hops) ->
       Printf.sprintf
@@ -721,76 +718,13 @@ let test_engine_route () =
       (Serve.Engine.handle_decoded e decoded)
   | Error err -> Alcotest.failf "route payload must decode: %s" err.message);
   let hits_after = (Serve.Engine.stats e).cache.Serve.Cache.hits in
-  check_int "route is cache-keyed across codecs" (hits_before + 1) hits_after;
-  Serve.Engine.stop e
-
-let test_engine_shed_and_pump () =
-  let e = make_engine ~workers:0 ~queue_capacity:2 () in
-  let line id =
-    Printf.sprintf
-      "{\"schema\":\"htlc-serve/v1\",\"id\":\"%s\",\"req\":\"success_rate\",\"p_star\":2}"
-      id
-  in
-  let t1 =
-    match Serve.Engine.submit e (line "a") with
-    | `Ticket t -> t
-    | `Done _ -> Alcotest.fail "first submit must queue"
-  in
-  let t2 =
-    match Serve.Engine.submit e (line "b") with
-    | `Ticket t -> t
-    | `Done _ -> Alcotest.fail "second submit must queue"
-  in
-  (match Serve.Engine.submit e (line "c") with
-  | `Done resp ->
-    check_bool "third submit sheds with overloaded" true
-      (contains resp "\"error\":\"overloaded\"")
-  | `Ticket _ -> Alcotest.fail "full queue must shed");
-  (match Serve.Engine.submit e "not json" with
-  | `Done resp ->
-    check_bool "parse errors answer immediately even when full" true
-      (contains resp "\"error\":\"parse_error\"")
-  | `Ticket _ -> Alcotest.fail "parse errors never queue");
-  check_bool "pump runs one queued job" true (Serve.Engine.pump e);
-  check_bool "pump runs the second" true (Serve.Engine.pump e);
-  check_bool "queue now empty" false (Serve.Engine.pump e);
-  check_bool "first ticket resolved ok" true
-    (contains (Serve.Engine.await t1) "\"status\":\"ok\"");
-  check_bool "second ticket resolved ok" true
-    (contains (Serve.Engine.await t2) "\"id\":\"b\"");
-  let s = Serve.Engine.stats e in
-  check_int "one shed" 1 s.Serve.Engine.shed;
-  check_int "one parse error" 1 s.Serve.Engine.parse_errors;
-  Serve.Engine.stop e;
-  match Serve.Engine.submit e (line "d") with
-  | `Done resp ->
-    check_bool "submit after stop sheds" true
-      (contains resp "\"error\":\"overloaded\"")
-  | `Ticket _ -> Alcotest.fail "stopped engine must not queue"
-
-let test_engine_deadline () =
-  let e = make_engine ~workers:0 ~deadline_s:0.005 () in
-  let t =
-    match
-      Serve.Engine.submit e
-        "{\"schema\":\"htlc-serve/v1\",\"id\":\"late\",\"req\":\"success_rate\",\"p_star\":2}"
-    with
-    | `Ticket t -> t
-    | `Done _ -> Alcotest.fail "submit must queue"
-  in
-  Unix.sleepf 0.02;
-  check_bool "pump processes the stale job" true (Serve.Engine.pump e);
-  let resp = Serve.Engine.await t in
-  check_bool "stale job answered deadline_exceeded" true
-    (contains resp "\"error\":\"deadline_exceeded\"");
-  check_bool "id still echoed" true (contains resp "\"id\":\"late\"");
-  check_int "counted" 1 (Serve.Engine.stats e).Serve.Engine.deadline_exceeded;
-  Serve.Engine.stop e
+  check_int "route is cache-keyed across codecs" (hits_before + 1) hits_after
 
 let test_determinism_guard () =
-  (* Two identically configured engines must produce byte-identical
-     response arrays at jobs=1 and jobs=4 — the serve layer inherits the
-     pool's determinism contract. *)
+  (* Two identically configured engines, one answering on one domain
+     and one from four pool domains at once, must produce byte-identical
+     response arrays: concurrent handlers share the cache without
+     changing a byte. *)
   let lines =
     Array.init 40 (fun i ->
         match i mod 4 with
@@ -808,83 +742,25 @@ let test_determinism_guard () =
             i
         | _ -> Printf.sprintf "broken line %d" i)
   in
-  let e1 = make_engine ~workers:0 () in
-  let e2 = make_engine ~workers:0 () in
-  let r1 = Serve.Engine.handle_batch ~jobs:1 e1 lines in
-  let r2 = Serve.Engine.handle_batch ~jobs:4 e2 lines in
+  let e1 = make_engine () in
+  let e2 = make_engine () in
+  let batch ~jobs e = Numerics.Pool.map_array ~jobs (Serve.Engine.handle e) lines in
+  let r1 = batch ~jobs:1 e1 in
+  let r2 = batch ~jobs:4 e2 in
   check_bool "jobs=1 and jobs=4 responses are byte-identical" true (r1 = r2);
   (* And a warm re-run (every answer cached) is still identical. *)
-  let r3 = Serve.Engine.handle_batch ~jobs:4 e1 lines in
-  check_bool "cached responses are byte-identical too" true (r1 = r3);
-  Serve.Engine.stop e1;
-  Serve.Engine.stop e2
+  let r3 = batch ~jobs:4 e1 in
+  check_bool "cached responses are byte-identical too" true (r1 = r3)
 
-(* --- supervision ---------------------------------------------------------- *)
+(* --- crash absorption ------------------------------------------------------ *)
 
 let sr_line id =
   Printf.sprintf
     "{\"schema\":\"htlc-serve/v1\",\"id\":\"%s\",\"req\":\"success_rate\",\"p_star\":2}"
     id
 
-let await_restarts e ~at_least =
-  (* The supervisor counts the restart a moment after the crash ticket
-     resolves; poll briefly rather than racing it. *)
-  let t0 = Obs.Monotonic.now_ns () in
-  while
-    (Serve.Engine.stats e).Serve.Engine.worker_restarts < at_least
-    && Obs.Monotonic.elapsed_s ~since_ns:t0 < 5.
-  do
-    Unix.sleepf 0.002
-  done;
-  (Serve.Engine.stats e).Serve.Engine.worker_restarts
-
-let test_supervision_restart () =
-  let e = make_engine ~workers:2 () in
-  let resp =
-    match Serve.Engine.inject_crash ~id:"boom" e with
-    | `Ticket t -> Serve.Engine.await t
-    | `Done resp -> resp
-  in
-  check_bool "crash ticket resolves with internal_error" true
-    (contains resp "\"error\":\"internal_error\"");
-  check_bool "crash response names the injected fault" true
-    (contains resp "injected worker crash");
-  check_bool "id echoed on the crash response" true
-    (contains resp "\"id\":\"boom\"");
-  check_bool "supervisor restarted the dead worker" true
-    (await_restarts e ~at_least:1 >= 1);
-  (* The engine must keep serving after the death/restart cycle. *)
-  let after =
-    match Serve.Engine.submit e (sr_line "after-crash") with
-    | `Ticket t -> Serve.Engine.await t
-    | `Done resp -> resp
-  in
-  check_bool "engine still serves after a restart" true
-    (contains after "\"status\":\"ok\"");
-  check_int "internal error counted" 1
-    (Serve.Engine.stats e).Serve.Engine.internal_errors;
-  Serve.Engine.stop e;
-  check_int "no workers left after stop" 0 (Serve.Engine.alive_workers e)
-
-let test_pump_absorbs_crash () =
-  (* On a worker-less engine the caller's own domain runs the poisoned
-     task: the ticket must still resolve, but nothing died, so no
-     restart is counted. *)
-  let e = make_engine ~workers:0 () in
-  let t =
-    match Serve.Engine.inject_crash e with
-    | `Ticket t -> t
-    | `Done _ -> Alcotest.fail "crash task must queue on an idle engine"
-  in
-  check_bool "pump survives the poisoned task" true (Serve.Engine.pump e);
-  check_bool "ticket resolved with internal_error" true
-    (contains (Serve.Engine.await t) "\"error\":\"internal_error\"");
-  check_int "no restart counted on the pump path" 0
-    (Serve.Engine.stats e).Serve.Engine.worker_restarts;
-  Serve.Engine.stop e
-
 let test_health_request () =
-  let e = make_engine ~workers:0 () in
+  let e = make_engine () in
   let health = "{\"schema\":\"htlc-serve/v1\",\"id\":\"h\",\"req\":\"health\"}" in
   let resp = Serve.Engine.handle e health in
   List.iter
@@ -892,13 +768,8 @@ let test_health_request () =
       check_bool (Printf.sprintf "health reports %s" frag) true
         (contains resp frag))
     [
-      "\"status\":\"ok\"";
-      "\"req\":\"health\"";
-      "\"workers\":0";
-      "\"queue_depth\":0";
-      "\"draining\":false";
-      "\"worker_restarts\":0";
-      "\"cache\":{";
+      "\"req\":\"health\",\"status\":\"ok\"";
+      "\"result\":{\"internal_errors\":0,\"cache\":{\"entries\":0,";
     ];
   (* Health is live state: it must bypass the cache entirely. *)
   ignore (Serve.Engine.handle e health);
@@ -906,93 +777,155 @@ let test_health_request () =
   check_int "health is never cached (no hits)" 0
     s.Serve.Engine.cache.Serve.Cache.hits;
   check_int "health is never cached (no misses)" 0
-    s.Serve.Engine.cache.Serve.Cache.misses;
-  Serve.Engine.stop e;
-  check_bool "draining reported after shutdown" true
-    (contains (Serve.Engine.handle e health) "\"draining\":true")
+    s.Serve.Engine.cache.Serve.Cache.misses
 
-(* --- shutdown under load -------------------------------------------------- *)
+let connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
 
-let test_shutdown_drain_finishes_queue () =
-  let e = make_engine ~workers:0 () in
-  let tickets =
-    List.init 5 (fun i ->
-        match Serve.Engine.submit e (sr_line (Printf.sprintf "d%d" i)) with
-        | `Ticket t -> t
-        | `Done _ -> Alcotest.fail "submit must queue")
+let connection_errors () =
+  Obs.Metrics.counter_value (Obs.Metrics.counter "serve.connection_errors")
+
+let test_crash_on_live_shard () =
+  (* One shard serves both connections, so the crash happens on the
+     very domain that owes the b1 connection its answers. *)
+  let e = make_engine () in
+  let reference = make_engine () in
+  let path = Printf.sprintf "/tmp/htlc-serve-crash-%d.sock" (Unix.getpid ()) in
+  let server = Serve.Server.listen e ~path ~shards:1 () in
+  let errors_before = connection_errors () in
+  let jfd, jic, joc = connect path in
+  let bfd, bic, boc = connect path in
+  output_string boc Serve.Binary.magic;
+  let window tag =
+    List.init 8 (fun i ->
+        let body =
+          match i mod 3 with
+          | 0 ->
+            Serve.Request.Success_rate
+              {
+                params = Swap.Params.defaults;
+                p_star = 1.9 +. (0.05 *. float_of_int i);
+                q = 0.;
+              }
+          | 1 -> Serve.Request.Quote { mu = 0.; sigma = 0.075; spot = 2. }
+          | _ -> Serve.Request.Cutoffs { params = Swap.Params.defaults; p_star = 2. }
+        in
+        { Serve.Request.id = Some (Printf.sprintf "%s%d" tag i); body })
   in
-  Serve.Engine.shutdown ~drain:true e;
+  let send_window reqs =
+    List.iter (fun r -> output_string boc (Serve.Binary.encode_request r)) reqs;
+    flush boc
+  in
+  let check_window tag reqs =
+    List.iteri
+      (fun i r ->
+        match Serve.Binary.input_frame bic with
+        | Some body ->
+          check_str
+            (Printf.sprintf "b1 window %s #%d byte-identical" tag i)
+            (Serve.Engine.handle_decoded reference r)
+            body
+        | None -> Alcotest.failf "b1 connection closed in window %s" tag)
+      reqs
+  in
+  let ask line =
+    output_string joc line;
+    output_char joc '\n';
+    flush joc;
+    input_line jic
+  in
+  let before = window "before" in
+  send_window before;
+  check_window "before" before;
+  (* This window is in flight on the shard while the handler crashes. *)
+  let around = window "around" in
+  send_window around;
+  Serve.Engine.inject_crash e ~id:"boom";
+  let crashed = ask (sr_line "boom") in
+  check_bool "crash answered internal_error" true
+    (contains crashed "\"status\":\"error\",\"error\":\"internal_error\"");
+  check_bool "crash response echoes the id and kind" true
+    (contains crashed "\"id\":\"boom\",\"req\":\"success_rate\"");
+  check_bool "crash response names the injected fault" true
+    (contains crashed "injected handler crash");
+  let next = sr_line "after-crash" in
+  check_str "the crashed connection's next answer is byte-identical"
+    (Serve.Engine.handle reference next)
+    (ask next);
+  check_window "around" around;
+  let after = window "after" in
+  send_window after;
+  check_window "after" after;
+  check_int "the crash cost no connection" errors_before (connection_errors ());
+  check_int "one internal error" 1 (Serve.Engine.stats e).internal_errors;
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ jfd; bfd ];
+  Serve.Server.shutdown server
+
+let test_crash_and_recover () =
+  (* No domain dies on a crash any more, so nothing needs restarting:
+     the engine must simply answer the crash and carry on, cycle after
+     cycle, with the one-shot trigger armable again each time. *)
+  let e = make_engine () in
+  let reference = make_engine () in
   List.iteri
-    (fun i t ->
-      check_bool (Printf.sprintf "drained ticket %d resolved ok" i) true
-        (contains (Serve.Engine.await t) "\"status\":\"ok\""))
-    tickets;
-  check_int "queue empty after drain" 0 (Serve.Engine.queue_depth e)
+    (fun round id ->
+      Serve.Engine.inject_crash e ~id;
+      let resp = Serve.Engine.handle e (sr_line id) in
+      check_bool "crash answered internal_error" true
+        (contains resp "\"status\":\"error\",\"error\":\"internal_error\"");
+      check_bool "crash response names the injected fault" true
+        (contains resp "injected handler crash");
+      check_bool "id echoed on the crash response" true
+        (contains resp (Printf.sprintf "\"id\":\"%s\"" id));
+      let next = sr_line (id ^ "-after") in
+      check_str "engine still serves after the crash"
+        (Serve.Engine.handle reference next)
+        (Serve.Engine.handle e next);
+      check_int "internal errors counted per crash" (round + 1)
+        (Serve.Engine.stats e).internal_errors)
+    [ "boom"; "boom-again" ]
 
-let test_shutdown_nodrain_rejects_queue () =
-  let e = make_engine ~workers:0 () in
-  let tickets =
-    List.init 5 (fun i ->
-        match Serve.Engine.submit e (sr_line (Printf.sprintf "n%d" i)) with
-        | `Ticket t -> t
-        | `Done _ -> Alcotest.fail "submit must queue")
+let test_pipe_absorbs_crash () =
+  (* The pipe transport runs each request on the caller's own domain:
+     the poisoned line must come back as internal_error and the loop
+     must go on to answer the rest of the script. *)
+  let e = make_engine () in
+  let reference = make_engine () in
+  let lines = [ sr_line "warm"; sr_line "boom"; sr_line "after" ] in
+  let tmp = Filename.temp_file "htlc-crash" ".script" in
+  Out_channel.with_open_text tmp (fun oc ->
+      List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines);
+  let out = Filename.temp_file "htlc-crash" ".out" in
+  Serve.Engine.inject_crash e ~id:"boom";
+  let served =
+    In_channel.with_open_text tmp (fun ic ->
+        Out_channel.with_open_text out (fun oc ->
+            Serve.Server.serve_pipe e ic oc))
   in
-  Serve.Engine.shutdown ~drain:false e;
-  List.iteri
-    (fun i t ->
-      let resp = Serve.Engine.await t in
-      check_bool (Printf.sprintf "queued ticket %d rejected" i) true
-        (contains resp "\"error\":\"overloaded\"");
-      check_bool (Printf.sprintf "rejection %d names shutdown" i) true
-        (contains resp "shutting down"))
-    tickets;
-  check_int "queue empty after fast shutdown" 0 (Serve.Engine.queue_depth e);
-  match Serve.Engine.submit e (sr_line "late") with
-  | `Done resp ->
-    check_bool "new submissions shed while shutting down" true
-      (contains resp "\"error\":\"overloaded\"")
-  | `Ticket _ -> Alcotest.fail "draining engine must not queue"
+  check_int "pipe loop survives the poisoned line" 3 served;
+  (match In_channel.with_open_text out In_channel.input_lines with
+  | [ warm; boom; after ] ->
+    check_str "line before the crash byte-identical"
+      (Serve.Engine.handle reference (List.nth lines 0))
+      warm;
+    check_bool "poisoned line answered internal_error" true
+      (contains boom "\"id\":\"boom\",\"req\":\"success_rate\",\"status\":\"error\",\"error\":\"internal_error\"");
+    check_str "line after the crash byte-identical"
+      (Serve.Engine.handle reference (List.nth lines 2))
+      after
+  | got -> Alcotest.failf "expected 3 response lines, got %d" (List.length got));
+  check_int "one internal error" 1 (Serve.Engine.stats e).internal_errors;
+  Sys.remove tmp;
+  Sys.remove out
 
-let test_shutdown_under_load () =
-  (* Submitters race shutdown: every submission must get exactly one
-     response — computed, rejected, or shed — and nothing may hang or
-     be double-completed. *)
-  let e = make_engine ~workers:2 ~queue_capacity:8 () in
-  let per_domain = 40 in
-  let ok = Atomic.make 0 and rejected = Atomic.make 0 in
-  let submitter d =
-    Domain.spawn (fun () ->
-        for i = 0 to per_domain - 1 do
-          let resp =
-            match
-              Serve.Engine.submit e (sr_line (Printf.sprintf "u%d-%d" d i))
-            with
-            | `Ticket t -> Serve.Engine.await t
-            | `Done resp -> resp
-          in
-          if contains resp "\"status\":\"ok\"" then Atomic.incr ok
-          else if contains resp "\"error\":\"overloaded\"" then
-            Atomic.incr rejected
-          else Alcotest.failf "unexpected response under shutdown: %s" resp
-        done)
-  in
-  let domains = List.init 3 submitter in
-  Unix.sleepf 0.002;
-  Serve.Engine.shutdown ~drain:false e;
-  List.iter Domain.join domains;
-  check_int "every submission got exactly one response"
-    (3 * per_domain)
-    (Atomic.get ok + Atomic.get rejected);
-  check_int "queue empty after racing shutdown" 0
-    (Serve.Engine.queue_depth e);
-  check_int "idempotent second shutdown is safe" 0
-    (Serve.Engine.shutdown ~drain:true e;
-     Serve.Engine.queue_depth e)
+(* --- shutdown -------------------------------------------------------------- *)
 
 let test_server_shutdown_with_live_conn () =
   (* A connection mid-request when the server shuts down: shutdown must
      not hang, and the client sees EOF, not a stuck socket. *)
-  let e = make_engine ~workers:1 () in
+  let e = make_engine () in
   let path =
     Printf.sprintf "/tmp/htlc-serve-live-%d.sock" (Unix.getpid ())
   in
@@ -1000,7 +933,8 @@ let test_server_shutdown_with_live_conn () =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX path);
   let oc = Unix.out_channel_of_descr fd in
-  (* Half a request: no newline, so the handler is parked in input_line. *)
+  (* Half a request: no newline, so it waits in the connection's read
+     buffer on the shard. *)
   output_string oc "{\"schema\":\"htlc-serve";
   flush oc;
   Serve.Server.shutdown server;
@@ -1012,13 +946,12 @@ let test_server_shutdown_with_live_conn () =
   | exception End_of_file -> ()
   | exception Sys_error _ -> ());
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  check_bool "socket unlinked" false (Sys.file_exists path);
-  Serve.Engine.stop e
+  check_bool "socket unlinked" false (Sys.file_exists path)
 
 (* --- stale / live / non-socket paths -------------------------------------- *)
 
 let test_listen_stale_and_live () =
-  let e = make_engine ~workers:0 () in
+  let e = make_engine () in
   let path =
     Printf.sprintf "/tmp/htlc-serve-stale-%d.sock" (Unix.getpid ())
   in
@@ -1045,8 +978,18 @@ let test_listen_stale_and_live () =
   | _ -> Alcotest.fail "listen on a regular file must raise"
   | exception Unix.Unix_error (Unix.ENOTSOCK, _, _) -> ());
   check_bool "regular file untouched" true (Sys.file_exists regular);
-  Sys.remove regular;
-  Serve.Engine.stop e
+  Sys.remove regular
+
+let test_listen_rejects_zero_shards () =
+  let path =
+    Printf.sprintf "/tmp/htlc-serve-zero-%d.sock" (Unix.getpid ())
+  in
+  (match Serve.Server.listen (make_engine ()) ~path ~shards:0 () with
+  | _ -> Alcotest.fail "listen ~shards:0 must raise"
+  | exception Invalid_argument _ -> ());
+  check_bool "no socket file left behind" false (Sys.file_exists path);
+  check_bool "no temp socket left behind" false
+    (Sys.file_exists (Printf.sprintf "%s.%d.tmp" path (Unix.getpid ())))
 
 (* --- chaos + client ------------------------------------------------------- *)
 
@@ -1082,13 +1025,12 @@ let test_chaos_pipe_script () =
   Out_channel.with_open_text tmp (fun oc ->
       Out_channel.output_string oc script);
   let out = Filename.temp_file "htlc-chaos" ".out" in
-  let e = make_engine ~workers:0 () in
+  let e = make_engine () in
   let served =
     In_channel.with_open_text tmp (fun ic ->
         Out_channel.with_open_text out (fun oc ->
             Serve.Server.serve_pipe e ic oc))
   in
-  Serve.Engine.stop e;
   check_int "pipe answers every surviving line" expected served;
   let responses =
     In_channel.with_open_text out In_channel.input_lines
@@ -1100,12 +1042,12 @@ let test_chaos_pipe_script () =
   Sys.remove out
 
 let test_client_retries_through_chaos () =
-  let e = make_engine ~workers:2 () in
+  let e = make_engine () in
   let path =
     Printf.sprintf "/tmp/htlc-serve-chaos-%d.sock" (Unix.getpid ())
   in
   let server = Serve.Server.listen e ~path () in
-  let reference = make_engine ~workers:0 () in
+  let reference = make_engine () in
   let plan = Serve.Chaos.plan ~seed:21 () in
   let client =
     Serve.Client.create
@@ -1133,9 +1075,7 @@ let test_client_retries_through_chaos () =
   check_bool "retries re-dialed" true (s.Serve.Client.reconnects > 0);
   check_int "no call ultimately failed" 0 s.Serve.Client.failures;
   Serve.Client.close client;
-  Serve.Server.shutdown server;
-  Serve.Engine.stop e;
-  Serve.Engine.stop reference
+  Serve.Server.shutdown server
 
 let test_client_deadline_and_unavailable () =
   (* No server at all: the client must fail fast and structured, never
@@ -1168,7 +1108,7 @@ let test_client_deadline_and_unavailable () =
 (* --- socket transport ---------------------------------------------------- *)
 
 let test_socket_roundtrip () =
-  let e = make_engine ~workers:2 () in
+  let e = make_engine () in
   let path = Printf.sprintf "/tmp/htlc-serve-test-%d.sock" (Unix.getpid ()) in
   let server = Serve.Server.listen e ~path () in
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1189,9 +1129,9 @@ let test_socket_roundtrip () =
       "{\"schema\":\"htlc-serve/v1\",\"id\":\"s1\",\"req\":\"success_rate\",\"p_star\":2}";
     ]
   in
-  (* The reference: a worker-less engine with the same configuration,
-     answering the same lines directly. *)
-  let reference = make_engine ~workers:0 () in
+  (* The reference: an engine with the same configuration, answering
+     the same lines directly. *)
+  let reference = make_engine () in
   List.iteri
     (fun i line ->
       check_str
@@ -1203,9 +1143,7 @@ let test_socket_roundtrip () =
   Serve.Server.shutdown server;
   Serve.Server.shutdown server;
   (* Idempotent. *)
-  check_bool "socket path unlinked on shutdown" false (Sys.file_exists path);
-  Serve.Engine.stop e;
-  Serve.Engine.stop reference
+  check_bool "socket path unlinked on shutdown" false (Sys.file_exists path)
 
 (* --- quote table reasons -------------------------------------------------- *)
 
@@ -1237,7 +1175,7 @@ let test_sampling_deterministic () =
       let pick () = List.map Serve.Telemetry.should_sample_id ids in
       let base = pick () in
       check_bool "pure in the id: replay is identical" true (base = pick ());
-      (* Shard/worker-count invariance: the decision must not depend on
+      (* Shard-count invariance: the decision must not depend on
          the calling domain. *)
       Array.iter
         (fun got -> check_bool "same set from every domain" true (got = base))
@@ -1266,7 +1204,7 @@ let test_byte_identity_with_telemetry () =
   (* A fresh identically configured engine per run: cache state cannot
      leak between the instrumented and the bare pass. *)
   let run () =
-    let e = make_engine ~workers:0 () in
+    let e = make_engine () in
     let out =
       List.map
         (fun line ->
@@ -1279,7 +1217,6 @@ let test_byte_identity_with_telemetry () =
           resp)
         lines
     in
-    Serve.Engine.stop e;
     out
   in
   let traced =
@@ -1312,7 +1249,7 @@ let test_flight_recorder_dump () =
       Serve.Telemetry.reset ())
   @@ fun () ->
   with_sampling 1 @@ fun () ->
-  let e = make_engine ~workers:0 () in
+  let e = make_engine () in
   let input = Filename.temp_file "htlc-recorder" ".in" in
   let output = Filename.temp_file "htlc-recorder" ".out" in
   let dump = Filename.temp_file "htlc-recorder" ".jsonl" in
@@ -1326,7 +1263,6 @@ let test_flight_recorder_dump () =
         Out_channel.with_open_text output (fun oc ->
             Serve.Server.serve_pipe e ic oc))
   in
-  Serve.Engine.stop e;
   check_int "all requests served" 40 served;
   check_int "every request was pushed" 40 (Serve.Telemetry.recorder_pushed ());
   check_int "ring holds its bound" 16 (Serve.Telemetry.recorder_recorded ());
@@ -1378,8 +1314,35 @@ let test_flight_recorder_dump () =
   check_bool "newest record survived" true (!last_seq = 39.);
   List.iter Sys.remove [ input; output; dump ]
 
+let test_crash_dump () =
+  let e = make_engine () in
+  let dump = Filename.temp_file "htlc-crash" ".jsonl" in
+  Serve.Telemetry.set_dump_path (Some dump);
+  Fun.protect ~finally:(fun () -> Serve.Telemetry.set_dump_path None)
+  @@ fun () ->
+  ignore (Serve.Engine.handle e (sr_line "warm"));
+  Serve.Engine.inject_crash e ~id:"dump-me";
+  check_bool "the armed request crashes" true
+    (contains
+       (Serve.Engine.handle e (sr_line "dump-me"))
+       "\"error\":\"internal_error\"");
+  let module J = Obs.Json_parse in
+  let header =
+    match In_channel.with_open_text dump In_channel.input_line with
+    | Some line -> J.parse line
+    | None -> Alcotest.fail "the crash wrote no recorder dump"
+  in
+  let str key = J.as_str key (J.member "header" header key) in
+  check_str "header schema" "htlc-obs/v1" (str "schema");
+  check_str "header type" "recorder" (str "type");
+  check_str "header reason" "handler_crash" (str "reason");
+  check_bool "the crash is one-shot" true
+    (contains (Serve.Engine.handle e (sr_line "dump-me")) "\"status\":\"ok\"");
+  check_int "one internal error" 1 (Serve.Engine.stats e).internal_errors;
+  Sys.remove dump
+
 let test_stats_request () =
-  let e = make_engine ~workers:0 () in
+  let e = make_engine () in
   let stats_line id =
     Printf.sprintf
       "{\"schema\":\"htlc-serve/v1\",\"id\":\"%s\",\"req\":\"stats\"}" id
@@ -1402,7 +1365,6 @@ let test_stats_request () =
   let after = (Serve.Engine.stats e).Serve.Engine.cache in
   check_int "no cache miss recorded" misses_before after.Serve.Cache.misses;
   check_int "no cache hit recorded" hits_before after.Serve.Cache.hits;
-  Serve.Engine.stop e;
   (* Both codecs carry the kind. *)
   let req = { Serve.Request.id = Some "st2"; body = Serve.Request.Stats } in
   check_str "canonical JSON roundtrip" (Serve.Request.encode req)
@@ -1444,25 +1406,19 @@ let () =
           Alcotest.test_case "handle + dispatch" `Quick test_engine_handle;
           Alcotest.test_case "cache identity" `Quick test_engine_cache_identity;
           Alcotest.test_case "route kind" `Quick test_engine_route;
-          Alcotest.test_case "shed + pump" `Quick test_engine_shed_and_pump;
-          Alcotest.test_case "deadline" `Quick test_engine_deadline;
           Alcotest.test_case "jobs invariance" `Quick test_determinism_guard;
         ] );
       ( "supervision",
         [
-          Alcotest.test_case "crash + restart" `Quick test_supervision_restart;
-          Alcotest.test_case "pump absorbs crash" `Quick
-            test_pump_absorbs_crash;
+          Alcotest.test_case "crash on a live shard" `Quick
+            test_crash_on_live_shard;
+          Alcotest.test_case "crash + restart" `Quick test_crash_and_recover;
           Alcotest.test_case "health request" `Quick test_health_request;
+          Alcotest.test_case "pump absorbs crash" `Quick
+            test_pipe_absorbs_crash;
         ] );
       ( "shutdown",
         [
-          Alcotest.test_case "drain finishes queue" `Quick
-            test_shutdown_drain_finishes_queue;
-          Alcotest.test_case "no-drain rejects queue" `Quick
-            test_shutdown_nodrain_rejects_queue;
-          Alcotest.test_case "racing submitters" `Quick
-            test_shutdown_under_load;
           Alcotest.test_case "live connection" `Quick
             test_server_shutdown_with_live_conn;
         ] );
@@ -1470,6 +1426,8 @@ let () =
         [
           Alcotest.test_case "stale/live/non-socket" `Quick
             test_listen_stale_and_live;
+          Alcotest.test_case "zero shards binds nothing" `Quick
+            test_listen_rejects_zero_shards;
         ] );
       ( "chaos",
         [
@@ -1492,6 +1450,7 @@ let () =
             test_byte_identity_with_telemetry;
           Alcotest.test_case "flight-recorder dump" `Quick
             test_flight_recorder_dump;
+          Alcotest.test_case "crash dump" `Quick test_crash_dump;
           Alcotest.test_case "stats request kind" `Quick test_stats_request;
         ] );
     ]
