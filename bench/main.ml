@@ -968,7 +968,8 @@ let serve_bench ~json ~requests:n ~clients ~shards ~smoke ~chaos ~budget_s =
   let frames = Array.map Serve.Binary.encode_request corpus in
   let expected = Array.map (Serve.Engine.handle_decoded reference) corpus in
   let path = Printf.sprintf "/tmp/htlc-serve-%d.sock" (Unix.getpid ()) in
-  (* Measured legs start from empty reservoirs so the recorded stage
+  (* Measured legs start from empty histogram windows (the first read
+     after a reset covers everything since it), so the recorded stage
      breakdown covers exactly this corpus (telemetry is on by default;
      the default 1/256 sampler stays in effect — what production
      overhead looks like). *)

@@ -14,9 +14,31 @@
 
 open Obs.Json_parse
 
+(* One exported histogram: nonzero buckets in strictly increasing [le]
+   order whose counts add up to [count]. *)
+let validate_histogram name h =
+  let path key = Printf.sprintf "obs.histograms[%S].%s" name key in
+  let count = as_num (path "count") (member (path "") h "count") in
+  ignore (as_num (path "sum") (member (path "") h "sum"));
+  let buckets = as_arr (path "buckets") (member (path "") h "buckets") in
+  let total =
+    List.fold_left
+      (fun (prev_le, total) b ->
+        let le = as_num (path "buckets.le") (member (path "buckets") b "le") in
+        let n = as_num (path "buckets.n") (member (path "buckets") b "n") in
+        if le <= prev_le then bad "%s: le %g does not increase" (path "buckets") le;
+        if n < 1. then bad "%s: bucket le %g has n = %g < 1" (path "buckets") le n;
+        (le, total +. n))
+      (neg_infinity, 0.) buckets
+    |> snd
+  in
+  if total <> count then
+    bad "%s: bucket counts sum to %g, count is %g" (path "buckets") total count
+
 (* The optional "obs" member embeds the Obs.Metrics snapshot taken after
    the Monte-Carlo wall-clock runs; when a baseline carries one it must
-   be a well-formed htlc-obs/v1 metrics document with integer counters. *)
+   be a well-formed htlc-obs/v1 metrics document with integer counters
+   and consistent histograms. *)
 let validate_obs_member obs =
   let schema = as_str "obs.schema" (member "obs" obs "schema") in
   if schema <> "htlc-obs/v1" then bad "obs: unknown schema %S" schema;
@@ -31,7 +53,9 @@ let validate_obs_member obs =
         bad "obs.counters[%S] must be a non-negative integer (got %g)" name c)
     counters;
   ignore (as_obj "obs.gauges" (member "obs" obs "gauges"));
-  ignore (as_obj "obs.histograms" (member "obs" obs "histograms"))
+  List.iter
+    (fun (name, h) -> validate_histogram name h)
+    (as_obj "obs.histograms" (member "obs" obs "histograms"))
 
 (* One codec leg under serve.codecs: the per-wire-format measurement of
    the head-to-head (the reactor serves htlc-serve/v1 JSON and
@@ -60,7 +84,7 @@ let validate_codec_leg ~codec leg =
       (path "identical_to_direct")
 
 (* One stage row under serve.stages: the telemetry stage-clock quantiles
-   folded over the measured legs (microseconds, exact reservoirs). *)
+   folded over the measured legs (microseconds, histogram windows). *)
 let known_stages =
   [ "decode"; "cache"; "compute"; "encode"; "flush"; "total" ]
 

@@ -685,7 +685,20 @@ let serve_cmd =
              identical at any shard count; $(b,1) = every \
              request).")
   in
-  let run params socket cache_capacity cache_shards max_sweep table_mus
+  (* [Cache.create] also refuses a capacity below the shard count. *)
+  let cache_sizes =
+    let check capacity shards =
+      if capacity < shards then
+        `Error
+          ( true,
+            Printf.sprintf
+              "--cache-capacity (%d) must be at least --cache-shards (%d)"
+              capacity shards )
+      else `Ok (capacity, shards)
+    in
+    Term.(ret (const check $ cache_capacity $ cache_shards))
+  in
+  let run params socket (cache_capacity, cache_shards) max_sweep table_mus
       table_sigmas shards recorder_dump sample_every jobs metrics trace_out =
     with_obs ~metrics ~trace_out @@ fun () ->
     Option.iter Numerics.Pool.set_jobs jobs;
@@ -740,9 +753,9 @@ let serve_cmd =
           and the server keeps serving.  The quote table is warm-built at \
           startup from the given base parameters.")
     Term.(
-      const run $ params_term $ socket $ cache_capacity $ cache_shards
-      $ max_sweep $ table_mus $ table_sigmas $ shards $ recorder_dump
-      $ sample_every $ jobs_term $ metrics_term $ trace_out_term)
+      const run $ params_term $ socket $ cache_sizes $ max_sweep $ table_mus
+      $ table_sigmas $ shards $ recorder_dump $ sample_every $ jobs_term
+      $ metrics_term $ trace_out_term)
 
 (* --- call ------------------------------------------------------------------ *)
 

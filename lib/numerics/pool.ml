@@ -107,14 +107,14 @@ let record_failure job chunk exn bt =
    model: release on the atomic), so the submitter may read result slots
    after observing [unfinished = 0]. *)
 let exec job chunk =
-  (* Clock reads are gated on the metrics flag (0L sentinel = untimed) so
+  (* Clock reads are gated on the metrics flag (0 sentinel = untimed) so
      the disabled path stays a single atomic load per chunk. *)
-  let t0 = if Obs.Metrics.enabled () then Obs.Monotonic.now_ns () else 0L in
+  let t0 = if Obs.Metrics.enabled () then Obs.Monotonic.now_int_ns () else 0 in
   (try job.run_chunk chunk
    with exn -> record_failure job chunk exn (Printexc.get_raw_backtrace ()));
   Obs.Metrics.incr m_chunks;
-  if t0 <> 0L then
-    Obs.Metrics.observe m_chunk_latency (Obs.Monotonic.elapsed_s ~since_ns:t0);
+  if t0 <> 0 then
+    Obs.Metrics.observe_ns m_chunk_latency (Obs.Monotonic.now_int_ns () - t0);
   if Atomic.fetch_and_add job.unfinished (-1) = 1 then begin
     Mutex.lock job.job_mutex;
     Condition.broadcast job.finished;
@@ -175,12 +175,11 @@ let run_chunks ?jobs:jobs_opt ~chunks run_chunk =
        the parallel path reports. *)
     let timed = Obs.Metrics.enabled () in
     for chunk = 0 to chunks - 1 do
-      let t0 = if timed then Obs.Monotonic.now_ns () else 0L in
+      let t0 = if timed then Obs.Monotonic.now_int_ns () else 0 in
       run_chunk chunk;
       Obs.Metrics.incr m_chunks;
-      if t0 <> 0L then
-        Obs.Metrics.observe m_chunk_latency
-          (Obs.Monotonic.elapsed_s ~since_ns:t0)
+      if t0 <> 0 then
+        Obs.Metrics.observe_ns m_chunk_latency (Obs.Monotonic.now_int_ns () - t0)
     done
   else begin
     let job =

@@ -1,16 +1,16 @@
 (** Tiny JSON {e emission} helpers used by every [Obs] exporter (and by
     callers embedding snapshots in larger documents).  No parser here:
     validators parse independently so the emitter cannot vouch for
-    itself. *)
-
-val escape : string -> string
-(** Backslash-escape a string for use inside JSON quotes. *)
+    itself.  [str] and [num] skip [Printf] on their common paths: every
+    canonical serve key and response is built from them. *)
 
 val str : string -> string
-(** A quoted, escaped JSON string literal. *)
+(** A quoted JSON string literal, backslash-escaped where needed. *)
 
 val num : float -> string
-(** A JSON number; NaN/infinite map to [null] (JSON has no encoding for
-    them). *)
+(** A JSON number, byte-identical to [Printf.sprintf "%.0f"] for
+    integral values below 1e15 in magnitude and to ["%.17g"] (which
+    round-trips) for every other finite value; NaN/infinite map to
+    [null] (JSON has no encoding for them). *)
 
 val int : int -> string

@@ -1,13 +1,12 @@
-(* Global metrics registry: named counters, gauges, and log-bucketed
-   histograms, safe under Numerics.Pool fan-out.
+(* Global metrics registry: named counters, gauges, and log-linear
+   duration histograms, safe under Numerics.Pool fan-out.
 
    Counters shard their cells by domain id so concurrent increments from
    pool workers never contend on one atomic; a read sums the shards.
-   Histograms keep one atomic per power-of-two bucket (updates to a hot
-   bucket are a single uncontended-in-practice fetch-and-add) and shard
-   the float sum.  Registration is mutex-guarded and idempotent: asking
-   for an existing name returns the existing metric, so modules can
-   register at load time without coordination.
+   Histograms give each recording domain its own plain-int shard (see
+   below).  Registration is mutex-guarded and idempotent: asking for an
+   existing name returns the existing metric, so modules can register at
+   load time without coordination.
 
    Probes honour a global [enabled] flag: when disabled every update is
    a single atomic load and branch (a few ns), which is the contract the
@@ -24,29 +23,64 @@ let shard () = (Domain.self () :> int) land (shards - 1)
 type counter = { c_name : string; cells : int Atomic.t array }
 type gauge = { g_name : string; g_cell : float Atomic.t }
 
-let n_buckets = 64
+(* --- histograms -----------------------------------------------------------
 
-(* Bucket [i] covers values in [2^(i-31), 2^(i-30)); its upper bound is
-   [2^(i-30)].  2^-30 s ~ 0.93 ns and 2^33 s ~ 272 y, so any latency or
-   magnitude we record lands in a real bucket. *)
-let bucket_offset = 30
+   Durations are recorded as integer nanoseconds into log-linear
+   buckets: each power of two [2^e, 2^(e+1)) ns, e in [0, max_exp), is
+   cut into [sub] sub-buckets of width 2^(e - sub_bits).  Bucket 0 holds
+   zero durations; the top bucket everything from 2^max_exp ns (~4.9 h)
+   up.  The index is read off the IEEE-754 bits: exponent and top
+   [sub_bits] mantissa bits together count sub-buckets from 1 ns. *)
 
-(* Histogram sums are a sharded *plain* float array (stride-padded so
-   shards sit on distinct cache lines), not [float Atomic.t] cells: a
-   flat float store is unboxed, while every CAS on a float atomic
-   allocates a fresh box — at one observation per request-stage that
-   was a measurable slice of serve-path GC traffic.  Two domains whose
-   ids collide mod [shards] can lose an increment to the read-add-write
-   race (64-bit float array stores don't tear, so the cell stays a
-   valid sample); the sum only feeds telemetry means, where a rare
-   lost sample is harmless.  Bucket counts stay exact — they are int
-   atomics. *)
-let sum_stride = 8
+let sub_bits = 5
+let sub = 1 lsl sub_bits
+let max_exp = 44
+let n_buckets = (max_exp * sub) + 2
+
+let bucket_index ns =
+  if ns <= 0 then 0
+  else
+    let bits = Int64.bits_of_float (float_of_int ns) in
+    let i = Int64.to_int (Int64.shift_right_logical bits (52 - sub_bits)) - (1023 * sub) + 1 in
+    if i >= n_buckets then n_buckets - 1 else i
+
+(* Lower edge of bucket [i] in ns; [lo (i + 1)] is its upper edge (for
+   the top bucket, a nominal one). *)
+let lo i =
+  if i = 0 then 0.
+  else Float.ldexp (float_of_int (sub + ((i - 1) mod sub))) (((i - 1) / sub) - sub_bits)
+
+let relative_error = Float.ldexp 1. (-(sub_bits + 1))
+
+(* A bucket's estimate in seconds: the midpoint of its edges, within
+   [relative_error] of any duration the bucket holds. *)
+let estimate_s i =
+  if i = 0 then 0.
+  else if i = n_buckets - 1 then lo i /. 1e9
+  else (lo i +. lo (i + 1)) /. 2e9
+
+(* A shard is one domain's plain-int bucket counts, then its sample
+   count [slot_n] and nanosecond sum.  Only the domain holding it writes
+   it, so a record is three plain stores: no atomic read-modify-write,
+   no allocation, no lost update.  A domain claims a shard on its first
+   record — one an exited domain left on the free list if there is one,
+   so storage stays bounded by the peak number of recording domains —
+   and [Domain.at_exit] hands it back, counts intact.  Readers sum the
+   shards; a racing record may be missed by one read, never torn. *)
+let slot_n = n_buckets
 
 type histogram = {
   h_name : string;
-  buckets : int Atomic.t array; (* n_buckets cells *)
-  sums : float array; (* sharded, stride-padded, benign races *)
+  all : int array list Atomic.t; (* every shard ever claimed *)
+  mine : int array Domain.DLS.key; (* this domain's, claimed on first use *)
+  (* The trailing window, reader side only, under [win_lock]: the view
+     is the current counts minus [older]; a re-base moves [newer] into
+     [older] and the current counts into [newer].  [||] stands for all
+     zeros, so a histogram never read windowed allocates no bases. *)
+  win_lock : Mutex.t;
+  mutable older : int array;
+  mutable newer : int array;
+  mutable newer_ns : int;
 }
 
 type metric = Counter of counter | Gauge of gauge | Histogram of histogram
@@ -89,12 +123,34 @@ let gauge name =
     (function Gauge g -> Some g | _ -> None)
     "gauge"
 
+let rec push cell x =
+  let l = Atomic.get cell in
+  if not (Atomic.compare_and_set cell l (x :: l)) then push cell x
+
+let rec pop cell =
+  match Atomic.get cell with
+  | [] -> None
+  | x :: rest as l -> if Atomic.compare_and_set cell l rest then Some x else pop cell
+
 let histogram name =
   register name
     (fun () ->
+      let all = Atomic.make [] and free = Atomic.make [] in
+      let claim () =
+        let s =
+          match pop free with
+          | Some s -> s
+          | None ->
+            let s = Array.make (n_buckets + 2) 0 in
+            push all s;
+            s
+        in
+        Domain.at_exit (fun () -> push free s);
+        s
+      in
       Histogram
-        { h_name = name; buckets = atomic_array n_buckets;
-          sums = Array.make (shards * sum_stride) 0. })
+        { h_name = name; all; mine = Domain.DLS.new_key claim;
+          win_lock = Mutex.create (); older = [||]; newer = [||]; newer_ns = 0 })
     (function Histogram h -> Some h | _ -> None)
     "histogram"
 
@@ -114,31 +170,13 @@ let rec max_gauge g v =
       max_gauge g v
   end
 
-(* [Float.frexp]'s exponent, read straight from the IEEE-754 bits:
-   frexp allocates a (mantissa, exponent) tuple, and [observe] runs
-   once per request-stage on the serve hot path.  For a normal float
-   the biased exponent field is [frexp_e + 1022]; subnormals map to a
-   stand-in below every real bucket, which clamps to bucket 0 exactly
-   as frexp's [e <= -1021] did. *)
-let bucket_index v =
-  if not (v > 0.) then 0
-  else begin
-    let biased =
-      Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 52)
-      land 0x7ff
-    in
-    let e = if biased = 0 then -1021 else biased - 1022 in
-    let i = e + bucket_offset in
-    if i < 0 then 0 else if i >= n_buckets then n_buckets - 1 else i
-  end
-
-let bucket_le i = Float.ldexp 1. (i - bucket_offset)
-
-let observe h v =
+let observe_ns h ns =
   if enabled () then begin
-    Atomic.incr h.buckets.(bucket_index v);
-    let s = shard () * sum_stride in
-    h.sums.(s) <- h.sums.(s) +. v
+    let s = Domain.DLS.get h.mine in
+    let i = bucket_index ns in
+    Array.unsafe_set s i (Array.unsafe_get s i + 1);
+    s.(slot_n) <- s.(slot_n) + 1;
+    s.(slot_n + 1) <- s.(slot_n + 1) + ns
   end
 
 (* --- reads -------------------------------------------------------------- *)
@@ -155,17 +193,78 @@ type hist_snapshot = {
   buckets : (float * int) list; (* (upper bound, count), nonzero only *)
 }
 
+let merged shards i = List.fold_left (fun acc s -> acc + s.(i)) 0 shards
+let sum_s shards = float_of_int (merged shards (slot_n + 1)) /. 1e9
+
 let hist_value (h : histogram) =
+  let shards = Atomic.get h.all in
   let count = ref 0 and buckets = ref [] in
   for i = n_buckets - 1 downto 0 do
-    let n = Atomic.get h.buckets.(i) in
+    let n = merged shards i in
     count := !count + n;
-    if n > 0 then buckets := (bucket_le i, n) :: !buckets
+    if n > 0 then buckets := (lo (i + 1) /. 1e9, n) :: !buckets
   done;
-  let sum = Array.fold_left ( +. ) 0. h.sums in
-  { count = !count; sum; buckets = !buckets }
+  { count = !count; sum = sum_s shards; buckets = !buckets }
 
 let hist_name h = h.h_name
+let hist_shards h = List.length (Atomic.get h.all)
+
+type hist_view = {
+  v_count : int;
+  v_sum : float;
+  v_window : int;
+  v_quantiles : float array;
+}
+
+(* Under [win_lock]: [newer] into [older], the current counts (buckets
+   and [slot_n]) into [newer]. *)
+let shift h shards ~now_ns =
+  let spare = if h.older == [||] then Array.make (n_buckets + 1) 0 else h.older in
+  h.older <- h.newer;
+  for i = 0 to n_buckets do
+    spare.(i) <- merged shards i
+  done;
+  h.newer <- spare;
+  h.newer_ns <- now_ns
+
+let base a i = if a == [||] then 0 else a.(i)
+
+(* Quantile [q] of a window of [n] samples is the bucket holding its
+   [ceil (q n)]-th smallest sample (nearest rank). *)
+let hist_view h ~now_ns qs =
+  Mutex.lock h.win_lock;
+  let shards = Atomic.get h.all in
+  let count = merged shards slot_n in
+  if count > 0 && now_ns - h.newer_ns >= 10_000_000_000 then shift h shards ~now_ns;
+  let n = count - base h.older slot_n in
+  let nq = Array.length qs in
+  let rank q = max 1 (int_of_float (Float.ceil (q *. float_of_int n))) in
+  let out = Array.make nq nan in
+  let k = ref 0 and seen = ref 0 and i = ref 0 and last = ref 0 in
+  while n > 0 && !k < nq && !i < n_buckets do
+    let c = merged shards !i - base h.older !i in
+    if c > 0 then last := !i;
+    seen := !seen + c;
+    while !k < nq && !seen >= rank qs.(!k) do
+      out.(!k) <- estimate_s !i;
+      k := !k + 1
+    done;
+    i := !i + 1
+  done;
+  (* A record racing this read may have bumped [slot_n] before its
+     bucket became visible here, leaving the top ranks unreached. *)
+  if n > 0 then Array.fill out !k (nq - !k) (estimate_s !last);
+  Mutex.unlock h.win_lock;
+  { v_count = count; v_sum = sum_s shards; v_window = n; v_quantiles = out }
+
+(* Two shifts leave [older] at the current counts: an empty window.
+   With nothing recorded yet the window is empty already. *)
+let rebase h ~now_ns =
+  Mutex.lock h.win_lock;
+  let shards = Atomic.get h.all in
+  if shards == [] then h.newer_ns <- now_ns
+  else (shift h shards ~now_ns; shift h shards ~now_ns);
+  Mutex.unlock h.win_lock
 
 type snapshot = {
   counters : (string * int) list;
@@ -204,8 +303,12 @@ let reset () =
       | Counter c -> Array.iter (fun a -> Atomic.set a 0) c.cells
       | Gauge g -> Atomic.set g.g_cell 0.
       | Histogram h ->
-        Array.iter (fun a -> Atomic.set a 0) h.buckets;
-        Array.fill h.sums 0 (Array.length h.sums) 0.)
+        List.iter (fun s -> Array.fill s 0 (Array.length s) 0) (Atomic.get h.all);
+        Mutex.lock h.win_lock;
+        h.older <- [||];
+        h.newer <- [||];
+        h.newer_ns <- 0;
+        Mutex.unlock h.win_lock)
     registry;
   Mutex.unlock registry_mutex
 [@@lint.allow hashtbl_order
@@ -253,6 +356,8 @@ let to_json s =
 let prom_name name =
   String.map (fun c -> if c = '.' || c = '-' then '_' else c) name
 
+let top_le = lo n_buckets /. 1e9
+
 let to_prometheus s =
   let b = Buffer.create 1024 in
   List.iter
@@ -280,7 +385,7 @@ let to_prometheus s =
              +Inf terminal instead (the cumulative count already
              includes it), keeping le-monotonicity and
              _bucket{+Inf} = _count exact per the exposition spec. *)
-          if le < bucket_le (n_buckets - 1) then
+          if le < top_le then
             Buffer.add_string b
               (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" n (Json.num le) !cum))
         h.buckets;

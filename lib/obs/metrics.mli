@@ -1,14 +1,17 @@
-(** Global metrics registry: named counters, gauges, and log-bucketed
-    histograms, designed to stay cheap and correct under
+(** Global metrics registry: named counters, gauges, and log-linear
+    duration histograms, designed to stay cheap and correct under
     [Numerics.Pool] domain fan-out.
 
     - {b Counters} shard their cells by domain id (summed on read), so
       concurrent increments never contend on a single atomic.
     - {b Gauges} are a single atomic float with [set] and high-water
       [max] updates.
-    - {b Histograms} are log-bucketed at powers of two (64 buckets,
-      upper bounds [2^(i-30)] — sub-ns through centuries when the unit
-      is seconds), one atomic per bucket plus a sharded sum.
+    - {b Histograms} record integer-nanosecond durations and export
+      seconds.  Buckets are log-linear: each power of two from 1 ns to
+      2^44 ns (~4.9 h) is cut into 32 equal sub-buckets, so a bucket's
+      midpoint is within {!relative_error} of every duration in it.
+      Zero has its own bucket; 2^44 ns and up clamp into the top one.
+      Counts live in per-domain plain-int shards, summed on read.
 
     Registration is idempotent: requesting an existing name returns the
     existing metric (mismatched kinds raise [Invalid_argument]).  All
@@ -42,8 +45,13 @@ val max_gauge : gauge -> float -> unit
 (** Raise the gauge to [v] if [v] exceeds the current value (CAS loop);
     used for high-water marks. *)
 
-val observe : histogram -> float -> unit
-(** Record a sample ([<= 0.] lands in the lowest bucket). *)
+val observe_ns : histogram -> int -> unit
+(** Record a duration in nanoseconds ([<= 0] counts as zero): no
+    allocation (but a domain's first record allocates its shard) and
+    no atomic read-modify-write.  Counts stay exact under concurrent
+    domains; an exiting domain's shard, counts intact, goes to the next
+    domain that records, so memory is bounded by the peak number of
+    recording domains. *)
 
 (** {1 Reads} *)
 
@@ -57,13 +65,42 @@ val reset_counter : counter -> unit
 
 type hist_snapshot = {
   count : int;
-  sum : float;
+  sum : float;  (** seconds *)
   buckets : (float * int) list;
-      (** [(upper_bound, count)] for nonzero buckets, ascending. *)
+      (** [(upper_bound_s, count)] for nonzero buckets, ascending. *)
 }
 
 val hist_value : histogram -> hist_snapshot
 val hist_name : histogram -> string
+
+val hist_shards : histogram -> int
+(** Shards allocated: at most the peak number of recording domains. *)
+
+val relative_error : float
+(** [1/64]: bounds [|estimate - x| / x] for a quantile whose exact
+    nearest-rank value [x] lies in [[1 ns, 2^44 ns)]. *)
+
+type hist_view = {
+  v_count : int;  (** samples ever recorded *)
+  v_sum : float;  (** their sum, seconds *)
+  v_window : int;  (** samples in the trailing window *)
+  v_quantiles : float array;
+      (** seconds; one per requested quantile, [nan] when the window
+          is empty *)
+}
+
+val hist_view : histogram -> now_ns:int -> float array -> hist_view
+(** The nearest-rank quantiles [qs] (ascending) of [h]'s trailing
+    window, in one walk over the buckets: each is its bucket's midpoint
+    (the lower edge for the clamped top bucket).  The window is
+    reader-side state starting at the older of two bases; a read whose
+    newer base is 10 s old or more re-bases (newer to older, current
+    counts to newer).  Read every 10 s, it spans the last 10–20 s; the
+    first read covers everything.  [now_ns] is a
+    {!Monotonic.now_int_ns} reading. *)
+
+val rebase : histogram -> now_ns:int -> unit
+(** Empty the trailing window as of [now_ns]. *)
 
 type snapshot = {
   counters : (string * int) list;  (** Sorted by name. *)

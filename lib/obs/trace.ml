@@ -95,6 +95,8 @@ let spans () =
   Mutex.unlock ring_mutex;
   !out
 
+let span_count () = Mutex.protect ring_mutex (fun () -> !stored)
+
 (* --- span lifecycle ----------------------------------------------------- *)
 
 (* Per-domain stack of open spans, giving [with_span] implicit

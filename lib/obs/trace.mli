@@ -54,6 +54,9 @@ val emit :
 val spans : unit -> finished list
 (** Ring contents, oldest first. *)
 
+val span_count : unit -> int
+(** [List.length (spans ())], without copying the ring. *)
+
 val dropped : unit -> int
 (** Spans lost to ring overwrite since the last {!clear} /
     {!set_capacity} (the cumulative count is also surfaced as the

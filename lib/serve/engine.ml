@@ -230,8 +230,7 @@ let respond ?(clock = Telemetry.none) t (req : Request.t) =
         body)
   in
   if t0 <> 0 then
-    Obs.Metrics.observe m_latency
-      (float_of_int (Obs.Monotonic.now_int_ns () - t0) *. 1e-9);
+    Obs.Metrics.observe_ns m_latency (Obs.Monotonic.now_int_ns () - t0);
   let resp = Response.assemble ~id:req.id body in
   Telemetry.stamp_encode clock;
   resp

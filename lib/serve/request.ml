@@ -42,12 +42,20 @@ let kind t =
 
 (* --- canonical encoding ------------------------------------------------- *)
 
+(* Joined with [String.concat] rather than [Printf.sprintf]: [key] runs
+   on every request, and the format interpreter cost more than the
+   number conversions it wrapped. *)
+let cat = String.concat ""
+
 let params_json_raw (p : Swap.Params.t) =
-  Printf.sprintf
-    "{\"alpha_a\":%s,\"alpha_b\":%s,\"r_a\":%s,\"r_b\":%s,\"tau_a\":%s,\"tau_b\":%s,\"eps_b\":%s,\"p0\":%s,\"mu\":%s,\"sigma\":%s}"
-    (J.num p.alice.alpha) (J.num p.bob.alpha) (J.num p.alice.r)
-    (J.num p.bob.r) (J.num p.tau_a) (J.num p.tau_b) (J.num p.eps_b)
-    (J.num p.p0) (J.num p.mu) (J.num p.sigma)
+  cat
+    [
+      "{\"alpha_a\":"; J.num p.alice.alpha; ",\"alpha_b\":"; J.num p.bob.alpha;
+      ",\"r_a\":"; J.num p.alice.r; ",\"r_b\":"; J.num p.bob.r; ",\"tau_a\":";
+      J.num p.tau_a; ",\"tau_b\":"; J.num p.tau_b; ",\"eps_b\":"; J.num p.eps_b;
+      ",\"p0\":"; J.num p.p0; ",\"mu\":"; J.num p.mu; ",\"sigma\":";
+      J.num p.sigma; "}";
+    ]
 
 (* Requests that omit [params] decode to the physically shared
    [Swap.Params.defaults] (both codecs), and default-params requests
@@ -60,37 +68,35 @@ let params_json p =
   if p == Swap.Params.defaults then defaults_params_json
   else params_json_raw p
 
+(* The canonical fields after [schema] and [id], closed with "}", as
+   pieces for [cat]. *)
 let body_fields = function
   | Cutoffs { params; p_star } ->
-    Printf.sprintf "\"req\":\"cutoffs\",\"params\":%s,\"p_star\":%s"
-      (params_json params) (J.num p_star)
+    [ "\"req\":\"cutoffs\",\"params\":"; params_json params; ",\"p_star\":";
+      J.num p_star; "}" ]
   | Success_rate { params; p_star; q } ->
-    Printf.sprintf
-      "\"req\":\"success_rate\",\"params\":%s,\"p_star\":%s,\"q\":%s"
-      (params_json params) (J.num p_star) (J.num q)
+    [ "\"req\":\"success_rate\",\"params\":"; params_json params;
+      ",\"p_star\":"; J.num p_star; ",\"q\":"; J.num q; "}" ]
   | Sweep { params; q; spec } ->
-    Printf.sprintf
-      "\"req\":\"sweep\",\"params\":%s,\"q\":%s,\"lo\":%s,\"hi\":%s,\"n\":%s"
-      (params_json params) (J.num q) (J.num spec.lo) (J.num spec.hi)
-      (J.int spec.n)
+    [ "\"req\":\"sweep\",\"params\":"; params_json params; ",\"q\":"; J.num q;
+      ",\"lo\":"; J.num spec.lo; ",\"hi\":"; J.num spec.hi; ",\"n\":";
+      J.int spec.n; "}" ]
   | Quote { mu; sigma; spot } ->
-    Printf.sprintf "\"req\":\"quote\",\"mu\":%s,\"sigma\":%s,\"spot\":%s"
-      (J.num mu) (J.num sigma) (J.num spot)
+    [ "\"req\":\"quote\",\"mu\":"; J.num mu; ",\"sigma\":"; J.num sigma;
+      ",\"spot\":"; J.num spot; "}" ]
   | Route { from_tok; to_tok; max_hops } ->
-    Printf.sprintf "\"req\":\"route\",\"from\":%s,\"to\":%s,\"max_hops\":%s"
-      (J.str from_tok) (J.str to_tok) (J.int max_hops)
-  | Health -> "\"req\":\"health\""
-  | Stats -> "\"req\":\"stats\""
+    [ "\"req\":\"route\",\"from\":"; J.str from_tok; ",\"to\":";
+      J.str to_tok; ",\"max_hops\":"; J.int max_hops; "}" ]
+  | Health -> [ "\"req\":\"health\"}" ]
+  | Stats -> [ "\"req\":\"stats\"}" ]
 
-let key t =
-  Printf.sprintf "{\"schema\":%s,%s}" (J.str schema) (body_fields t.body)
+let schema_prefix = "{\"schema\":" ^ J.str schema ^ ","
+let key t = cat (schema_prefix :: body_fields t.body)
 
 let encode t =
   match t.id with
   | None -> key t
-  | Some id ->
-    Printf.sprintf "{\"schema\":%s,\"id\":%s,%s}" (J.str schema) (J.str id)
-      (body_fields t.body)
+  | Some id -> cat (schema_prefix :: "\"id\":" :: J.str id :: "," :: body_fields t.body)
 
 (* --- decoding ----------------------------------------------------------- *)
 

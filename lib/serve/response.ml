@@ -9,23 +9,23 @@
 
 module J = Obs.Json
 
+let cat = String.concat ""
+
 let ok_body ~req ~result =
-  Printf.sprintf "\"req\":%s,\"status\":\"ok\",\"result\":%s}" (J.str req)
-    result
+  cat [ "\"req\":"; J.str req; ",\"status\":\"ok\",\"result\":"; result; "}" ]
 
 let error_body ?req ~code ~message () =
-  let req_field =
-    match req with
-    | Some r -> Printf.sprintf "\"req\":%s," (J.str r)
-    | None -> ""
-  in
-  Printf.sprintf "%s\"status\":\"error\",\"error\":%s,\"message\":%s}"
-    req_field (J.str code) (J.str message)
+  cat
+    [
+      (match req with Some r -> cat [ "\"req\":"; J.str r; "," ] | None -> "");
+      "\"status\":\"error\",\"error\":"; J.str code; ",\"message\":";
+      J.str message; "}";
+    ]
+
+let id_prefix = "{\"schema\":" ^ J.str Request.schema ^ ",\"id\":"
 
 let assemble ~id body =
-  Printf.sprintf "{\"schema\":%s,\"id\":%s,%s" (J.str Request.schema)
-    (match id with Some s -> J.str s | None -> "null")
-    body
+  cat [ id_prefix; (match id with Some s -> J.str s | None -> "null"); ","; body ]
 
 (* Convenience for paths that never hit the cache (parse errors,
    shedding, deadlines). *)

@@ -1,17 +1,17 @@
 (* Request telemetry for the serve stack: per-request stage clocks, a
-   deterministic trace sampler, exact latency quantiles, a windowed
-   request rate, and a bounded flight recorder.
+   deterministic trace sampler, latency quantiles, a windowed request
+   rate, and a bounded flight recorder.
 
    A [clock] is allocated per request by the transport (reactor shard
    or pipe loop) and threaded through the engine; each stage stamps a
    monotonic timestamp into a mutable field — read complete, decode,
-   cache lookup, compute start/end, encode, flush.  [finish] folds the
-   stage durations into
+   cache lookup, compute start/end, encode, flush.  [finish] records
+   each stage duration once, in nanoseconds, into
 
-   - per-stage [Obs.Metrics] histograms ([serve.stage.*_s]) and
-     exact-quantile reservoirs (the `stats` endpoint's p50/p90/p99/p999
-     are exact over the retained window, not log-bucket approximations);
-   - a per-kind x per-codec latency histogram + reservoir
+   - a per-stage [Obs.Metrics] histogram ([serve.stage.*_s]) — the
+     `stats` endpoint's p50/p90/p99/p999 are read from its trailing
+     window, within [Obs.Metrics.relative_error] of the exact values;
+   - a per-kind x per-codec latency histogram
      ([serve.latency.<kind>.<codec>_s]);
    - a windowed req/s meter;
    - the flight recorder — a lock-free ring of the last N completed
@@ -238,12 +238,6 @@ let latency_hists =
             (Printf.sprintf "serve.latency.%s.%s_s" kind_names.(k)
                codec_names.(c))))
 
-let latency_quantiles =
-  Array.init (Array.length kind_names) (fun k ->
-      Array.init (Array.length codec_names) (fun c ->
-          Obs.Quantile.create ~capacity:2048
-            (Printf.sprintf "%s.%s" kind_names.(k) codec_names.(c))))
-
 let stage_names =
   [| "decode"; "cache"; "compute"; "encode"; "flush"; "total" |]
 
@@ -251,9 +245,6 @@ let stage_hists =
   Array.map
     (fun s -> M.histogram (Printf.sprintf "serve.stage.%s_s" s))
     stage_names
-
-let stage_quantiles =
-  Array.map (fun s -> Obs.Quantile.create ~capacity:4096 s) stage_names
 
 let rate = Obs.Rate.create ~window_s:64 ()
 let m_sampled = M.counter "serve.telemetry.sampled"
@@ -274,16 +265,9 @@ let recorder_dropped () = Obs.Recorder.dropped (Atomic.get recorder)
 
 (* --- finalisation --------------------------------------------------------- *)
 
-let ns_to_s = 1e-9
-
 (* A stage's duration exists only when both endpoints were stamped
    (e.g. no compute on a cache hit). *)
-let stage_dur a b =
-  if a > 0 && b >= a then Some (float_of_int (b - a) *. ns_to_s) else None
-
-let observe_stage i d =
-  M.observe stage_hists.(i) d;
-  Obs.Quantile.record stage_quantiles.(i) d
+let stage_dur a b = if a > 0 && b >= a then Some (b - a) else None
 
 let encode_from c =
   if c.t_compute1 > 0 then c.t_compute1
@@ -306,10 +290,7 @@ let span_of c =
   let durs = stage_durs c in
   for i = Array.length durs - 1 downto 0 do
     match durs.(i) with
-    | Some d ->
-      ann :=
-        (stage_names.(i) ^ "_ns", Printf.sprintf "%.0f" (d /. ns_to_s))
-        :: !ann
+    | Some d -> ann := (stage_names.(i) ^ "_ns", string_of_int d) :: !ann
     | None -> ()
   done;
   let ann =
@@ -324,11 +305,10 @@ let span_of c =
        ~stop_ns:(Int64.of_int (if c.t_flush > 0 then c.t_flush else c.t_read))
        ~annotations:ann ())
 
-(* Folds one stage without the intermediate option array [stage_durs]
+(* Records one stage without the intermediate option array [stage_durs]
    builds — [finish] runs once per served request, so it avoids the
    per-request [Some] boxes the dump/span paths can afford. *)
-let observe_pair i a b = if a > 0 && b >= a then
-    observe_stage i (float_of_int (b - a) *. ns_to_s)
+let observe_pair i a b = if a > 0 && b >= a then M.observe_ns stage_hists.(i) (b - a)
 
 let finish c ~flush_ns =
   if c.real && not c.finalized then begin
@@ -341,11 +321,9 @@ let finish c ~flush_ns =
     observe_pair 3 (encode_from c) c.t_encode;
     observe_pair 4 c.t_encode c.t_flush;
     if c.t_read > 0 && c.t_flush >= c.t_read then begin
-      let total = float_of_int (c.t_flush - c.t_read) *. ns_to_s in
-      observe_stage 5 total;
-      let k = kind_index c.kind and cd = codec_index c.codec in
-      M.observe latency_hists.(k).(cd) total;
-      Obs.Quantile.record latency_quantiles.(k).(cd) total
+      let total = c.t_flush - c.t_read in
+      M.observe_ns stage_hists.(5) total;
+      M.observe_ns latency_hists.(kind_index c.kind).(codec_index c.codec) total
     end;
     Obs.Rate.observe_at rate ~now_ns:flush_ns;
     Obs.Recorder.push_copy (Atomic.get recorder) ~blank:blank_clock
@@ -362,40 +340,46 @@ let finish_now c = finish c ~flush_ns:(now_ns ())
 
 type stage_stat = {
   st_stage : string;
-  st_count : int; (* observations in the Metrics histogram *)
+  st_count : int; (* samples ever recorded *)
   st_mean_s : float;
-  st_window : int; (* samples behind the exact quantiles *)
+  st_window : int; (* samples in the trailing window *)
   st_p50_s : float;
   st_p90_s : float;
   st_p99_s : float;
   st_p999_s : float;
 }
 
+let export_qs = [| 0.50; 0.90; 0.99; 0.999 |]
+
+(* The histogram's trailing-window view, or [None] when the window is
+   empty. *)
+let view h =
+  let v = M.hist_view h ~now_ns:(now_ns ()) export_qs in
+  if v.M.v_window > 0 then Some v else None
+
 let stage_stats () =
-  let out = ref [] in
-  for i = Array.length stage_names - 1 downto 0 do
-    let h = M.hist_value stage_hists.(i) in
-    let q = Obs.Quantile.summary stage_quantiles.(i) in
-    if h.M.count > 0 || q.Obs.Quantile.s_count > 0 then
-      out :=
-        {
-          st_stage = stage_names.(i);
-          st_count = h.M.count;
-          st_mean_s = (if h.M.count > 0 then h.M.sum /. float_of_int h.M.count else 0.);
-          st_window = q.Obs.Quantile.s_count;
-          st_p50_s = q.Obs.Quantile.s_p50;
-          st_p90_s = q.Obs.Quantile.s_p90;
-          st_p99_s = q.Obs.Quantile.s_p99;
-          st_p999_s = q.Obs.Quantile.s_p999;
-        }
-        :: !out
-  done;
-  !out
+  List.filter_map
+    (fun i ->
+      Option.map
+        (fun (v : M.hist_view) ->
+          let q = v.v_quantiles in
+          {
+            st_stage = stage_names.(i);
+            st_count = v.v_count;
+            st_mean_s = v.v_sum /. float_of_int v.v_count;
+            st_window = v.v_window;
+            st_p50_s = q.(0);
+            st_p90_s = q.(1);
+            st_p99_s = q.(2);
+            st_p999_s = q.(3);
+          })
+        (view stage_hists.(i)))
+    (List.init (Array.length stage_names) Fun.id)
 
 type latency_stat = {
   l_kind : string;
   l_codec : string;
-  l_count : int; (* total samples ever recorded *)
+  l_count : int; (* samples ever recorded *)
   l_window : int;
   l_p50_s : float;
   l_p90_s : float;
@@ -404,28 +388,26 @@ type latency_stat = {
 }
 
 let latency_stats () =
-  let out = ref [] in
-  for k = Array.length kind_names - 1 downto 0 do
-    for c = Array.length codec_names - 1 downto 0 do
-      let res = latency_quantiles.(k).(c) in
-      if Obs.Quantile.count res > 0 then begin
-        let q = Obs.Quantile.summary res in
-        out :=
-          {
-            l_kind = kind_names.(k);
-            l_codec = codec_names.(c);
-            l_count = Obs.Quantile.count res;
-            l_window = q.Obs.Quantile.s_count;
-            l_p50_s = q.Obs.Quantile.s_p50;
-            l_p90_s = q.Obs.Quantile.s_p90;
-            l_p99_s = q.Obs.Quantile.s_p99;
-            l_p999_s = q.Obs.Quantile.s_p999;
-          }
-          :: !out
-      end
-    done
-  done;
-  !out
+  List.concat_map
+    (fun k ->
+      List.filter_map
+        (fun c ->
+          Option.map
+            (fun (v : M.hist_view) ->
+              let q = v.v_quantiles in
+              {
+                l_kind = kind_names.(k);
+                l_codec = codec_names.(c);
+                l_count = v.v_count;
+                l_window = v.v_window;
+                l_p50_s = q.(0);
+                l_p90_s = q.(1);
+                l_p99_s = q.(2);
+                l_p999_s = q.(3);
+              })
+            (view latency_hists.(k).(c)))
+        (List.init (Array.length codec_names) Fun.id))
+    (List.init (Array.length kind_names) Fun.id)
 
 let requests_per_second ?(window_s = 10) () =
   Obs.Rate.per_second rate ~window_s
@@ -478,7 +460,7 @@ let stats_json () =
     (Printf.sprintf
        ",\"trace\":{\"enabled\":%b,\"spans\":%d,\"dropped\":%d}}"
        (Obs.Trace.enabled ())
-       (List.length (Obs.Trace.spans ()))
+       (Obs.Trace.span_count ())
        (Obs.Trace.dropped ()));
   Buffer.contents b
 
@@ -504,8 +486,7 @@ let record_jsonl seq c =
       | Some d ->
         if not !first then Buffer.add_char b ',';
         first := false;
-        Buffer.add_string b
-          (Printf.sprintf "\"%s_ns\":%.0f" stage_names.(i) (d /. ns_to_s))
+        Buffer.add_string b (Printf.sprintf "\"%s_ns\":%d" stage_names.(i) d)
       | None -> ())
     durs;
   Buffer.add_string b "}}";
@@ -546,7 +527,8 @@ let dump_to_path ~reason =
 (* --- reset (tests, bench legs) -------------------------------------------- *)
 
 let reset () =
-  Array.iter (fun row -> Array.iter Obs.Quantile.reset row) latency_quantiles;
-  Array.iter Obs.Quantile.reset stage_quantiles;
+  let now_ns = now_ns () in
+  Array.iter (fun row -> Array.iter (M.rebase ~now_ns) row) latency_hists;
+  Array.iter (M.rebase ~now_ns) stage_hists;
   Obs.Rate.reset rate;
   Obs.Recorder.reset (Atomic.get recorder)

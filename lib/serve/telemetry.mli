@@ -1,5 +1,5 @@
 (** Request telemetry for the serve stack: per-request stage clocks
-    folded into histograms + exact-quantile reservoirs, a deterministic
+    recorded into log-linear [Obs.Metrics] histograms, a deterministic
     trace sampler, a windowed req/s meter, and a bounded flight
     recorder dumped as htlc-obs/v1 JSONL.
 
@@ -68,8 +68,9 @@ val set_id : clock -> string option -> unit
 val set_status : clock -> string -> unit
 
 val finish : clock -> flush_ns:int -> unit
-(** Finalise: fold stage durations into the [serve.stage.*_s] and
-    [serve.latency.<kind>.<codec>_s] histograms and reservoirs, count
+(** Finalise: record each stage duration once into its
+    [serve.stage.*_s] histogram and the total once more into
+    [serve.latency.<kind>.<codec>_s], count
     the request in the rate window, push the record into the flight
     recorder, and — when {!should_sample_id} selects it — emit a
     ["serve.request"] span with per-stage annotations.  Idempotent. *)
@@ -77,13 +78,18 @@ val finish : clock -> flush_ns:int -> unit
 val finish_now : clock -> unit
 (** {!finish} at the current monotonic time. *)
 
-(** {1 Structured reads} *)
+(** {1 Structured reads}
+
+    Quantiles come from each histogram's trailing window
+    ({!Obs.Metrics.hist_view}: the last 10–20 s when read at least
+    every 10 s), within [Obs.Metrics.relative_error] of the exact
+    nearest-rank values. *)
 
 type stage_stat = {
   st_stage : string;
-  st_count : int;  (** observations in the Metrics histogram *)
-  st_mean_s : float;
-  st_window : int;  (** samples behind the exact quantiles *)
+  st_count : int;  (** samples ever recorded *)
+  st_mean_s : float;  (** over every sample *)
+  st_window : int;  (** samples in the trailing window *)
   st_p50_s : float;
   st_p90_s : float;
   st_p99_s : float;
@@ -91,14 +97,14 @@ type stage_stat = {
 }
 
 val stage_stats : unit -> stage_stat list
-(** Per-stage breakdown (stages with at least one sample), in stage
+(** Per-stage breakdown (stages with samples in the window), in stage
     order: decode, cache, compute, encode, flush, total. *)
 
 type latency_stat = {
   l_kind : string;
   l_codec : string;
-  l_count : int;  (** total samples ever recorded *)
-  l_window : int;
+  l_count : int;  (** samples ever recorded *)
+  l_window : int;  (** samples in the trailing window *)
   l_p50_s : float;
   l_p90_s : float;
   l_p99_s : float;
@@ -106,7 +112,8 @@ type latency_stat = {
 }
 
 val latency_stats : unit -> latency_stat list
-(** Exact total-latency quantiles per (kind, codec) with traffic. *)
+(** Total-latency quantiles per (kind, codec) with samples in the
+    window. *)
 
 val requests_per_second : ?window_s:int -> unit -> float
 (** Mean finished-requests/s over the trailing window (default 10 s). *)
@@ -146,5 +153,5 @@ val dump_to_path : reason:string -> unit
     crash into a server death. *)
 
 val reset : unit -> unit
-(** Empty the reservoirs, rate window, and recorder (tests and bench
-    legs; the [Obs.Metrics] histograms are reset via [Obs.Metrics.reset]). *)
+(** Empty the histograms' trailing windows (their cumulative counts
+    stay), the rate window, and the recorder (tests and bench legs). *)

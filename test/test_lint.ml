@@ -392,8 +392,8 @@ let test_callgraph_structure () =
 let test_repo_deep_lints_clean () =
   (* The real gate is @lint-deep over the whole tree; this pins the
      library half: the taint, hot-path, and lock analyses all run and
-     everything they flag is covered by the two documented nondet_domain
-     allowances (striped metrics cells) — which neutralise sources
+     everything they flag is covered by the documented nondet_domain
+     allowance (striped metrics cells) — which neutralises sources
      without inflating the suppressed count. *)
   let result =
     Lint.Driver.run ~deep:true ~cmt_root:"../lib" ~roots:[ "../lib" ] ()

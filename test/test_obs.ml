@@ -53,16 +53,21 @@ let test_gauge_max () =
 
 let test_histogram_buckets () =
   let h = Obs.Metrics.histogram "test.histogram_buckets" in
-  (* 1.0 lands in the (1, 2] bucket (upper bound 2), 0.75 in (0.5, 1]. *)
-  Obs.Metrics.observe h 1.0;
-  Obs.Metrics.observe h 0.75;
-  Obs.Metrics.observe h 0.75;
+  Obs.Metrics.observe_ns h 1_000_000_000;
+  Obs.Metrics.observe_ns h 750_000_000;
+  Obs.Metrics.observe_ns h 750_000_000;
   let s = Obs.Metrics.hist_value h in
   check_int "count" 3 s.Obs.Metrics.count;
-  check (Alcotest.float 1e-12) "sum" 2.5 s.Obs.Metrics.sum;
-  check_bool "bucket upper bounds are powers of two" true
-    (List.mem (2., 1) s.Obs.Metrics.buckets
-    && List.mem (1., 2) s.Obs.Metrics.buckets)
+  check (Alcotest.float 1e-12) "sum in seconds" 2.5 s.Obs.Metrics.sum;
+  (* A value lands in the bucket whose upper bound is above it by at
+     most 1/32 of the value: the log-linear sub-bucket width. *)
+  let holds v n =
+    List.exists
+      (fun (le, k) -> k = n && le > v && le <= v *. (1. +. (1. /. 32.)))
+      s.Obs.Metrics.buckets
+  in
+  check_bool "1 s and 0.75 s land in their 1/32-wide sub-buckets" true
+    (List.length s.Obs.Metrics.buckets = 2 && holds 1.0 1 && holds 0.75 2)
 
 let test_parallel_counters () =
   let c = Obs.Metrics.counter "test.parallel_counters" in
@@ -71,7 +76,7 @@ let test_parallel_counters () =
   let before = (Obs.Metrics.hist_value h).Obs.Metrics.count in
   Numerics.Pool.run_chunks ~jobs:4 ~chunks:1000 (fun chunk ->
       Obs.Metrics.incr c;
-      Obs.Metrics.observe h (float_of_int (chunk + 1) *. 1e-6));
+      Obs.Metrics.observe_ns h ((chunk + 1) * 1000));
   check_int "no lost counter updates under fan-out" 1000
     (Obs.Metrics.counter_value c);
   check_int "no lost histogram updates under fan-out" 1000
@@ -188,41 +193,117 @@ let test_trace_emit_bypasses_gate () =
     Alcotest.failf "expected 1 emitted span, got %d" (List.length spans));
   Obs.Trace.clear ()
 
-(* --- exact-quantile reservoir -------------------------------------------- *)
+(* --- log-linear histogram -------------------------------------------------- *)
 
-let test_quantile_exact () =
-  let q = Obs.Quantile.create ~capacity:4096 "test.quantile_exact" in
-  (* Insertion order must not matter: record descending. *)
-  for i = 100 downto 1 do
-    Obs.Quantile.record q (float_of_int i)
-  done;
-  check_int "count" 100 (Obs.Quantile.count q);
-  let s = Obs.Quantile.summary q in
-  check_int "window retains everything" 100 s.Obs.Quantile.s_count;
-  check (Alcotest.float 0.) "p50 nearest-rank" 50. s.Obs.Quantile.s_p50;
-  check (Alcotest.float 0.) "p90" 90. s.Obs.Quantile.s_p90;
-  check (Alcotest.float 0.) "p99" 99. s.Obs.Quantile.s_p99;
-  check (Alcotest.float 0.) "p999 is the max" 100. s.Obs.Quantile.s_p999;
-  check (Alcotest.float 0.) "low quantile" 1. (Obs.Quantile.quantile q 0.001);
-  Obs.Quantile.reset q;
-  check_int "reset empties the count" 0 (Obs.Quantile.count q);
-  check_bool "empty summary is nan" true
-    (Float.is_nan (Obs.Quantile.summary q).Obs.Quantile.s_p50);
-  match Obs.Quantile.create ~capacity:4 "test.quantile_tiny" with
-  | _ -> Alcotest.fail "capacity < 8 must be rejected"
-  | exception Invalid_argument _ -> ()
+(* Log-uniform durations from 1 ns to 10 s. *)
+let log_uniform_ns rng n =
+  Array.init n (fun _ ->
+      let x = Numerics.Rng.uniform_range rng ~lo:0. ~hi:(Float.log 1e10) in
+      max 1 (int_of_float (Float.exp x)))
 
-let test_quantile_window_slides () =
-  (* Capacity 8 = one slot per shard: a single-domain writer retains
-     only its newest sample, and [count] keeps the exact total. *)
-  let q = Obs.Quantile.create ~capacity:8 "test.quantile_window" in
-  for i = 1 to 20 do
-    Obs.Quantile.record q (float_of_int i)
+let nearest_rank sorted q =
+  let n = Array.length sorted in
+  let rank = max 1 (int_of_float (Float.ceil (q *. float_of_int n))) in
+  sorted.(min n rank - 1)
+
+let test_histogram_quantile_error () =
+  let qs = [| 0.001; 0.25; 0.50; 0.90; 0.99; 0.999; 1.0 |] in
+  List.iter
+    (fun seed ->
+      let h = Obs.Metrics.histogram (Printf.sprintf "test.hist_error_%d" seed) in
+      let xs = log_uniform_ns (Numerics.Rng.create ~seed ()) 20_000 in
+      Array.iter (Obs.Metrics.observe_ns h) xs;
+      Array.sort compare xs;
+      let v = Obs.Metrics.hist_view h ~now_ns:0 qs in
+      check_int "the first read's window holds every sample" 20_000
+        v.Obs.Metrics.v_window;
+      Array.iteri
+        (fun i q ->
+          let exact = float_of_int (nearest_rank xs q) *. 1e-9 in
+          let est = v.Obs.Metrics.v_quantiles.(i) in
+          if Float.abs (est -. exact) > Obs.Metrics.relative_error *. exact
+          then
+            Alcotest.failf "seed %d q %g: estimate %g vs exact %g" seed q est
+              exact)
+        qs)
+    [ 1; 2; 3 ]
+
+let test_histogram_domains_exact () =
+  let h = Obs.Metrics.histogram "test.hist_domains" in
+  let per = 25_000 in
+  let run d () =
+    for i = 1 to per do
+      Obs.Metrics.observe_ns h ((i * 37) + d)
+    done
+  in
+  Array.iter Domain.join (Array.init 4 (fun d -> Domain.spawn (run d)));
+  let s = Obs.Metrics.hist_value h in
+  check_int "merged count is exact" (4 * per) s.Obs.Metrics.count;
+  check_int "bucket counts sum to the count" s.Obs.Metrics.count
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 s.Obs.Metrics.buckets);
+  let sum_ns = (4 * 37 * per * (per + 1) / 2) + (per * (0 + 1 + 2 + 3)) in
+  check (Alcotest.float 1e-9) "merged sum is exact"
+    (float_of_int sum_ns /. 1e9) s.Obs.Metrics.sum;
+  check_bool "one shard per recording domain" true
+    (Obs.Metrics.hist_shards h <= 4)
+
+let test_histogram_domain_exit () =
+  let h = Obs.Metrics.histogram "test.hist_exit" in
+  for d = 1 to 20 do
+    Domain.join
+      (Domain.spawn (fun () ->
+           for _ = 1 to 100 do
+             Obs.Metrics.observe_ns h d
+           done))
   done;
-  check_int "count is total ever" 20 (Obs.Quantile.count q);
-  let s = Obs.Quantile.summary q in
-  check_int "window holds the newest sample" 1 s.Obs.Quantile.s_count;
-  check (Alcotest.float 0.) "quantiles collapse to it" 20. s.Obs.Quantile.s_p50
+  check_int "exited domains keep their counts" 2000
+    (Obs.Metrics.hist_value h).Obs.Metrics.count;
+  check_int "an exited domain's shard is reused, not leaked" 1
+    (Obs.Metrics.hist_shards h)
+
+let test_histogram_window () =
+  let h = Obs.Metrics.histogram "test.hist_window" in
+  let s = 1_000_000_000 in
+  let t0 = 100 * s in
+  let read at = Obs.Metrics.hist_view h ~now_ns:at [| 0.5 |] in
+  let near want (v : Obs.Metrics.hist_view) =
+    Float.abs (v.v_quantiles.(0) -. want)
+    <= Obs.Metrics.relative_error *. want
+  in
+  let record n ns =
+    for _ = 1 to n do
+      Obs.Metrics.observe_ns h ns
+    done
+  in
+  record 5 1_000;
+  check_int "first read covers everything" 5 (read t0).v_window;
+  record 3 1_000_000;
+  check_int "no re-base within 10 s" 8 (read (t0 + (5 * s))).v_window;
+  let v = read (t0 + (11 * s)) in
+  check_bool "after 10 s the window starts at the first read" true
+    (v.v_window = 3 && v.v_count = 8 && near 1e-3 v);
+  record 2 s;
+  check_int "the older base holds until the next re-base" 5
+    (read (t0 + (12 * s))).v_window;
+  let v = read (t0 + (22 * s)) in
+  check_bool "the second re-base drops what came before the first" true
+    (v.v_window = 2 && v.v_count = 10 && near 1. v);
+  Obs.Metrics.rebase h ~now_ns:(t0 + (23 * s));
+  let v = read (t0 + (24 * s)) in
+  check_bool "rebase empties the window, not the count" true
+    (v.v_window = 0 && v.v_count = 10 && Float.is_nan v.v_quantiles.(0));
+  record 1 1_000;
+  check_int "and it refills" 1 (read (t0 + (25 * s))).v_window
+
+let test_histogram_record_allocates_nothing () =
+  let h = Obs.Metrics.histogram "test.hist_alloc" in
+  Obs.Metrics.observe_ns h 1;
+  let w0 = Gc.minor_words () in
+  for i = 1 to 100_000 do
+    Obs.Metrics.observe_ns h i
+  done;
+  check_bool "no words allocated by 100k records" true
+    (Gc.minor_words () -. w0 < 100.)
 
 (* --- windowed rate meter -------------------------------------------------- *)
 
@@ -279,17 +360,116 @@ let test_recorder_last_n () =
 
 let test_prometheus_clamped_bucket () =
   let h = Obs.Metrics.histogram "test.prom_clamp" in
-  Obs.Metrics.observe h 0.75;
-  (* Far beyond the top bucket bound (2^33 s): clamped into it. *)
-  Obs.Metrics.observe h 1e12;
+  let xs = log_uniform_ns (Numerics.Rng.create ~seed:7 ()) 500 in
+  Array.iter (Obs.Metrics.observe_ns h) xs;
+  (* Far beyond the top bucket's lower edge (2^44 ns): clamped into it. *)
+  Obs.Metrics.observe_ns h (1 lsl 50);
+  Obs.Metrics.observe_ns h max_int;
   let prom = Obs.Metrics.to_prometheus (Obs.Metrics.snapshot ()) in
-  check_bool "+Inf terminal equals _count" true
-    (contains prom "test_prom_clamp_bucket{le=\"+Inf\"} 2"
-    && contains prom "test_prom_clamp_count 2");
-  check_bool "clamped top bucket exports no finite le" true
-    (not (contains prom "test_prom_clamp_bucket{le=\"8589934592\"}"));
-  check_bool "ordinary buckets still export cumulatively" true
-    (contains prom "test_prom_clamp_bucket{le=\"1\"} 1")
+  let prefix = "test_prom_clamp_bucket{le=\"" in
+  let rows =
+    List.filter_map
+      (fun line ->
+        if String.starts_with ~prefix line then
+          match String.split_on_char '"' line with
+          | [ _; le; n ] ->
+            Some (le, int_of_string (String.trim (String.sub n 2 (String.length n - 2))))
+          | _ -> Alcotest.failf "malformed bucket line %S" line
+        else None)
+      (String.split_on_char '\n' prom)
+  in
+  let finite, inf = List.partition (fun (le, _) -> le <> "+Inf") rows in
+  check (Alcotest.list Alcotest.int) "+Inf terminal equals _count" [ 502 ]
+    (List.map snd inf);
+  check_bool "_count line" true (contains prom "test_prom_clamp_count 502");
+  let rec monotone = function
+    | (la, na) :: ((lb, nb) :: _ as rest) ->
+      float_of_string la < float_of_string lb && na <= nb && monotone rest
+    | _ -> true
+  in
+  check_bool "finite buckets are le-increasing and cumulative" true
+    (monotone finite);
+  check_int "the clamped top bucket exports no finite le" 500
+    (snd (List.nth finite (List.length finite - 1)))
+
+(* --- json emitter ----------------------------------------------------------- *)
+
+(* The Printf-based emitter [Obs.Json] replaced: its bytes are the
+   contract (serve keys, transcripts, goldens). *)
+let printf_num x =
+  if Float.is_nan x || not (Float.is_finite x) then "null"
+  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  else Printf.sprintf "%.17g" x
+
+let buffer_str s =
+  let b = Buffer.create 16 in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let test_json_num_bytes () =
+  let rng = Numerics.Rng.create ~seed:2021 () in
+  let p = Swap.Params.defaults in
+  let fixed =
+    [ 0.; -0.; 1.; -1.; 0.5; 1e15; -1e15; 1e15 -. 1.; 1e15 +. 2.; 999999999999999.;
+      4503599627370496.; 9007199254740993.; 1e300; -1e-300; 5e-324; -5e-324;
+      2.2250738585072014e-308; 2.2250738585072009e-308; Float.max_float;
+      Float.min_float; Float.epsilon; 0.1; 0.3; 2.5; 1.5; nan; infinity;
+      neg_infinity; p.alice.alpha; p.bob.alpha; p.alice.r; p.bob.r; p.tau_a;
+      p.tau_b; p.eps_b; p.p0; p.mu; p.sigma ]
+  in
+  let random () =
+    match Numerics.Rng.int_below rng 6 with
+    | 0 -> Int64.float_of_bits (Numerics.Rng.bits64 rng)
+    | 1 -> (* subnormal *)
+      Int64.float_of_bits
+        (Int64.logand (Numerics.Rng.bits64 rng) 0x800F_FFFF_FFFF_FFFFL)
+    | 2 -> Float.ldexp (if Numerics.Rng.int_below rng 2 = 0 then 1. else -1.)
+             (Numerics.Rng.int_below rng 2098 - 1074)
+    | 3 -> (* integers on both sides of 1e15 *)
+      Float.of_int (Numerics.Rng.int_below rng 2_000_000_000)
+      *. (if Numerics.Rng.int_below rng 2 = 0 then 1. else 1e6)
+      *. (if Numerics.Rng.int_below rng 2 = 0 then 1. else -1.)
+    | 4 -> 1e15 +. Float.of_int (Numerics.Rng.int_below rng 4001 - 2000)
+    | _ -> Numerics.Rng.uniform_range rng ~lo:(-10.) ~hi:10.
+  in
+  let checked = ref 0 in
+  let agree x =
+    incr checked;
+    let got = Obs.Json.num x and want = printf_num x in
+    if got <> want then Alcotest.failf "num %h: %S, Printf says %S" x got want
+  in
+  List.iter agree fixed;
+  for _ = 1 to 100_000 do
+    agree (random ())
+  done;
+  check_bool "~100k floats compared" true (!checked > 100_000)
+
+let test_json_str_bytes () =
+  let rng = Numerics.Rng.create ~seed:14 () in
+  let alphabet = "ab\"\\\n\t\r\x00\x01\x1f /:{}\xc3\xa9\x7f" in
+  let random () =
+    String.init (Numerics.Rng.int_below rng 12) (fun _ ->
+        alphabet.[Numerics.Rng.int_below rng (String.length alphabet)])
+  in
+  List.iter
+    (fun s ->
+      check Alcotest.string (Printf.sprintf "str %S" s) (buffer_str s)
+        (Obs.Json.str s))
+    ([ ""; "plain"; "htlc-serve/v1"; "q\"uote"; "back\\slash"; "\x00" ]
+    @ List.init 10_000 (fun _ -> random ()))
 
 (* --- sink --------------------------------------------------------------- *)
 
@@ -467,12 +647,25 @@ let () =
           Alcotest.test_case "emit bypasses the gate" `Quick
             test_trace_emit_bypasses_gate;
         ] );
-      ( "quantile",
+      ( "histogram",
         [
-          Alcotest.test_case "nearest-rank exactness" `Quick
-            test_quantile_exact;
-          Alcotest.test_case "window slides" `Quick
-            test_quantile_window_slides;
+          Alcotest.test_case "quantile error bound" `Quick
+            test_histogram_quantile_error;
+          Alcotest.test_case "4 domains exact" `Quick
+            test_histogram_domains_exact;
+          Alcotest.test_case "exited domain keeps counts" `Quick
+            test_histogram_domain_exit;
+          Alcotest.test_case "trailing window re-base" `Quick
+            test_histogram_window;
+          Alcotest.test_case "record allocates nothing" `Quick
+            test_histogram_record_allocates_nothing;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "num bytes match Printf" `Quick
+            test_json_num_bytes;
+          Alcotest.test_case "str bytes match the escaper" `Quick
+            test_json_str_bytes;
         ] );
       ( "rate",
         [ Alcotest.test_case "trailing window" `Quick test_rate_window ] );
