@@ -379,20 +379,6 @@ let time_wall f =
   done;
   (!best, Option.get !result)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_num x = if Float.is_nan x then "null" else Printf.sprintf "%.6g" x
 
 let write_baseline ~file ~rows ~jobs_n ~trials ~wall_1 ~wall_n ~identical
@@ -410,8 +396,8 @@ let write_baseline ~file ~rows ~jobs_n ~trials ~wall_1 ~wall_n ~identical
   List.iteri
     (fun i (name, ns, r2) ->
       Printf.fprintf oc
-        "    { \"name\": \"%s\", \"ns_per_run\": %s, \"r_square\": %s }%s\n"
-        (json_escape name) (json_num ns) (json_num r2)
+        "    { \"name\": %s, \"ns_per_run\": %s, \"r_square\": %s }%s\n"
+        (Obs.Json.str name) (json_num ns) (json_num r2)
         (if i = n_rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ],\n";
@@ -499,10 +485,21 @@ type client_result = {
   mismatched : int;
 }
 
+(* A wire codec as a load client drives it: [preamble] opens every
+   connection, [write oc j] sends request [j], [read ic] returns the next
+   response body ([None] at end of stream).  A b1 response frame carries
+   exactly the JSON response line's bytes, so both codecs compare
+   against the same [expected] array. *)
+type codec = {
+  name : string;
+  preamble : string;
+  write : out_channel -> int -> unit;
+  read : in_channel -> string option;
+}
+
 (* Latency per pipelined request is measured from its window's send
    instant — what a batching caller actually waits. *)
-let run_client_json ~path ~(lines : string array) ~(expected : string array)
-    ~lo ~hi =
+let run_client ~path ~codec ~(expected : string array) ~lo ~hi =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX path);
   let ic = Unix.in_channel_of_descr fd
@@ -510,55 +507,17 @@ let run_client_json ~path ~(lines : string array) ~(expected : string array)
   let latencies_ms = Array.make (hi - lo) nan in
   let answered = ref 0 and mismatched = ref 0 in
   (try
+     output_string oc codec.preamble;
      let w0 = ref lo in
      while !w0 < hi do
        let w1 = min hi (!w0 + pipeline_window) in
        let t0 = Obs.Monotonic.now_ns () in
        for j = !w0 to w1 - 1 do
-         output_string oc lines.(j);
-         output_char oc '\n'
+         codec.write oc j
        done;
        flush oc;
        for j = !w0 to w1 - 1 do
-         let resp = input_line ic in
-         latencies_ms.(!answered) <-
-           Obs.Monotonic.elapsed_s ~since_ns:t0 *. 1e3;
-         incr answered;
-         if not (String.equal resp expected.(j)) then incr mismatched
-       done;
-       w0 := w1
-     done
-   with End_of_file | Sys_error _ -> ());
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  {
-    latencies_ms = Array.sub latencies_ms 0 !answered;
-    answered = !answered;
-    mismatched = !mismatched;
-  }
-
-(* The binary leg: same windows, frames pre-encoded once by the driver.
-   A b1 response frame carries exactly the JSON response line's bytes,
-   so the comparison target is the same [expected] array. *)
-let run_client_binary ~path ~(frames : string array)
-    ~(expected : string array) ~lo ~hi =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  let ic = Unix.in_channel_of_descr fd
-  and oc = Unix.out_channel_of_descr fd in
-  let latencies_ms = Array.make (hi - lo) nan in
-  let answered = ref 0 and mismatched = ref 0 in
-  (try
-     output_string oc Serve.Binary.magic;
-     let w0 = ref lo in
-     while !w0 < hi do
-       let w1 = min hi (!w0 + pipeline_window) in
-       let t0 = Obs.Monotonic.now_ns () in
-       for j = !w0 to w1 - 1 do
-         output_string oc frames.(j)
-       done;
-       flush oc;
-       for j = !w0 to w1 - 1 do
-         match Serve.Binary.input_frame ic with
+         match codec.read ic with
          | None -> raise End_of_file
          | Some body ->
            latencies_ms.(!answered) <-
@@ -885,9 +844,9 @@ let write_serve_baseline ?chaos ~file ~requests ~clients ~shards ~json_leg
 (* Run one codec leg on a {e fresh} engine (cold cache — a fair
    head-to-head) sharing the prebuilt quote table. *)
 let run_leg ?label ~codec ~make_engine ~shards ~path
-    ~(payloads : string array) ~(expected : string array) ~clients () =
-  let label = Option.value label ~default:codec in
-  let n = Array.length payloads in
+    ~(expected : string array) ~clients () =
+  let label = Option.value label ~default:codec.name in
+  let n = Array.length expected in
   let engine = make_engine () in
   let server = Serve.Server.listen engine ~path ?shards () in
   let bounds c =
@@ -899,10 +858,7 @@ let run_leg ?label ~codec ~make_engine ~shards ~path
     Array.init clients (fun c ->
         Domain.spawn (fun () ->
             let lo, hi = bounds c in
-            match codec with
-            | "binary" ->
-              run_client_binary ~path ~frames:payloads ~expected ~lo ~hi
-            | _ -> run_client_json ~path ~lines:payloads ~expected ~lo ~hi))
+            run_client ~path ~codec ~expected ~lo ~hi))
   in
   let results = Array.map Domain.join domains in
   let wall_s = Obs.Monotonic.elapsed_s ~since_ns:t0 in
@@ -925,7 +881,7 @@ let run_leg ?label ~codec ~make_engine ~shards ~path
   in
   let leg =
     {
-      g_codec = codec;
+      g_codec = codec.name;
       g_throughput_rps =
         (if wall_s > 0. then float_of_int answered /. wall_s else nan);
       g_p50_ms = percentile all_lat 0.50;
@@ -967,6 +923,24 @@ let serve_bench ~json ~requests:n ~clients ~shards ~smoke ~chaos ~budget_s =
   let lines = Array.map Serve.Request.encode corpus in
   let frames = Array.map Serve.Binary.encode_request corpus in
   let expected = Array.map (Serve.Engine.handle_decoded reference) corpus in
+  let json_codec =
+    {
+      name = "json";
+      preamble = "";
+      write =
+        (fun oc j ->
+          output_string oc lines.(j);
+          output_char oc '\n');
+      read = In_channel.input_line;
+    }
+  and binary_codec =
+    {
+      name = "binary";
+      preamble = Serve.Binary.magic;
+      write = (fun oc j -> output_string oc frames.(j));
+      read = Serve.Binary.input_frame;
+    }
+  in
   let path = Printf.sprintf "/tmp/htlc-serve-%d.sock" (Unix.getpid ()) in
   (* Measured legs start from empty histogram windows (the first read
      after a reset covers everything since it), so the recorded stage
@@ -975,12 +949,10 @@ let serve_bench ~json ~requests:n ~clients ~shards ~smoke ~chaos ~budget_s =
      overhead looks like). *)
   Serve.Telemetry.reset ();
   let json_leg, reactor_shards =
-    run_leg ~codec:"json" ~make_engine ~shards ~path ~payloads:lines
-      ~expected ~clients ()
+    run_leg ~codec:json_codec ~make_engine ~shards ~path ~expected ~clients ()
   in
   let binary_leg, _ =
-    run_leg ~codec:"binary" ~make_engine ~shards ~path ~payloads:frames
-      ~expected ~clients ()
+    run_leg ~codec:binary_codec ~make_engine ~shards ~path ~expected ~clients ()
   in
   if json_leg.g_throughput_rps > 0. then
     Printf.printf "binary/json throughput: %.2fx\n%!"
@@ -1002,8 +974,8 @@ let serve_bench ~json ~requests:n ~clients ~shards ~smoke ~chaos ~budget_s =
     Serve.Telemetry.set_enabled on;
     let g0 = Gc.quick_stat () in
     let leg, _ =
-      run_leg ~label ~codec:"json" ~make_engine ~shards ~path
-        ~payloads:lines ~expected ~clients ()
+      run_leg ~label ~codec:json_codec ~make_engine ~shards ~path ~expected
+        ~clients ()
     in
     let g1 = Gc.quick_stat () in
     Printf.printf "  %s: %d minor GCs, %.1f Mw minor, %.1f Mw promoted\n%!"

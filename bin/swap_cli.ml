@@ -11,6 +11,33 @@
 
 open Cmdliner
 
+(* --- argument validation ------------------------------------------------ *)
+
+(* Values the library refuses with [Invalid_argument] (trial counts,
+   sizes, probabilities, windows) are rejected at parse time as usage
+   errors (exit 124), not as an uncaught exception. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let probability =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x >= 0. && x <= 1. -> Ok x
+    | _ ->
+      Error (`Msg (Printf.sprintf "expected a probability in [0, 1], got %S" s))
+  in
+  Arg.conv ~docv:"P" (parse, Format.pp_print_float)
+
+(* [term]'s value, or the usage error [msg] when [ok] rejects it. *)
+let require ok msg term =
+  let check v = if ok v then `Ok v else `Error (true, msg) in
+  Term.(ret (const check $ term))
+
 (* --- shared parameter flags ------------------------------------------- *)
 
 let params_term =
@@ -184,7 +211,9 @@ let sweep_cmd =
 
 let simulate_cmd =
   let trials =
-    Arg.(value & opt int 20000 & info [ "trials" ] ~doc:"Monte-Carlo paths.")
+    Arg.(
+      value & opt positive_int 20000
+      & info [ "trials" ] ~doc:"Monte-Carlo paths.")
   in
   let seed = Arg.(value & opt int 0x51ab & info [ "seed" ] ~doc:"RNG seed.") in
   let policy_name =
@@ -243,7 +272,7 @@ let protocol_cmd =
   in
   let drop =
     Arg.(
-      value & opt float 0.
+      value & opt probability 0.
       & info [ "drop" ] ~doc:"Per-transaction drop probability (both chains).")
   in
   let delay_mean =
@@ -254,21 +283,26 @@ let protocol_cmd =
   in
   let delay_prob =
     Arg.(
-      value & opt float 1.
+      value & opt probability 1.
       & info [ "delay-prob" ]
           ~doc:"Probability a transaction suffers the extra delay at all.")
   in
   let reorg =
     Arg.(
-      value & opt float 0.
+      value & opt probability 0.
       & info [ "reorg" ] ~doc:"Single-depth reorg probability (both chains).")
   in
   let halt =
-    Arg.(
-      value
-      & opt (some (pair ~sep:',' float float)) None
-      & info [ "halt" ] ~docv:"H0,H1"
-          ~doc:"Halt both chains over the window [H0, H1).")
+    require
+      (function
+        | Some (h0, h1) -> Float.is_finite h0 && Float.is_finite h1 && h0 <= h1
+        | None -> true)
+      "--halt H0,H1 needs finite hours with H0 <= H1"
+      Arg.(
+        value
+        & opt (some (pair ~sep:',' float float)) None
+        & info [ "halt" ] ~docv:"H0,H1"
+            ~doc:"Halt both chains over the window [H0, H1).")
   in
   let retries =
     Arg.(
@@ -277,9 +311,12 @@ let protocol_cmd =
           ~doc:"Max submission attempts per action (1 = no resubmission).")
   in
   let backoff =
-    Arg.(
-      value & opt float 0.5
-      & info [ "backoff" ] ~doc:"Initial resubmission backoff (h); doubles.")
+    require
+      (fun b -> b >= 0.)
+      "--backoff must be >= 0"
+      Arg.(
+        value & opt float 0.5
+        & info [ "backoff" ] ~doc:"Initial resubmission backoff (h); doubles.")
   in
   let slack_t2 =
     Arg.(
@@ -416,7 +453,7 @@ let backtest_cmd =
   in
   let days =
     Arg.(
-      value & opt int 60
+      value & opt positive_int 60
       & info [ "days" ]
           ~doc:"Length of the synthetic regime-switching market when no CSV \
                 is given.")
@@ -486,7 +523,7 @@ let experiment_cmd =
   let trials =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "trials" ] ~docv:"N"
           ~doc:
             "Override the Monte-Carlo trial count of every \
@@ -602,16 +639,6 @@ let quote_cmd =
     Term.(const run $ params_term $ json_flag)
 
 (* --- serve ----------------------------------------------------------------- *)
-
-(* Sizes the engine and reactor refuse with [Invalid_argument]: reject
-   them at parse time as usage errors, not as an uncaught exception. *)
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-  in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
 let serve_cmd =
   let socket =
@@ -871,14 +898,17 @@ let route_cmd =
 
 let graph_sweep_cmd =
   let max_parties =
-    Arg.(
-      value & opt int 8
-      & info [ "max-parties" ] ~docv:"N"
-          ~doc:"Largest graph size generated per family (at least 3).")
+    require
+      (fun n -> n >= 3)
+      "--max-parties must be >= 3"
+      Arg.(
+        value & opt int 8
+        & info [ "max-parties" ] ~docv:"N"
+            ~doc:"Largest graph size generated per family (at least 3).")
   in
   let trials =
     Arg.(
-      value & opt int 2000
+      value & opt positive_int 2000
       & info [ "trials" ] ~docv:"N" ~doc:"Monte-Carlo paths per topology.")
   in
   let seed =
@@ -920,7 +950,6 @@ let graph_sweep_cmd =
       metrics trace_out =
     with_obs ~metrics ~trace_out @@ fun () ->
     Option.iter Numerics.Pool.set_jobs jobs;
-    if max_parties < 3 then failwith "graph-sweep: --max-parties must be >= 3";
     let slacks = List.sort_uniq compare slacks in
     let specs =
       List.concat_map
@@ -1197,7 +1226,7 @@ let call_cmd =
 let obs_cmd =
   let trials =
     Arg.(
-      value & opt int 5000
+      value & opt positive_int 5000
       & info [ "trials" ] ~doc:"Monte-Carlo paths in the probe workload.")
   in
   let metrics_out =
@@ -1268,81 +1297,6 @@ let obs_cmd =
       const run $ params_term $ p_star_term $ trials $ jobs_term
       $ metrics_out $ prometheus $ trace_out_term)
 
-(* --- lint ----------------------------------------------------------------- *)
-
-let lint_cmd =
-  let roots =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"ROOT"
-          ~doc:
-            "Directories to scan (default: lib bin bench test examples, \
-             resolved from the current directory — run from the \
-             repository root).")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit the $(b,htlc-lint/v1) JSON document (one line; \
-             $(b,htlc-lint/v2) with $(b,--deep)) instead of the text \
-             report.")
-  in
-  let deep_flag =
-    Arg.(
-      value & flag
-      & info [ "deep" ]
-          ~doc:
-            "Also run the whole-program analyses over the build's \
-             $(b,.cmt) typedtrees: cross-module nondeterminism taint \
-             into deterministic sinks, blocking calls reachable from \
-             the reactor's per-connection hot path, and cross-unit \
-             lock discipline for toplevel mutable state.  Findings \
-             carry the full call chain.")
-  in
-  let cmt_root_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cmt-root" ] ~docv:"DIR"
-          ~doc:
-            "Where to look for $(b,.cmt) files (default: \
-             $(b,_build/default) when it exists, else the current \
-             directory).")
-  in
-  let run roots json deep cmt_root metrics trace_out =
-    with_obs ~metrics ~trace_out @@ fun () ->
-    let roots =
-      match roots with
-      | [] -> [ "lib"; "bin"; "bench"; "test"; "examples" ]
-      | roots -> roots
-    in
-    (match List.filter (fun r -> not (Sys.file_exists r)) roots with
-    | [] -> ()
-    | missing ->
-      Printf.eprintf "swap_cli: lint: no such root: %s\n"
-        (String.concat ", " missing);
-      exit 2);
-    let result = Lint.Driver.run ~deep ?cmt_root ~roots () in
-    if json then print_endline (Lint.Driver.render_json result)
-    else print_string (Lint.Driver.render_text result);
-    if Lint.Driver.exit_code result <> 0 then exit 1
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Statically check the source tree against the repo's determinism \
-          and domain-safety invariants (htlc-lint): nondeterminism \
-          sources, unguarded shared state in Pool-reachable libraries, \
-          exception and output hygiene, interface coverage — plus, with \
-          $(b,--deep), the whole-program taint, hot-path, and \
-          lock-discipline analyses over the build's typedtrees.  Exits \
-          nonzero on any error-severity finding.")
-    Term.(
-      const run $ roots $ json_flag $ deep_flag $ cmt_root_arg
-      $ metrics_term $ trace_out_term)
-
 let main_cmd =
   let doc = "Game-theoretic analysis of cross-chain atomic swaps with HTLCs" in
   Cmd.group
@@ -1350,9 +1304,7 @@ let main_cmd =
     [
       cutoffs_cmd; success_cmd; sweep_cmd; simulate_cmd; protocol_cmd;
       ac3_cmd; backtest_cmd; quote_cmd; serve_cmd; route_cmd;
-      graph_sweep_cmd; call_cmd; experiment_cmd;
-      obs_cmd;
-      lint_cmd;
+      graph_sweep_cmd; call_cmd; experiment_cmd; obs_cmd;
     ]
 
 let () = exit (Cmd.eval main_cmd)

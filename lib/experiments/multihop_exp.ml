@@ -1,28 +1,37 @@
 (* Multi-party cyclic swaps (Herlihy [28]): how the 2-party analysis
-   scales with the number of hops. *)
+   scales with the number of hops.  Each n-party swap is the n-cycle
+   swap graph (party i pays party i+1 mod n) under the Herlihy
+   schedule, on identical legs calibrated from the 2-party parameters. *)
 
 let name = "multihop"
 let description = "Cyclic n-party swaps: lock time and SR vs hop count"
 
 let outcome_to_string = function
-  | Swap.Multihop.Success -> "success"
-  | Swap.Multihop.Abort_at_lock i -> Printf.sprintf "abort@lock%d" i
-  | Swap.Multihop.Abort_no_reveal -> "abort (no reveal)"
-  | Swap.Multihop.Anomalous s -> "ANOMALOUS: " ^ s
+  | Swapgraph.Exec.Success -> "success"
+  | Swapgraph.Exec.Abort_at_lock i -> Printf.sprintf "abort@lock%d" i
+  | Swapgraph.Exec.Abort_no_reveal -> "abort (no reveal)"
+  | Swapgraph.Exec.Anomalous s -> "ANOMALOUS: " ^ s
+
+let p = Swap.Params.defaults
 
 let scaling_block () =
-  let p = Swap.Params.defaults in
   let rows =
     List.map
       (fun n ->
-        let spec = Swap.Multihop.make ~parties:n ~p_star:2. p in
-        let mc = Swap.Multihop.mc_success_rate ~trials:30_000 spec in
+        let g = Swapgraph.Topology.cycle n in
+        let s = Swap.Graphlink.schedule p g in
+        let mc =
+          Swapgraph.Mc.estimate ~trials:30_000 g s
+            (Swap.Graphlink.uniform_policy p ~p_star:2.)
+        in
         [
           string_of_int n;
-          Render.fmt (Swap.Multihop.lock_phase_hours spec);
-          Render.fmt (Swap.Multihop.total_success_hours spec);
-          Render.fmt mc.Swap.Multihop.rate;
-          Render.fmt (mc.Swap.Multihop.rate ** (1. /. float_of_int n));
+          Render.fmt s.Swapgraph.Timelock.lock_phase_end;
+          (* The happy path ends when the cascade's last claim, party 1's
+             on the leader's outgoing arc 0, confirms at its expiry. *)
+          Render.fmt s.Swapgraph.Timelock.expiry.(0);
+          Render.fmt mc.Swapgraph.Mc.rate;
+          Render.fmt (mc.Swapgraph.Mc.rate ** (1. /. float_of_int n));
         ])
       [ 2; 3; 4; 5; 6; 8 ]
   in
@@ -33,25 +42,19 @@ let scaling_block () =
     ~rows
 
 let failure_modes_block () =
-  let p = Swap.Params.defaults in
-  let spec = Swap.Multihop.make ~parties:3 ~p_star:2. p in
-  let steady = fun _i _t -> 2. in
+  let g = Swapgraph.Topology.cycle 3 in
+  let s = Swap.Graphlink.schedule p g in
+  (* Exec.run's default prices hold every leg at 2, the agreed rate. *)
+  let run ?decisions ?offline () = Swapgraph.Exec.run ?decisions ?offline g s in
+  let declines v u ~price:_ =
+    if u = v then Swapgraph.Exec.Stop else Swapgraph.Exec.Cont
+  in
   let rows =
     [
-      ( "all honest",
-        Swap.Multihop.run ~price_paths:steady spec );
-      ( "party 1 declines to lock",
-        Swap.Multihop.run ~price_paths:steady
-          ~decisions:(fun i ~price:_ ->
-            if i = 1 then Swap.Agent.Stop else Swap.Agent.Cont)
-          spec );
-      ( "leader withholds the secret",
-        Swap.Multihop.run ~price_paths:steady
-          ~decisions:(fun i ~price:_ ->
-            if i = 0 then Swap.Agent.Stop else Swap.Agent.Cont)
-          spec );
-      ( "party 2 crashes mid-cascade",
-        Swap.Multihop.run ~price_paths:steady ~offline:[ (2, 10.) ] spec );
+      ("all honest", run ());
+      ("party 1 declines to lock", run ~decisions:(declines 1) ());
+      ("leader withholds the secret", run ~decisions:(declines 0) ());
+      ("party 2 crashes mid-cascade", run ~offline:[ (2, 10.) ] ());
     ]
   in
   Render.table
@@ -61,13 +64,13 @@ let failure_modes_block () =
          (fun (label, r) ->
            [
              label;
-             outcome_to_string r.Swap.Multihop.outcome;
+             outcome_to_string r.Swapgraph.Exec.outcome;
              String.concat " "
                (Array.to_list
                   (Array.mapi
                      (fun i (o, inc) ->
                        Printf.sprintf "p%d(%+g,%+g)" i o inc)
-                     r.Swap.Multihop.deltas));
+                     r.Swapgraph.Exec.deltas));
            ])
          rows)
 

@@ -4,8 +4,8 @@
    AST), optionally run the deep whole-program pass over the .cmt
    typedtrees (Callgraph + Taint + Reach), and render the result as a
    human report or as an htlc-lint/v1 / v2 JSON document.  Summary
-   counters go through Obs.Metrics so `swap_cli lint --metrics`
-   composes with the rest of the observability layer.
+   counters go through Obs.Metrics so `swap_lint --metrics` composes
+   with the rest of the observability layer.
 
    The suppression tables collected by the syntactic scan are the
    single source of truth for the deep pass too: deep findings anchor

@@ -1,20 +1,19 @@
 (* The bridge from the paper's 2-party model to lib/swapgraph: builds
    per-leg rational policies, graph-game payoffs and the served token
    universe out of Params/Cutoff/Success, so the graph library itself
-   stays parameter-free (it sits below this library and Multihop
-   delegates to it).
+   stays parameter-free (it sits below this library).
 
    Conventions: identical legs with unit notional per arc, Bob-side
    calibration (premium [bob.alpha] per incoming leg, time-value
-   [bob.r] per locked hour) — the same symmetric-legs reading
-   Multihop has always used. *)
+   [bob.r] per locked hour) — the symmetric-legs reading of an n-party
+   cyclic swap. *)
 
 let schedule ?slack (p : Params.t) g =
   Swapgraph.Timelock.assign ?slack g ~tau:p.Params.tau_b ~eps:p.Params.eps_b
 
 (* Every party applies the 2-party rational rule to its own leg with
-   the {e baseline} cutoffs — the historical Multihop Monte-Carlo
-   semantics (identical bands at every depth). *)
+   the {e baseline} cutoffs — identical bands at every depth, the
+   n-party cyclic-swap semantics of the multihop experiment. *)
 let uniform_policy (p : Params.t) ~p_star =
   let gbm = Params.gbm p in
   let band = Cutoff.p_t2_band p ~p_star in
@@ -88,15 +87,6 @@ let payoffs (p : Params.t) g s =
     payoff
   in
   { Swapgraph.Game.success; no_reveal; abort_at }
-
-let analyse ?slack ?(trials = 20_000) ?seed ?jobs (p : Params.t) ~p_star g =
-  let s = schedule ?slack p g in
-  let game = Swapgraph.Game.analyse g (payoffs p g s) in
-  let mc =
-    Swapgraph.Mc.estimate ?trials:(Some trials) ?seed ?jobs g s
-      (depth_aware_policy p ~p_star g s)
-  in
-  (s, game, mc)
 
 (* --- served token universe ----------------------------------------------- *)
 

@@ -11,8 +11,8 @@ val schedule :
 (** Herlihy assignment with [tau = tau_b], [eps = eps_b]. *)
 
 val uniform_policy : Params.t -> p_star:float -> Swapgraph.Mc.policy
-(** Every party applies the 2-party rule with the {e baseline} cutoffs
-    — the historical [Multihop] Monte-Carlo semantics. *)
+(** Every party applies the 2-party rule with the {e baseline} cutoffs,
+    identical at every depth (the n-party cyclic-swap semantics). *)
 
 val depth_aware_policy :
   Params.t ->
@@ -35,17 +35,6 @@ val payoffs :
   Swapgraph.Game.payoffs
 (** Premium on incoming legs minus time-value on outgoing locks;
     aborts cost exactly the already-locked parties their time-value. *)
-
-val analyse :
-  ?slack:float ->
-  ?trials:int ->
-  ?seed:int ->
-  ?jobs:int ->
-  Params.t ->
-  p_star:float ->
-  Swapgraph.Graph.t ->
-  Swapgraph.Timelock.schedule * Swapgraph.Game.analysis * Swapgraph.Mc.result
-(** Schedule + game solution + depth-aware Monte Carlo in one call. *)
 
 val default_universe : ?base:Params.t -> unit -> Swapgraph.Router.t
 (** The served token universe: BTC/ETH/SOL/USDC/XMR mapped onto chain

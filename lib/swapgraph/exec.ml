@@ -1,5 +1,5 @@
 (* Full protocol execution of a swap graph on simulated chains — the
-   N-party generalisation of Swap.Multihop.run.
+   N-party generalisation of the 2-party HTLC run.
 
    One chain per arc (the ledger carrying that transfer's asset), all
    locks hashed to one secret held by the leader.  The lock phase

@@ -1,5 +1,5 @@
 (** Full protocol execution of a swap graph on simulated chains — the
-    N-party generalisation of [Swap.Multihop.run].  One chain per arc,
+    N-party generalisation of the 2-party HTLC run.  One chain per arc,
     all locks hashed to the leader's secret, locks confirmed level by
     level, claims cascading along the timelock schedule; final HTLC
     states classify the run. *)

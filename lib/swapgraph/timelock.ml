@@ -1,5 +1,5 @@
-(* Herlihy's timelock assignment, generalised from the cycle in
-   Swap.Multihop to arbitrary well-formed swap digraphs.
+(* Herlihy's timelock assignment, generalised from the n-party cycle
+   to arbitrary well-formed swap digraphs.
 
    With [d(v)] the leader distance of vertex [v], [D] the maximum
    distance, [tau] the per-chain confirmation time and
@@ -17,7 +17,8 @@
    leader's own outgoing arcs, which is exactly the staggering the
    2-party analysis needs — a party only ever claims an arc whose
    expiry is later than the arc it just saw claimed.  On an n-cycle
-   this reproduces Swap.Multihop's schedule term for term. *)
+   (D = n-1) this is the closed form lock_phase_end = n tau and
+   expiry(j) = (n+1) tau + (n-1-j) eps. *)
 
 type schedule = {
   tau : float;

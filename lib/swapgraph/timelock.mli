@@ -1,9 +1,10 @@
 (** Herlihy's timelock assignment for swap digraphs, generalising the
-    cycle schedule in [Swap.Multihop]: locks confirm level by level
-    away from the leader, claims cascade back from the leader with a
-    per-level stagger of [eps + slack], and every expiry sits exactly
-    one confirmation after its claim (tight schedule).  On an n-cycle
-    this reproduces [Swap.Multihop.expiry_schedule] term for term. *)
+    n-party cycle schedule: locks confirm level by level away from the
+    leader, claims cascade back from the leader with a per-level
+    stagger of [eps + slack], and every expiry sits exactly one
+    confirmation after its claim (tight schedule).  On an n-cycle with
+    no slack: lock phase [n tau], arc [j]'s expiry
+    [(n+1) tau + (n-1-j) eps]. *)
 
 type schedule = {
   tau : float;  (** Per-chain confirmation time (hours). *)

@@ -10,7 +10,7 @@ val family_of_string : string -> family option
 val all_families : family list
 
 val cycle : int -> Graph.t
-(** [i -> i+1 mod n]; the Herlihy/Multihop ring.  [n >= 2]. *)
+(** [i -> i+1 mod n]; Herlihy's cyclic swap ring.  [n >= 2]. *)
 
 val star : int -> Graph.t
 (** Hub-and-spoke: the leader trades out and back with every other

@@ -5,7 +5,8 @@
 
 let fast_experiments =
   [ "tab1"; "tab3"; "fig2"; "fig3"; "fig4"; "fig5"; "eq29"; "fig7"; "fig9";
-    "waiting"; "crash"; "chaos"; "negotiation"; "security"; "attribution" ]
+    "waiting"; "crash"; "chaos"; "negotiation"; "security"; "attribution";
+    "multihop" ]
 
 let test_registry_complete () =
   let expected =
@@ -59,6 +60,9 @@ let test_key_findings_present () =
       ("chaos", "recovers with added slack");
       ("waiting", "incentive-compatible");
       ("security", "griefing");
+      ("multihop", "abort@lock1");
+      ( "multihop",
+        "ANOMALOUS: hop0=claimed@18, hop1=refunded@17, hop2=claimed@16" );
     ]
   in
   List.iter

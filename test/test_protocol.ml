@@ -637,62 +637,70 @@ let test_lattice_game_tree_is_valid () =
 
 (* --- Multi-hop cyclic swaps -------------------------------------------------------- *)
 
-let steady = fun _i _t -> 2.
+(* An n-party cyclic swap is the n-cycle swap graph under the Herlihy
+   schedule, calibrated from the 2-party parameters. *)
+let cycle n =
+  let g = Swapgraph.Topology.cycle n in
+  (g, Swap.Graphlink.schedule p g)
+
+(* Every leg's price stays at Exec.run's default of 2 = P*. *)
+let run_cycle ?decisions ?offline n =
+  let g, s = cycle n in
+  Swapgraph.Exec.run ?decisions ?offline g s
+
+let outcome_to_string = function
+  | Swapgraph.Exec.Success -> "success"
+  | Swapgraph.Exec.Abort_at_lock j -> Printf.sprintf "abort@%d" j
+  | Swapgraph.Exec.Abort_no_reveal -> "no reveal"
+  | Swapgraph.Exec.Anomalous s -> s
 
 let test_multihop_happy_path () =
-  let spec = Swap.Multihop.make ~parties:4 ~p_star:2. p in
-  let r = Swap.Multihop.run ~price_paths:steady spec in
-  (match r.Swap.Multihop.outcome with
-  | Swap.Multihop.Success -> ()
+  let r = run_cycle 4 in
+  (match r.Swapgraph.Exec.outcome with
+  | Swapgraph.Exec.Success -> ()
   | _ -> Alcotest.fail "4-party cycle must complete");
   Array.iter
     (fun (out, inc) ->
       check_float "gave one" (-1.) out;
       check_float "received one" 1. inc)
-    r.Swap.Multihop.deltas
+    r.Swapgraph.Exec.deltas
 
 let test_multihop_abort_refunds_everyone () =
-  let spec = Swap.Multihop.make ~parties:4 ~p_star:2. p in
-  let decline_at k i ~price:_ =
-    if i = k then Swap.Agent.Stop else Swap.Agent.Cont
+  let decline_at k v ~price:_ =
+    if v = k then Swapgraph.Exec.Stop else Swapgraph.Exec.Cont
   in
   List.iter
     (fun k ->
-      let r =
-        Swap.Multihop.run ~price_paths:steady ~decisions:(decline_at k) spec
-      in
-      (match (k, r.Swap.Multihop.outcome) with
-      | 0, Swap.Multihop.Abort_no_reveal -> ()
-      | k, Swap.Multihop.Abort_at_lock j when j = k -> ()
+      let r = run_cycle ~decisions:(decline_at k) 4 in
+      (match (k, r.Swapgraph.Exec.outcome) with
+      | 0, Swapgraph.Exec.Abort_no_reveal -> ()
+      | k, Swapgraph.Exec.Abort_at_lock j when j = k -> ()
       | _, other ->
         Alcotest.failf "decline by %d: unexpected outcome %s" k
-          (match other with
-          | Swap.Multihop.Success -> "success"
-          | Swap.Multihop.Abort_at_lock j -> Printf.sprintf "abort@%d" j
-          | Swap.Multihop.Abort_no_reveal -> "no reveal"
-          | Swap.Multihop.Anomalous s -> s));
+          (outcome_to_string other));
       Array.iter
         (fun (out, inc) ->
           check_float "outgoing restored" 0. out;
           check_float "nothing received" 0. inc)
-        r.Swap.Multihop.deltas)
+        r.Swapgraph.Exec.deltas)
     [ 0; 1; 3 ]
 
 let test_multihop_expiry_schedule_staggered () =
-  let spec = Swap.Multihop.make ~parties:4 ~p_star:2. p in
-  let ex = Swap.Multihop.expiry_schedule spec in
+  let _, s = cycle 4 in
+  let ex = s.Swapgraph.Timelock.expiry in
   for j = 1 to 3 do
     if ex.(j) >= ex.(j - 1) then
       Alcotest.fail "deadlines must grow toward the leader's chain"
   done;
   (* Every claim confirms exactly at its expiry (tight schedule). *)
-  check_float "lock phase" 16. (Swap.Multihop.lock_phase_hours spec)
+  check_float "lock phase" 16. s.Swapgraph.Timelock.lock_phase_end
 
 let test_multihop_sr_decays_with_parties () =
   let sr n =
-    (Swap.Multihop.mc_success_rate ~trials:15_000
-       (Swap.Multihop.make ~parties:n ~p_star:2. p))
-      .Swap.Multihop.rate
+    let g, s = cycle n in
+    (Swapgraph.Mc.estimate ~trials:15_000 g s
+       (Swap.Graphlink.uniform_policy p ~p_star:2.))
+      .Swapgraph.Mc.rate
   in
   let s2 = sr 2 and s4 = sr 4 and s6 = sr 6 in
   if not (s2 > s4 && s4 > s6) then
@@ -701,13 +709,12 @@ let test_multihop_sr_decays_with_parties () =
     Alcotest.fail "decay should be substantial by 6 parties"
 
 let test_multihop_crash_mid_cascade_strands_one_party () =
-  let spec = Swap.Multihop.make ~parties:3 ~p_star:2. p in
-  let r = Swap.Multihop.run ~price_paths:steady ~offline:[ (2, 10.) ] spec in
-  (match r.Swap.Multihop.outcome with
-  | Swap.Multihop.Anomalous _ -> ()
+  let r = run_cycle ~offline:[ (2, 10.) ] 3 in
+  (match r.Swapgraph.Exec.outcome with
+  | Swapgraph.Exec.Anomalous _ -> ()
   | _ -> Alcotest.fail "mid-cascade crash must break atomicity");
   (* The crashed party gave without receiving; others are whole. *)
-  let out2, in2 = r.Swap.Multihop.deltas.(2) in
+  let out2, in2 = r.Swapgraph.Exec.deltas.(2) in
   check_float "party2 gave" (-1.) out2;
   check_float "party2 got nothing" 0. in2
 

@@ -1,8 +1,8 @@
 (* Tests for lib/swapgraph: topology generators (seed determinism and
-   well-formedness), the Herlihy timelock assignment (including exact
-   agreement with the historical Multihop cycle schedule), jobs
-   invariance of the Monte-Carlo estimator and the topology sweep, the
-   graph game, the route search and full protocol execution. *)
+   well-formedness), the Herlihy timelock assignment (including the
+   closed form of the n-party cycle schedule), jobs invariance of the
+   Monte-Carlo estimator and the topology sweep, the graph game, the
+   route search and full protocol execution. *)
 
 open Swapgraph
 
@@ -97,26 +97,36 @@ let test_topology_shapes () =
 
 (* --- Herlihy timelocks ------------------------------------------------ *)
 
+(* The closed form of Herlihy's n-party cycle schedule at
+   [Params.defaults] (tau_b = 4, eps_b = 1): locks confirm one per tau,
+   claim j is submitted (n-1-j) eps after the lock phase and expires one
+   tau later, and the happy path ends when the last claim (arc 0, the
+   leader's outgoing leg) confirms at its expiry. *)
 let test_timelock_matches_multihop () =
+  let tau = 4. and eps = 1. in
+  check_float "tau_b" tau p.Swap.Params.tau_b;
+  check_float "eps_b" eps p.Swap.Params.eps_b;
   List.iter
-    (fun parties ->
-      let spec = Swap.Multihop.make ~parties p in
-      let expected = Swap.Multihop.expiry_schedule spec in
-      let s = Swap.Graphlink.schedule p (Topology.cycle parties) in
+    (fun n ->
+      let s = Swap.Graphlink.schedule p (Topology.cycle n) in
+      let nf = float_of_int n in
       check_int
-        (Printf.sprintf "%d-cycle: one expiry per leg" parties)
-        parties
+        (Printf.sprintf "%d-cycle: one expiry per leg" n)
+        n
         (Array.length s.Timelock.expiry);
-      Array.iteri
-        (fun i e ->
-          check_float
-            (Printf.sprintf "%d-cycle: expiry of leg %d" parties i)
-            e s.Timelock.expiry.(i))
-        expected;
       check_float
-        (Printf.sprintf "%d-cycle: lock phase" parties)
-        (Swap.Multihop.lock_phase_hours spec)
-        s.Timelock.lock_phase_end)
+        (Printf.sprintf "%d-cycle: lock phase" n)
+        (nf *. tau) s.Timelock.lock_phase_end;
+      for j = 0 to n - 1 do
+        check_float
+          (Printf.sprintf "%d-cycle: expiry of leg %d" n j)
+          (((nf +. 1.) *. tau) +. (float_of_int (n - 1 - j) *. eps))
+          s.Timelock.expiry.(j)
+      done;
+      check_float
+        (Printf.sprintf "%d-cycle: happy path" n)
+        (((nf +. 1.) *. tau) +. (float_of_int (n - 1) *. eps))
+        (s.Timelock.claim_time.(0) +. tau))
     [ 2; 3; 4; 5; 8 ]
 
 let test_timelock_validates_across_families () =
