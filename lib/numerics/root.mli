@@ -20,24 +20,13 @@ val newton :
 (** [newton ~f ~df x0] runs Newton–Raphson from [x0].  @raise Failure if it does not converge
     within [max_iter] (default 100) iterations. *)
 
-val find_brackets :
-  ?n:int -> (float -> float) -> a:float -> b:float -> (float * float) list
-(** [find_brackets f ~a ~b] scans [n] (default 256) equal subintervals of
-    [[a, b]] and returns those whose endpoints have opposite signs, in
-    increasing order.  Exact zeros at gridpoints are returned as
-    degenerate brackets. *)
-
-val find_all_roots :
-  ?n:int -> ?tol:float -> (float -> float) -> a:float -> b:float -> float list
-(** All sign-change roots found by {!find_brackets} refined with
-    {!brent}, in increasing order.  Roots of even multiplicity that do
-    not change sign on the grid are not detected. *)
-
-val find_brackets_log :
-  ?n:int -> (float -> float) -> a:float -> b:float -> (float * float) list
-(** Like {!find_brackets} but on a logarithmically spaced grid;
-    requires [0 < a < b].  Suited to price domains spanning decades. *)
-
-val find_all_roots_log :
-  ?n:int -> ?tol:float -> (float -> float) -> a:float -> b:float -> float list
-(** Log-grid variant of {!find_all_roots}. *)
+val roots_log : (float -> float) -> a:float -> b:float -> float list
+(** Every sign-change root of [f] in [[a, b]], [0 < a < b], in
+    increasing order; a sample where [f] is exactly zero is returned as
+    a root.  A certified adaptive scan in [ln x]: 48 coarse cells, each
+    halved (up to 4 times, so down to 1/768 of the domain) until the
+    second divided differences of the samples certify it root-free or
+    monotone, then Brent to a tolerance of [1e-13 * max |a'| |b'|] on
+    each bracket [(a', b')].  The tolerance is relative, so the roots of
+    [fun x -> f (lambda *. x)] on [[a / lambda, b / lambda]] are those
+    of [f] divided by [lambda], up to rounding. *)

@@ -41,70 +41,32 @@ let log_gamma x =
     let t = x +. lanczos_g +. 0.5 in
     (0.5 *. log (2. *. pi)) +. (((x +. 0.5) *. log t) -. t) +. log !a
 
-(* Lower incomplete gamma by its power series: converges fast for x < a+1. *)
-let gamma_p_series a x =
-  let gln = log_gamma a in
-  let rec go ap sum del =
-    let ap = ap +. 1. in
-    let del = del *. x /. ap in
-    let sum = sum +. del in
-    if abs_float del < abs_float sum *. 1e-16 then sum
-    else go ap sum del
-  in
-  if x = 0. then 0.
-  else
-    let sum = go a (1. /. a) (1. /. a) in
-    sum *. exp ((-.x) +. (a *. log x) -. gln)
-
-(* Upper incomplete gamma by modified Lentz continued fraction:
-   converges fast for x >= a+1. *)
-let gamma_q_cf a x =
-  let gln = log_gamma a in
-  let tiny = 1e-300 in
-  let b = ref (x +. 1. -. a) in
-  let c = ref (1. /. tiny) in
-  let d = ref (1. /. !b) in
-  let h = ref !d in
-  (let i = ref 1 in
-   let continue = ref true in
-   while !continue && !i <= 400 do
-     let an = -.float_of_int !i *. (float_of_int !i -. a) in
-     b := !b +. 2.;
-     d := (an *. !d) +. !b;
-     if abs_float !d < tiny then d := tiny;
-     c := !b +. (an /. !c);
-     if abs_float !c < tiny then c := tiny;
-     d := 1. /. !d;
-     let del = !d *. !c in
-     h := !h *. del;
-     if abs_float (del -. 1.) < 1e-16 then continue := false;
-     incr i
-   done);
-  exp ((-.x) +. (a *. log x) -. gln) *. !h
-
-let gamma_p a x =
-  if a <= 0. then invalid_arg "Special.gamma_p: requires a > 0";
-  if x < 0. then invalid_arg "Special.gamma_p: requires x >= 0";
-  if x = 0. then 0.
-  else if x < a +. 1. then gamma_p_series a x
-  else 1. -. gamma_q_cf a x
-
-let gamma_q a x =
-  if a <= 0. then invalid_arg "Special.gamma_q: requires a > 0";
-  if x < 0. then invalid_arg "Special.gamma_q: requires x >= 0";
-  if x = 0. then 1.
-  else if x < a +. 1. then 1. -. gamma_p_series a x
-  else gamma_q_cf a x
-
-let erf x =
-  if x = 0. then 0.
-  else if x > 0. then gamma_p 0.5 (x *. x)
-  else -.gamma_p 0.5 (x *. x)
+(* erfc z = t exp(-z^2 + h(y)) for z = |x|, with t = 2 / (2 + z) and h
+   summed from its Chebyshev series in y = 2t - 1 by Clenshaw's
+   recurrence (ty = 2y).  The coefficients (Erfc_table) are fitted in the
+   repository from the incomplete-gamma route this module used before,
+   which now lives in test/oracle as the accuracy oracle.  Inlined into
+   erf and erfc, whose only allocation is then their boxed result. *)
+let[@inline] erfc_abs x =
+  let c = Erfc_table.coefficients in
+  let z = abs_float x in
+  let t = 2. /. (2. +. z) in
+  let ty = (4. *. t) -. 2. in
+  let d = ref 0. and dd = ref 0. in
+  for j = Array.length c - 1 downto 1 do
+    let tmp = !d in
+    d := (ty *. !d) -. !dd +. c.(j);
+    dd := tmp
+  done;
+  t *. exp ((-.z *. z) +. (0.5 *. (c.(0) +. (ty *. !d))) -. !dd)
 
 let erfc x =
-  if x >= 0. then
-    if x = 0. then 1. else gamma_q 0.5 (x *. x)
-  else 2. -. gamma_q 0.5 (x *. x)
+  let r = erfc_abs x in
+  if x >= 0. then r else 2. -. r
+
+let erf x =
+  let r = erfc_abs x in
+  if x >= 0. then 1. -. r else r -. 1.
 
 (* Inverse complementary error function: initial guess from the
    normal-quantile rational approximation, refined by Halley iterations on

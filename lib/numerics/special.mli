@@ -18,21 +18,15 @@ val log_gamma : float -> float
     [x > 0].  Lanczos approximation (g = 7, 9 coefficients).
     @raise Invalid_argument if [x <= 0.]. *)
 
-val gamma_p : float -> float -> float
-(** [gamma_p a x] is the regularised lower incomplete gamma function
-    P(a, x) = gamma(a, x) / Gamma(a), for [a > 0] and [x >= 0].
-    Series expansion for [x < a +. 1.], continued fraction otherwise. *)
-
-val gamma_q : float -> float -> float
-(** [gamma_q a x = 1. -. gamma_p a x], the regularised upper incomplete
-    gamma function, computed directly to avoid cancellation. *)
-
 val erf : float -> float
-(** Error function, via the incomplete gamma function. *)
+(** Error function, [1 - erfc x]: absolute error a few ulp of 1. *)
 
 val erfc : float -> float
-(** Complementary error function; accurate in the tails (no [1 - erf]
-    cancellation). *)
+(** Complementary error function, from a 28-term Chebyshev series in
+    [t = 2 / (2 + |x|)] (Numerical Recipes' form, fitted in-repo).
+    Relative error below 7e-15 for [|x| <= 6]; beyond, the rounding of
+    [-x^2] in the exponent adds up to [x^2] ulp.  No [1 - erf]
+    cancellation, and no allocation beyond the boxed result. *)
 
 val erfc_inv : float -> float
 (** [erfc_inv y] solves [erfc x = y] for [y] in (0, 2).

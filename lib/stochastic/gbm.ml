@@ -25,38 +25,57 @@ let expectation t ~p0 ~tau =
 
 let pdf t ~x ~p0 ~tau = Lognormal.pdf (transition t ~p0 ~tau) x
 
+type leg = { drift : float; scale : float; half_sd : float; growth : float }
+
+let leg t ~tau =
+  if tau <= 0. then invalid_arg "Gbm: requires tau > 0";
+  {
+    drift = log_return_mean t ~tau;
+    scale = sqrt (2. *. tau) *. t.sigma;
+    half_sd = t.sigma *. sqrt (0.5 *. tau);
+    growth = exp (t.mu *. tau);
+  }
+
 (* The paper's printed form:
    C(x, P_t, tau) = 1/2 erfc ((ln (x / P_t) - (mu - sigma^2/2) tau)
                                / (sqrt (2 tau) sigma))
    Note the sign: this equals P[P_{t+tau} <= x] because
-   erfc(-z)/2 = Phi(z sqrt 2); we keep the exact expression. *)
+   erfc(-z)/2 = Phi(z sqrt 2); we keep the exact expression.  With z as
+   above, the partial expectations are p0 e^{mu tau} erfc (+-(z - v)) / 2
+   with v = sigma sqrt (tau / 2) (Black-Scholes d1 = sqrt 2 (v - z)). *)
+let[@inline] leg_z l ~k ~p0 = (log (k /. p0) -. l.drift) /. l.scale
+
+let leg_cdf l ~k ~p0 =
+  if k <= 0. then 0. else 0.5 *. Special.erfc (-.leg_z l ~k ~p0)
+
+let leg_sf l ~k ~p0 =
+  if k <= 0. then 1. else 0.5 *. Special.erfc (leg_z l ~k ~p0)
+
+let leg_pe_above l ~k ~p0 =
+  if k <= 0. then p0 *. l.growth
+  else p0 *. l.growth *. 0.5 *. Special.erfc (leg_z l ~k ~p0 -. l.half_sd)
+
+let leg_pe_below l ~k ~p0 =
+  if k <= 0. then 0.
+  else p0 *. l.growth *. 0.5 *. Special.erfc (l.half_sd -. leg_z l ~k ~p0)
+
 let cdf t ~x ~p0 ~tau =
   check_args ~p0 ~tau;
-  if x <= 0. then 0.
-  else
-    let z =
-      (log (x /. p0) -. log_return_mean t ~tau)
-      /. (sqrt (2. *. tau) *. t.sigma)
-    in
-    0.5 *. Special.erfc (-.z)
+  leg_cdf (leg t ~tau) ~k:x ~p0
 
 let sf t ~x ~p0 ~tau =
   check_args ~p0 ~tau;
-  if x <= 0. then 1.
-  else
-    let z =
-      (log (x /. p0) -. log_return_mean t ~tau)
-      /. (sqrt (2. *. tau) *. t.sigma)
-    in
-    0.5 *. Special.erfc z
+  leg_sf (leg t ~tau) ~k:x ~p0
 
 let quantile t ~p ~p0 ~tau = Lognormal.quantile (transition t ~p0 ~tau) p
 
 let partial_expectation_above t ~k ~p0 ~tau =
-  Lognormal.partial_expectation_above (transition t ~p0 ~tau) k
+  check_args ~p0 ~tau;
+  leg_pe_above (leg t ~tau) ~k ~p0
 
 let partial_expectation_below t ~k ~p0 ~tau =
-  Lognormal.partial_expectation_below (transition t ~p0 ~tau) k
+  check_args ~p0 ~tau;
+  leg_pe_below (leg t ~tau) ~k ~p0
 
 let sample rng t ~p0 ~tau =
   check_args ~p0 ~tau;

@@ -38,6 +38,32 @@ val partial_expectation_above : t -> k:float -> p0:float -> tau:float -> float
 
 val partial_expectation_below : t -> k:float -> p0:float -> tau:float -> float
 
+(** {2 Staged transitions}
+
+    The same closed forms with the per-[tau] constants computed once,
+    for inner loops that vary the start price [p0] (the root solver and
+    the quadratures of Eqs. 20-31 and 40): an evaluation then builds no
+    [Lognormal.t] and allocates only its boxed result.  The functions
+    above are these applied to a fresh leg.  [p0 > 0] is not checked. *)
+
+type leg
+(** The law of [P_{t+tau} / P_t] for one [tau]. *)
+
+val leg : t -> tau:float -> leg
+(** @raise Invalid_argument if [tau <= 0.]. *)
+
+val leg_cdf : leg -> k:float -> p0:float -> float
+(** [cdf t ~x:k ~p0 ~tau]. *)
+
+val leg_sf : leg -> k:float -> p0:float -> float
+(** [sf t ~x:k ~p0 ~tau]. *)
+
+val leg_pe_above : leg -> k:float -> p0:float -> float
+(** [partial_expectation_above t ~k ~p0 ~tau]. *)
+
+val leg_pe_below : leg -> k:float -> p0:float -> float
+(** [partial_expectation_below t ~k ~p0 ~tau]. *)
+
 val sample : Numerics.Rng.t -> t -> p0:float -> tau:float -> float
 (** Exact draw from the transition law (no discretisation error). *)
 

@@ -25,15 +25,8 @@ let outcome_to_string = function
 
 (* Bob's continuation band when Alice cannot defect: the k3 = 0 limit
    of the Eq. 21 machinery (every deployed swap completes). *)
-let bob_band ?(scan_points = 600) (p : Params.t) ~p_star =
-  let g x =
-    Utility.b_t2_cont p ~p_star ~k3:0. ~p_t2:x -. Utility.b_t2_stop ~p_t2:x
-  in
-  let domain_lo, domain_hi = Cutoff.scan_domain p ~p_star in
-  let roots =
-    Numerics.Root.find_all_roots_log ~n:scan_points g ~a:domain_lo ~b:domain_hi
-  in
-  Intervals.of_sign_changes ~f:g ~roots ~domain_lo:0. ~domain_hi:infinity
+let bob_band (p : Params.t) ~p_star =
+  Cutoff.t2_region p ~p_star (Utility.b_t2_cont p ~p_star ~k3:0.)
 
 let success_rate ?quad_nodes (p : Params.t) ~p_star =
   let band = bob_band p ~p_star in
@@ -45,21 +38,9 @@ let a_t1_net ?quad_nodes (p : Params.t) ~p_star =
   Utility.a_t1_cont ?quad_nodes p ~p_star ~k3:0. ~band
   -. Utility.a_t1_stop ~p_star
 
-let feasible_band ?(scan_points = 120) ?quad_nodes (p : Params.t) =
-  let f p_star = a_t1_net ?quad_nodes p ~p_star in
-  let domain_lo = p.Params.p0 *. 0.05 and domain_hi = p.Params.p0 *. 20. in
-  let roots =
-    Numerics.Root.find_all_roots_log ~n:scan_points f ~a:domain_lo ~b:domain_hi
-  in
-  match
-    Intervals.intervals
-      (Intervals.of_sign_changes ~f ~roots ~domain_lo:0. ~domain_hi:infinity)
-  with
-  | [] -> None
-  | ivs ->
-    let lo = (List.hd ivs).Intervals.lo in
-    let hi = (List.nth ivs (List.length ivs - 1)).Intervals.hi in
-    Some (lo, hi)
+let feasible_band ?quad_nodes (p : Params.t) =
+  Intervals.hull
+    (Cutoff.p_star_region p (fun p_star -> a_t1_net ?quad_nodes p ~p_star))
 
 let rational_policy (p : Params.t) ~p_star =
   let band = bob_band p ~p_star in

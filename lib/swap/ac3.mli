@@ -30,7 +30,7 @@ type result = {
   trace : (float * string) list;
 }
 
-val bob_band : ?scan_points:int -> Params.t -> p_star:float -> Intervals.t
+val bob_band : Params.t -> p_star:float -> Intervals.t
 (** Bob's [t2] continuation region knowing Alice cannot defect
     ([k3 = 0] in the Eq. 21 machinery). *)
 
@@ -41,8 +41,7 @@ val rational_policy : Params.t -> p_star:float -> Agent.t
 val success_rate : ?quad_nodes:int -> Params.t -> p_star:float -> float
 (** P(success | initiated) — the transition mass of {!bob_band}. *)
 
-val feasible_band :
-  ?scan_points:int -> ?quad_nodes:int -> Params.t -> (float * float) option
+val feasible_band : ?quad_nodes:int -> Params.t -> (float * float) option
 (** Exchange rates at which Alice engages at [t1]. *)
 
 val run :

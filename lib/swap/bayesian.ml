@@ -1,4 +1,3 @@
-open Numerics
 open Stochastic
 
 type belief = { weights : float array; alphas : float array }
@@ -37,39 +36,37 @@ let cutoff_of_type (p : Params.t) ~p_star alpha =
 (* Eq. 21 with the indicator of Alice's continuation replaced by its
    belief-expectation: each type has its own cutoff, so the survival
    and lower-partial-expectation terms mix. *)
-let b_t2_cont_mixed (p : Params.t) ~belief_on_alice ~p_star ~p_t2 =
-  let gbm = Params.gbm p in
-  let term alpha =
-    let k3 = cutoff_of_type p ~p_star alpha in
-    (Gbm.sf gbm ~x:k3 ~p0:p_t2 ~tau:p.Params.tau_b
-     *. Utility.b_t3_cont p ~p_star)
-    +. (exp (2. *. (p.Params.mu -. p.Params.bob.r) *. p.Params.tau_b)
-       *. Gbm.partial_expectation_below gbm ~k:k3 ~p0:p_t2 ~tau:p.Params.tau_b)
-  in
-  mix belief_on_alice term
-  *. Utility.discount ~r:p.Params.bob.r ~horizon:p.Params.tau_b
+(* Staged: the per-type cutoffs and constants are computed once. *)
+let b_t2_cont_mixed (p : Params.t) ~belief_on_alice ~p_star =
+  let leg = Gbm.leg (Params.gbm p) ~tau:p.Params.tau_b in
+  let cont = Utility.b_t3_cont p ~p_star in
+  let stop = exp (2. *. (p.Params.mu -. p.Params.bob.r) *. p.Params.tau_b) in
+  let disc = Utility.discount ~r:p.Params.bob.r ~horizon:p.Params.tau_b in
+  let k3s = Array.map (cutoff_of_type p ~p_star) belief_on_alice.alphas in
+  fun ~p_t2 ->
+    let acc = ref 0. in
+    Array.iteri
+      (fun i w ->
+        let k3 = k3s.(i) in
+        acc :=
+          !acc
+          +. w
+             *. ((Gbm.leg_sf leg ~k:k3 ~p0:p_t2 *. cont)
+                +. (stop *. Gbm.leg_pe_below leg ~k:k3 ~p0:p_t2)))
+      belief_on_alice.weights;
+    !acc *. disc
 
-let p_t2_band_mixed ?(scan_points = 600) (p : Params.t) ~belief_on_alice
-    ~p_star =
-  let g x =
-    b_t2_cont_mixed p ~belief_on_alice ~p_star ~p_t2:x
-    -. Utility.b_t2_stop ~p_t2:x
-  in
-  let domain_lo, domain_hi = Cutoff.scan_domain p ~p_star in
-  let roots = Root.find_all_roots_log ~n:scan_points g ~a:domain_lo ~b:domain_hi in
-  Intervals.of_sign_changes ~f:g ~roots ~domain_lo:0. ~domain_hi:infinity
+let p_t2_band_mixed (p : Params.t) ~belief_on_alice ~p_star =
+  Cutoff.t2_region p ~p_star (b_t2_cont_mixed p ~belief_on_alice ~p_star)
 
 let success_rate_given_alice ?quad_nodes (p : Params.t) ~belief_on_alice
     ~true_alpha_alice ~p_star =
-  let gbm = Params.gbm p in
   let band = p_t2_band_mixed p ~belief_on_alice ~p_star in
   if Intervals.is_empty band then 0.
-  else begin
-    let k3_true = cutoff_of_type p ~p_star true_alpha_alice in
-    Utility.integrate_over ?quad_nodes band ~f:(fun x ->
-        Gbm.pdf gbm ~x ~p0:p.Params.p0 ~tau:p.Params.tau_a
-        *. Gbm.sf gbm ~x:k3_true ~p0:x ~tau:p.Params.tau_b)
-  end
+  else
+    Success.analytic_given ?quad_nodes p
+      ~k3:(cutoff_of_type p ~p_star true_alpha_alice)
+      ~band
 
 let ex_ante_success_rate ?quad_nodes (p : Params.t) ~belief_on_alice ~p_star =
   mix belief_on_alice (fun alpha ->
@@ -85,20 +82,9 @@ let a_t1_cont_mixed ?quad_nodes (p : Params.t) ~belief_on_bob ~p_star =
       let band = Cutoff.p_t2_band p_b ~p_star in
       Utility.a_t1_cont ?quad_nodes p ~p_star ~k3 ~band)
 
-let p_star_band_mixed ?(scan_points = 120) ?quad_nodes (p : Params.t)
-    ~belief_on_bob =
+let p_star_band_mixed ?quad_nodes (p : Params.t) ~belief_on_bob =
   let f p_star =
     a_t1_cont_mixed ?quad_nodes p ~belief_on_bob ~p_star
     -. Utility.a_t1_stop ~p_star
   in
-  let domain_lo = p.Params.p0 *. 0.05 and domain_hi = p.Params.p0 *. 20. in
-  let roots = Root.find_all_roots_log ~n:scan_points f ~a:domain_lo ~b:domain_hi in
-  match
-    Intervals.intervals
-      (Intervals.of_sign_changes ~f ~roots ~domain_lo:0. ~domain_hi:infinity)
-  with
-  | [] -> None
-  | ivs ->
-    let lo = (List.hd ivs).Intervals.lo in
-    let hi = (List.nth ivs (List.length ivs - 1)).Intervals.hi in
-    Some (lo, hi)
+  Intervals.hull (Cutoff.p_star_region p f)

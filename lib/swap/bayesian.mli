@@ -33,11 +33,11 @@ val mean_alpha : belief -> float
 
 val b_t2_cont_mixed :
   Params.t -> belief_on_alice:belief -> p_star:float -> p_t2:float -> float
-(** Eq. 21 with Alice's cutoff replaced by the belief mixture. *)
+(** Eq. 21 with Alice's cutoff replaced by the belief mixture; staged
+    as {!Utility.b_t2_cont}. *)
 
 val p_t2_band_mixed :
-  ?scan_points:int -> Params.t -> belief_on_alice:belief -> p_star:float ->
-  Intervals.t
+  Params.t -> belief_on_alice:belief -> p_star:float -> Intervals.t
 
 val success_rate_given_alice :
   ?quad_nodes:int -> Params.t -> belief_on_alice:belief ->
@@ -58,6 +58,6 @@ val a_t1_cont_mixed :
     [alpha] is the one in [Params]). *)
 
 val p_star_band_mixed :
-  ?scan_points:int -> ?quad_nodes:int -> Params.t -> belief_on_bob:belief ->
+  ?quad_nodes:int -> Params.t -> belief_on_bob:belief ->
   (float * float) option
 (** Feasible rates under Alice's uncertainty about Bob. *)

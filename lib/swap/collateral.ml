@@ -1,4 +1,3 @@
-open Numerics
 open Stochastic
 
 type t = { params : Params.t; q_alice : float; q_bob : float }
@@ -21,46 +20,44 @@ let p_t3_low { params = p; q_alice; _ } ~p_star =
 
 (* Eq. 35, Alice's line: on continuation she receives Token_b plus her
    deposit back (at t4 + tau_a); if she aborts at t3 she forfeits the
-   deposit and only gets her refunded Token_a. *)
-let a_t2_cont ({ params = p; q_alice; _ } as t) ~p_star ~p_t2 =
-  let gbm = Params.gbm p in
+   deposit and only gets her refunded Token_a.  Staged as
+   Utility.a_t2_cont. *)
+let a_t2_cont ({ params = p; q_alice; _ } as t) ~p_star =
+  let leg = Gbm.leg (Params.gbm p) ~tau:p.tau_b in
   let kc = p_t3_low t ~p_star in
+  let cont = (1. +. p.alice.alpha) *. exp ((p.mu -. p.alice.r) *. p.tau_b) in
   let deposit_back =
     q_alice *. Utility.discount ~r:p.alice.r ~horizon:(p.eps_b +. p.tau_a)
   in
-  let cont_part =
-    ((1. +. p.alice.alpha)
-     *. exp ((p.mu -. p.alice.r) *. p.tau_b)
-     *. Gbm.partial_expectation_above gbm ~k:kc ~p0:p_t2 ~tau:p.tau_b)
-    +. (Gbm.sf gbm ~x:kc ~p0:p_t2 ~tau:p.tau_b *. deposit_back)
-  in
-  let stop_part =
-    Gbm.cdf gbm ~x:kc ~p0:p_t2 ~tau:p.tau_b *. Utility.a_t3_stop p ~p_star
-  in
-  (cont_part +. stop_part) *. Utility.discount ~r:p.alice.r ~horizon:p.tau_b
+  let stop = Utility.a_t3_stop p ~p_star in
+  let disc = Utility.discount ~r:p.alice.r ~horizon:p.tau_b in
+  fun ~p_t2 ->
+    ((cont *. Gbm.leg_pe_above leg ~k:kc ~p0:p_t2)
+    +. (Gbm.leg_sf leg ~k:kc ~p0:p_t2 *. deposit_back)
+    +. (Gbm.leg_cdf leg ~k:kc ~p0:p_t2 *. stop))
+    *. disc
 
 (* Eq. 35, Bob's line: his own deposit comes back at t3 + tau_a
    unconditionally once he has deployed; if Alice then aborts he also
-   collects her deposit. *)
-let b_t2_cont ({ params = p; q_alice; q_bob; _ } as t) ~p_star ~p_t2 =
-  let gbm = Params.gbm p in
+   collects her deposit.  Staged as Utility.b_t2_cont. *)
+let b_t2_cont ({ params = p; q_alice; q_bob; _ } as t) ~p_star =
+  let leg = Gbm.leg (Params.gbm p) ~tau:p.tau_b in
   let kc = p_t3_low t ~p_star in
   let own_deposit_back =
     q_bob *. Utility.discount ~r:p.bob.r ~horizon:p.tau_a
   in
-  let cont_part =
-    Gbm.sf gbm ~x:kc ~p0:p_t2 ~tau:p.tau_b *. Utility.b_t3_cont p ~p_star
-  in
+  let cont = Utility.b_t3_cont p ~p_star in
+  let stop = exp (2. *. (p.mu -. p.bob.r) *. p.tau_b) in
   let alice_forfeits =
     q_alice *. Utility.discount ~r:p.bob.r ~horizon:(p.eps_b +. p.tau_a)
   in
-  let stop_part =
-    (exp (2. *. (p.mu -. p.bob.r) *. p.tau_b)
-    *. Gbm.partial_expectation_below gbm ~k:kc ~p0:p_t2 ~tau:p.tau_b)
-    +. (Gbm.cdf gbm ~x:kc ~p0:p_t2 ~tau:p.tau_b *. alice_forfeits)
-  in
-  (own_deposit_back +. cont_part +. stop_part)
-  *. Utility.discount ~r:p.bob.r ~horizon:p.tau_b
+  let disc = Utility.discount ~r:p.bob.r ~horizon:p.tau_b in
+  fun ~p_t2 ->
+    (own_deposit_back
+    +. (Gbm.leg_sf leg ~k:kc ~p0:p_t2 *. cont)
+    +. (stop *. Gbm.leg_pe_below leg ~k:kc ~p0:p_t2)
+    +. (Gbm.leg_cdf leg ~k:kc ~p0:p_t2 *. alice_forfeits))
+    *. disc
 
 let b_t2_stop ~p_t2 = Utility.b_t2_stop ~p_t2
 
@@ -72,21 +69,18 @@ let a_t2_on_bob_stop { params = p; q_alice; q_bob; _ } ~p_star =
   +. ((q_alice +. q_bob)
      *. Utility.discount ~r:p.alice.r ~horizon:(p.tau_b +. p.tau_a))
 
-let cont_set_t2 ?(scan_points = 800) t ~p_star =
-  let p = t.params in
-  let g x = b_t2_cont t ~p_star ~p_t2:x -. b_t2_stop ~p_t2:x in
-  let domain_lo, domain_hi = Cutoff.scan_domain p ~p_star in
-  let roots = Root.find_all_roots_log ~n:scan_points g ~a:domain_lo ~b:domain_hi in
-  Intervals.of_sign_changes ~f:g ~roots ~domain_lo:0. ~domain_hi:infinity
+let cont_set_t2 t ~p_star = Cutoff.t2_region t.params ~p_star (b_t2_cont t ~p_star)
+
+let law_t2 { params = p; _ } =
+  Gbm.transition (Params.gbm p) ~p0:p.p0 ~tau:p.tau_a
 
 let a_t1_cont ?quad_nodes t ~p_star =
   let p = t.params in
-  let gbm = Params.gbm p in
   let set = cont_set_t2 t ~p_star in
-  let pdf x = Gbm.pdf gbm ~x ~p0:p.p0 ~tau:p.tau_a in
+  let value = a_t2_cont t ~p_star in
   let cont_part =
-    Utility.integrate_over ?quad_nodes set ~f:(fun x ->
-        pdf x *. a_t2_cont t ~p_star ~p_t2:x)
+    Utility.integrate_law ?quad_nodes (law_t2 t) set ~f:(fun x ->
+        value ~p_t2:x)
   in
   let stop_part =
     (1. -. Utility.transition_mass p ~tau:p.tau_a ~p0:p.p0 set)
@@ -96,15 +90,14 @@ let a_t1_cont ?quad_nodes t ~p_star =
 
 let b_t1_cont ?quad_nodes t ~p_star =
   let p = t.params in
-  let gbm = Params.gbm p in
   let set = cont_set_t2 t ~p_star in
-  let pdf x = Gbm.pdf gbm ~x ~p0:p.p0 ~tau:p.tau_a in
+  let value = b_t2_cont t ~p_star in
   let cont_part =
-    Utility.integrate_over ?quad_nodes set ~f:(fun x ->
-        pdf x *. b_t2_cont t ~p_star ~p_t2:x)
+    Utility.integrate_law ?quad_nodes (law_t2 t) set ~f:(fun x ->
+        value ~p_t2:x)
   in
   let outside_price_mass =
-    Gbm.expectation gbm ~p0:p.p0 ~tau:p.tau_a
+    Gbm.expectation (Params.gbm p) ~p0:p.p0 ~tau:p.tau_a
     -. Utility.price_mass_inside p ~tau:p.tau_a ~p0:p.p0 set
   in
   (cont_part +. outside_price_mass)
@@ -115,38 +108,28 @@ let b_t1_stop t = t.params.Params.p0 +. t.q_bob
 
 type rule = Intersection | Union | Alice_only | Bob_only
 
-let agent_set ?quad_nodes ~scan_points t ~net =
-  let p = t.params in
-  let domain_lo = p.Params.p0 *. 0.05 and domain_hi = p.Params.p0 *. 20. in
-  ignore quad_nodes;
-  let roots = Root.find_all_roots_log ~n:scan_points net ~a:domain_lo ~b:domain_hi in
-  Intervals.of_sign_changes ~f:net ~roots ~domain_lo:0. ~domain_hi:infinity
-
-let initiation_set ?(rule = Intersection) ?(scan_points = 120) ?quad_nodes t =
-  let alice_net p_star = a_t1_cont ?quad_nodes t ~p_star -. a_t1_stop t ~p_star in
-  let bob_net p_star = b_t1_cont ?quad_nodes t ~p_star -. b_t1_stop t in
+let initiation_set ?(rule = Intersection) ?quad_nodes t =
+  let alice () =
+    Cutoff.p_star_region t.params (fun p_star ->
+        a_t1_cont ?quad_nodes t ~p_star -. a_t1_stop t ~p_star)
+  and bob () =
+    Cutoff.p_star_region t.params (fun p_star ->
+        b_t1_cont ?quad_nodes t ~p_star -. b_t1_stop t)
+  in
   match rule with
-  | Alice_only -> agent_set ?quad_nodes ~scan_points t ~net:alice_net
-  | Bob_only -> agent_set ?quad_nodes ~scan_points t ~net:bob_net
-  | Intersection ->
-    Intervals.intersect
-      (agent_set ?quad_nodes ~scan_points t ~net:alice_net)
-      (agent_set ?quad_nodes ~scan_points t ~net:bob_net)
-  | Union ->
-    Intervals.union
-      (agent_set ?quad_nodes ~scan_points t ~net:alice_net)
-      (agent_set ?quad_nodes ~scan_points t ~net:bob_net)
+  | Alice_only -> alice ()
+  | Bob_only -> bob ()
+  | Intersection -> Intervals.intersect (alice ()) (bob ())
+  | Union -> Intervals.union (alice ()) (bob ())
 
 let success_rate ?quad_nodes t ~p_star =
-  let p = t.params in
-  let gbm = Params.gbm p in
   let kc = p_t3_low t ~p_star in
   let set = cont_set_t2 t ~p_star in
   if Intervals.is_empty set then 0.
   else
-    Utility.integrate_over ?quad_nodes set ~f:(fun x ->
-        Gbm.pdf gbm ~x ~p0:p.p0 ~tau:p.tau_a
-        *. Gbm.sf gbm ~x:kc ~p0:x ~tau:p.tau_b)
+    let leg = Gbm.leg (Params.gbm t.params) ~tau:t.params.tau_b in
+    Utility.integrate_law ?quad_nodes (law_t2 t) set ~f:(fun x ->
+        Gbm.leg_sf leg ~k:kc ~p0:x)
 
 let success_curve ?quad_nodes t ~p_stars =
   Array.map

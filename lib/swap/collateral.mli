@@ -42,7 +42,7 @@ val a_t2_on_bob_stop : t -> p_star:float -> float
 (** Alice's [t2] value when Bob withdraws: refund plus both deposits,
     credited at [t3 + tau_a] (the [2Q] term of Eq. 36). *)
 
-val cont_set_t2 : ?scan_points:int -> t -> p_star:float -> Intervals.t
+val cont_set_t2 : t -> p_star:float -> Intervals.t
 (** The set [𝔓_t2] where Bob continues; has 1 or 3 indifference roots
     (Fig. 7), i.e. 1 or 2 intervals. *)
 
@@ -64,8 +64,7 @@ type rule = Intersection | Union | Alice_only | Bob_only
     simultaneous movers requires both, so [Intersection] is the
     default.  All four are available for comparison. *)
 
-val initiation_set :
-  ?rule:rule -> ?scan_points:int -> ?quad_nodes:int -> t -> Intervals.t
+val initiation_set : ?rule:rule -> ?quad_nodes:int -> t -> Intervals.t
 (** Feasible exchange rates [𝔓_*]. *)
 
 val success_rate : ?quad_nodes:int -> t -> p_star:float -> float

@@ -1,8 +1,6 @@
-open Numerics
-
 (* Sweep experiments (fig6/fig8/fig9, eq29) evaluate the cutoffs at the
    same (params, p_star) pairs over and over; the t2 band in particular
-   re-runs a 600-point root scan each time.  A small domain-safe cache
+   re-runs the region solver each time.  A small domain-safe cache
    memoizes both entry points.  Values are computed outside the lock, so
    concurrent misses may duplicate work but never serialise on the
    root-finder; cached values (floats, immutable interval sets) are safe
@@ -26,7 +24,7 @@ type ('k, 'v) cache = { tbl : ('k, 'v entry) Hashtbl.t; order : 'k Queue.t }
 
 let make_cache () = { tbl = Hashtbl.create 64; order = Queue.create () }
 let t3_cache : (Params.t * float, float) cache = make_cache ()
-let band_cache : (Params.t * float * int, Intervals.t) cache = make_cache ()
+let band_cache : (Params.t * float, Intervals.t) cache = make_cache ()
 
 (* Called with [cache_mutex] held.  Walks the clock queue: referenced
    entries lose their bit and go around again, the first unreferenced
@@ -114,27 +112,26 @@ let scan_domain (p : Params.t) ~p_star =
   let anchor = max p_star p.Params.p0 in
   (anchor *. 1e-4, anchor *. 1e4)
 
-let p_t2_band ?(scan_points = 600) (p : Params.t) ~p_star =
-  memo band_cache (p, p_star, scan_points) (fun () ->
-      let k3 = p_t3_low p ~p_star in
-      let g x =
-        Utility.b_t2_cont p ~p_star ~k3 ~p_t2:x -. Utility.b_t2_stop ~p_t2:x
-      in
-      let domain_lo, domain_hi = scan_domain p ~p_star in
-      let roots =
-        Root.find_all_roots_log ~n:scan_points g ~a:domain_lo ~b:domain_hi
-      in
-      (* The region where g > 0; near 0 and at infinity Bob stops in the
-         standard parameterisation, but both cases are decided by probing. *)
-      Intervals.of_sign_changes ~f:g ~roots ~domain_lo:0. ~domain_hi:infinity)
+let p_star_domain (p : Params.t) = (p.Params.p0 *. 0.05, p.Params.p0 *. 20.)
 
-let p_t2_band_endpoints ?scan_points p ~p_star =
-  match Intervals.intervals (p_t2_band ?scan_points p ~p_star) with
-  | [] -> None
-  | ivs ->
-    let lo = (List.hd ivs).Intervals.lo in
-    let hi = (List.nth ivs (List.length ivs - 1)).Intervals.hi in
-    Some (lo, hi)
+(* Where Bob's continuation value beats keeping Token_b (Eq. 23).  Near
+   0 and at infinity Bob stops in the standard parameterisation, but
+   both cases are decided by probing. *)
+let t2_region p ~p_star cont =
+  let a, b = scan_domain p ~p_star in
+  Intervals.positive_log
+    (fun x -> cont ~p_t2:x -. Utility.b_t2_stop ~p_t2:x)
+    ~a ~b
+
+let p_star_region p net =
+  let a, b = p_star_domain p in
+  Intervals.positive_log net ~a ~b
+
+let p_t2_band (p : Params.t) ~p_star =
+  memo band_cache (p, p_star) (fun () ->
+      t2_region p ~p_star (Utility.b_t2_cont p ~p_star ~k3:(p_t3_low p ~p_star)))
+
+let p_t2_band_endpoints p ~p_star = Intervals.hull (p_t2_band p ~p_star)
 
 let a_t1_net ?quad_nodes (p : Params.t) ~p_star =
   let k3 = p_t3_low p ~p_star in
@@ -142,16 +139,8 @@ let a_t1_net ?quad_nodes (p : Params.t) ~p_star =
   Utility.a_t1_cont ?quad_nodes p ~p_star ~k3 ~band
   -. Utility.a_t1_stop ~p_star
 
-let p_star_band ?(scan_points = 160) ?quad_nodes (p : Params.t) =
-  let f p_star = a_t1_net ?quad_nodes p ~p_star in
-  let domain_lo = p.Params.p0 *. 0.05 and domain_hi = p.Params.p0 *. 20. in
-  let roots = Root.find_all_roots_log ~n:scan_points f ~a:domain_lo ~b:domain_hi in
-  Intervals.of_sign_changes ~f ~roots ~domain_lo:0. ~domain_hi:infinity
+let p_star_band ?quad_nodes (p : Params.t) =
+  p_star_region p (fun p_star -> a_t1_net ?quad_nodes p ~p_star)
 
-let p_star_band_endpoints ?scan_points ?quad_nodes p =
-  match Intervals.intervals (p_star_band ?scan_points ?quad_nodes p) with
-  | [] -> None
-  | ivs ->
-    let lo = (List.hd ivs).Intervals.lo in
-    let hi = (List.nth ivs (List.length ivs - 1)).Intervals.hi in
-    Some (lo, hi)
+let p_star_band_endpoints ?quad_nodes p =
+  Intervals.hull (p_star_band ?quad_nodes p)

@@ -1,4 +1,3 @@
-open Numerics
 open Stochastic
 
 type t = {
@@ -25,25 +24,25 @@ let p_t3_low { params = p; fee_b; notional; _ } ~p_star =
   *. exp ((p.Params.alice.r -. p.Params.mu) *. p.Params.tau_b)
   /. (1. +. p.Params.alice.alpha)
 
-let b_t2_cont ({ params = p; fee_a; fee_b; notional; _ } as t) ~p_star ~p_t2 =
+(* Staged as Utility.b_t2_cont. *)
+let b_t2_cont ({ params = p; fee_a; fee_b; notional; _ } as t) ~p_star =
   let k3 = p_t3_low t ~p_star in
-  let gbm = Params.gbm p in
-  let prob_alice_continues = Gbm.sf gbm ~x:k3 ~p0:p_t2 ~tau:p.Params.tau_b in
-  let claim_fee_discount =
-    exp (-.p.Params.bob.r *. (p.Params.tau_b +. p.Params.eps_b))
+  let leg = Gbm.leg (Params.gbm p) ~tau:p.Params.tau_b in
+  let base = Utility.b_t2_cont p ~p_star ~k3 in
+  let claim_fee =
+    fee_a *. exp (-.p.Params.bob.r *. (p.Params.tau_b +. p.Params.eps_b))
   in
-  (notional *. Utility.b_t2_cont p ~p_star ~k3 ~p_t2)
-  -. fee_b
-  -. (prob_alice_continues *. fee_a *. claim_fee_discount)
+  fun ~p_t2 ->
+    (notional *. base ~p_t2)
+    -. fee_b
+    -. (Gbm.leg_sf leg ~k:k3 ~p0:p_t2 *. claim_fee)
 
-let p_t2_band ?(scan_points = 600) t ~p_star =
-  let p = t.params in
-  let g x =
-    b_t2_cont t ~p_star ~p_t2:x -. (t.notional *. Utility.b_t2_stop ~p_t2:x)
-  in
-  let domain_lo, domain_hi = Cutoff.scan_domain p ~p_star in
-  let roots = Root.find_all_roots_log ~n:scan_points g ~a:domain_lo ~b:domain_hi in
-  Intervals.of_sign_changes ~f:g ~roots ~domain_lo:0. ~domain_hi:infinity
+let p_t2_band t ~p_star =
+  let cont = b_t2_cont t ~p_star in
+  let a, b = Cutoff.scan_domain t.params ~p_star in
+  Intervals.positive_log
+    (fun x -> cont ~p_t2:x -. (t.notional *. Utility.b_t2_stop ~p_t2:x))
+    ~a ~b
 
 let success_rate ?quad_nodes t ~p_star =
   let k3 = p_t3_low t ~p_star in
@@ -68,20 +67,9 @@ let a_t1_net ?quad_nodes ({ params = p; fee_a; fee_b; notional; _ } as t)
   in
   gross -. fee_a -. expected_claim_fee
 
-let p_star_band ?(scan_points = 120) ?quad_nodes t =
-  let p = t.params in
-  let f p_star = a_t1_net ?quad_nodes t ~p_star in
-  let domain_lo = p.Params.p0 *. 0.05 and domain_hi = p.Params.p0 *. 20. in
-  let roots = Root.find_all_roots_log ~n:scan_points f ~a:domain_lo ~b:domain_hi in
-  match
-    Intervals.intervals
-      (Intervals.of_sign_changes ~f ~roots ~domain_lo:0. ~domain_hi:infinity)
-  with
-  | [] -> None
-  | ivs ->
-    let lo = (List.hd ivs).Intervals.lo in
-    let hi = (List.nth ivs (List.length ivs - 1)).Intervals.hi in
-    Some (lo, hi)
+let p_star_band ?quad_nodes t =
+  Intervals.hull
+    (Cutoff.p_star_region t.params (fun p_star -> a_t1_net ?quad_nodes t ~p_star))
 
 let break_even_notional ?quad_nodes ?(hi = 1e4) t ~p_star =
   let net n = a_t1_net ?quad_nodes { t with notional = n } ~p_star in

@@ -34,14 +34,13 @@ val b_t2_cont : t -> p_star:float -> p_t2:float -> float
 (** Bob's continuation value at [t2], net of his Chain_b lock fee and
     the expected, discounted Chain_a claim fee at [t4]. *)
 
-val p_t2_band : ?scan_points:int -> t -> p_star:float -> Intervals.t
+val p_t2_band : t -> p_star:float -> Intervals.t
 
 val a_t1_net : ?quad_nodes:int -> t -> p_star:float -> float
 (** Alice's net gain from initiating (cont minus stop), including her
     Chain_a lock fee; the swap starts only where this is positive. *)
 
-val p_star_band :
-  ?scan_points:int -> ?quad_nodes:int -> t -> (float * float) option
+val p_star_band : ?quad_nodes:int -> t -> (float * float) option
 (** Feasible exchange-rate band under fees. *)
 
 val success_rate : ?quad_nodes:int -> t -> p_star:float -> float

@@ -35,47 +35,47 @@ let p_t3_low (p : Params.t) model ~p_star =
   let lo = p_star *. 1e-6 and hi = p_star *. 1e6 in
   if g lo > 0. then 0.
   else if g hi < 0. then infinity
-  else Root.brent g ~a:lo ~b:hi
+  else Root.brent ~tol:(1e-13 *. p_star) g ~a:lo ~b:hi
 
 let b_t3_stop (p : Params.t) model ~p_t3 =
   expectation model ~p0:p_t3 ~tau:(2. *. p.Params.tau_b)
   *. Utility.discount ~r:p.Params.bob.r ~horizon:(2. *. p.Params.tau_b)
 
-let b_t2_cont (p : Params.t) model ~p_star ~p_t2 =
+(* Staged as Utility.b_t2_cont: the cutoff is solved once per P*. *)
+let b_t2_cont (p : Params.t) model ~p_star =
   let k3 = p_t3_low p model ~p_star in
-  let law = model.transition ~p0:p_t2 ~tau:p.Params.tau_b in
-  let cont_part = Lognormal.sf law k3 *. Utility.b_t3_cont p ~p_star in
-  (* Integral of Bob's refund value over Alice's stop region (0, k3);
-     the integrand need not be linear in the price, so quadrature. *)
-  let stop_part =
-    if k3 <= 0. then 0.
-    else if k3 = infinity then
-      Integrate.semi_infinite ~n:128
-        (fun y -> Lognormal.pdf law y *. b_t3_stop p model ~p_t3:y)
-        ~a:1e-12
-    else
-      Integrate.gauss_legendre ~n:128
-        (fun y -> Lognormal.pdf law y *. b_t3_stop p model ~p_t3:y)
-        ~a:1e-12 ~b:k3
+  let cont = Utility.b_t3_cont p ~p_star in
+  let disc = Utility.discount ~r:p.Params.bob.r ~horizon:p.Params.tau_b in
+  (* Alice's stop region (0, k3), over which Bob's refund value is
+     integrated: the integrand need not be linear in the price, so
+     quadrature, in the law's own coordinate (a fixed grid over (0, k3)
+     misses the mass of a law far below k3 and turned rounding into
+     spurious bands). *)
+  let stop_region =
+    if k3 > 0. then Intervals.of_list [ { Intervals.lo = 0.; hi = k3 } ]
+    else Intervals.empty
   in
-  (cont_part +. stop_part)
-  *. Utility.discount ~r:p.Params.bob.r ~horizon:p.Params.tau_b
+  fun ~p_t2 ->
+    let law = model.transition ~p0:p_t2 ~tau:p.Params.tau_b in
+    let stop_part =
+      Utility.integrate_law ~quad_nodes:128 law stop_region ~f:(fun y ->
+          b_t3_stop p model ~p_t3:y)
+    in
+    ((Lognormal.sf law k3 *. cont) +. stop_part) *. disc
 
-let p_t2_band ?(scan_points = 400) (p : Params.t) model ~p_star =
-  let g x = b_t2_cont p model ~p_star ~p_t2:x -. Utility.b_t2_stop ~p_t2:x in
-  let domain_lo, domain_hi = Cutoff.scan_domain p ~p_star in
-  let roots = Root.find_all_roots_log ~n:scan_points g ~a:domain_lo ~b:domain_hi in
-  Intervals.of_sign_changes ~f:g ~roots ~domain_lo:0. ~domain_hi:infinity
+let p_t2_band (p : Params.t) model ~p_star =
+  Cutoff.t2_region p ~p_star (b_t2_cont p model ~p_star)
 
-let success_rate ?(quad_nodes = 96) (p : Params.t) model ~p_star =
+let success_rate ?quad_nodes (p : Params.t) model ~p_star =
   let k3 = p_t3_low p model ~p_star in
   let band = p_t2_band p model ~p_star in
   if Intervals.is_empty band then 0.
   else
-    let law_t2 = model.transition ~p0:p.Params.p0 ~tau:p.Params.tau_a in
-    Utility.integrate_over ~quad_nodes band ~f:(fun x ->
-        Lognormal.pdf law_t2 x
-        *. Lognormal.sf (model.transition ~p0:x ~tau:p.Params.tau_b) k3)
+    Utility.integrate_law ?quad_nodes
+      (model.transition ~p0:p.Params.p0 ~tau:p.Params.tau_a)
+      band
+      ~f:(fun x ->
+        Lognormal.sf (model.transition ~p0:x ~tau:p.Params.tau_b) k3)
 
 let sampler model : Montecarlo.sampler =
  fun rng ~p0 ~tau ->

@@ -26,10 +26,9 @@ val p_t3_low : Params.t -> price_model -> p_star:float -> float
 
 val b_t2_cont : Params.t -> price_model -> p_star:float -> p_t2:float -> float
 (** Bob's Eq. 21 under the generic transitions (the inner integral over
-    Alice's stop region is evaluated by quadrature). *)
+    Alice's stop region is evaluated by {!Utility.integrate_law}). *)
 
-val p_t2_band :
-  ?scan_points:int -> Params.t -> price_model -> p_star:float -> Intervals.t
+val p_t2_band : Params.t -> price_model -> p_star:float -> Intervals.t
 
 val success_rate :
   ?quad_nodes:int -> Params.t -> price_model -> p_star:float -> float

@@ -51,6 +51,14 @@ let of_sign_changes ~f ~roots ~domain_lo ~domain_hi =
   in
   merge raw
 
+let positive_log f ~a ~b =
+  of_sign_changes ~f ~roots:(Numerics.Root.roots_log f ~a ~b) ~domain_lo:0.
+    ~domain_hi:infinity
+
+let hull = function
+  | [] -> None
+  | first :: _ as t -> Some (first.lo, (List.nth t (List.length t - 1)).hi)
+
 let intersect a b =
   let rec go a b acc =
     match (a, b) with

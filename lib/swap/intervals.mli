@@ -28,6 +28,17 @@ val of_sign_changes :
     positive cells.  [domain_hi] may be [infinity] (the last cell is
     probed at twice the last root). *)
 
+val positive_log : (float -> float) -> a:float -> b:float -> t
+(** [{ x > 0 : f x > 0 }], with every boundary inside [[a, b]] found by
+    {!Numerics.Root.roots_log} and the cells probed as in
+    {!of_sign_changes} (so the first and last reach [0] and [infinity]).
+    This is how every continuation region is computed: the site supplies
+    its net utility and its scan domain. *)
+
+val hull : t -> (float * float) option
+(** [(lo, hi)] from the first interval's [lo] to the last one's [hi];
+    [None] when empty. *)
+
 val intersect : t -> t -> t
 val union : t -> t -> t
 

@@ -1,4 +1,3 @@
-open Numerics
 open Stochastic
 
 type t = { params : Params.t; delay_t2 : float; delay_t3 : float }
@@ -14,35 +13,36 @@ let leg_b t = t.params.Params.tau_b +. t.delay_t3
 (* The reveal decision is local: the same Eq. 18 cutoff. *)
 let p_t3_low t ~p_star = Cutoff.p_t3_low t.params ~p_star
 
-let b_t2_cont t ~p_star ~p_t2 =
+(* Eqs. 21 and 20 over the stretched t2 -> t3 leg, staged as
+   Utility.b_t2_cont. *)
+let b_t2_cont t ~p_star =
   let p = t.params in
-  let gbm = Params.gbm p in
   let k3 = p_t3_low t ~p_star in
   let span = leg_b t in
-  let cont_part =
-    Gbm.sf gbm ~x:k3 ~p0:p_t2 ~tau:span *. Utility.b_t3_cont p ~p_star
-  in
-  let stop_part =
-    exp (2. *. (p.Params.mu -. p.Params.bob.r) *. p.Params.tau_b)
-    *. Gbm.partial_expectation_below gbm ~k:k3 ~p0:p_t2 ~tau:span
-  in
-  (cont_part +. stop_part) *. Utility.discount ~r:p.Params.bob.r ~horizon:span
+  let leg = Gbm.leg (Params.gbm p) ~tau:span in
+  let cont = Utility.b_t3_cont p ~p_star in
+  let stop = exp (2. *. (p.Params.mu -. p.Params.bob.r) *. p.Params.tau_b) in
+  let disc = Utility.discount ~r:p.Params.bob.r ~horizon:span in
+  fun ~p_t2 ->
+    ((Gbm.leg_sf leg ~k:k3 ~p0:p_t2 *. cont)
+    +. (stop *. Gbm.leg_pe_below leg ~k:k3 ~p0:p_t2))
+    *. disc
 
-let a_t2_cont t ~p_star ~p_t2 =
+let a_t2_cont t ~p_star =
   let p = t.params in
-  let gbm = Params.gbm p in
   let k3 = p_t3_low t ~p_star in
   let span = leg_b t in
-  let cont_part =
+  let leg = Gbm.leg (Params.gbm p) ~tau:span in
+  let cont =
     (1. +. p.Params.alice.alpha)
     *. exp ((p.Params.mu -. p.Params.alice.r) *. p.Params.tau_b)
-    *. Gbm.partial_expectation_above gbm ~k:k3 ~p0:p_t2 ~tau:span
   in
-  let stop_part =
-    Gbm.cdf gbm ~x:k3 ~p0:p_t2 ~tau:span *. Utility.a_t3_stop p ~p_star
-  in
-  (cont_part +. stop_part)
-  *. Utility.discount ~r:p.Params.alice.r ~horizon:span
+  let stop = Utility.a_t3_stop p ~p_star in
+  let disc = Utility.discount ~r:p.Params.alice.r ~horizon:span in
+  fun ~p_t2 ->
+    ((cont *. Gbm.leg_pe_above leg ~k:k3 ~p0:p_t2)
+    +. (Gbm.leg_cdf leg ~k:k3 ~p0:p_t2 *. stop))
+    *. disc
 
 let a_t2_stop t ~p_star =
   let p = t.params in
@@ -50,21 +50,19 @@ let a_t2_stop t ~p_star =
   *. Utility.discount ~r:p.Params.alice.r
        ~horizon:(leg_b t +. p.Params.eps_b +. (2. *. p.Params.tau_a))
 
-let p_t2_band ?(scan_points = 600) t ~p_star =
-  let g x = b_t2_cont t ~p_star ~p_t2:x -. Utility.b_t2_stop ~p_t2:x in
-  let domain_lo, domain_hi = Cutoff.scan_domain t.params ~p_star in
-  let roots = Root.find_all_roots_log ~n:scan_points g ~a:domain_lo ~b:domain_hi in
-  Intervals.of_sign_changes ~f:g ~roots ~domain_lo:0. ~domain_hi:infinity
+let p_t2_band t ~p_star = Cutoff.t2_region t.params ~p_star (b_t2_cont t ~p_star)
+
+let law_t2 t =
+  Gbm.transition (Params.gbm t.params) ~p0:t.params.Params.p0 ~tau:(leg_a t)
 
 let a_t1_cont ?quad_nodes t ~p_star =
   let p = t.params in
-  let gbm = Params.gbm p in
   let span = leg_a t in
   let band = p_t2_band t ~p_star in
-  let pdf x = Gbm.pdf gbm ~x ~p0:p.Params.p0 ~tau:span in
+  let value = a_t2_cont t ~p_star in
   let cont_part =
-    Utility.integrate_over ?quad_nodes band ~f:(fun x ->
-        pdf x *. a_t2_cont t ~p_star ~p_t2:x)
+    Utility.integrate_law ?quad_nodes (law_t2 t) band ~f:(fun x ->
+        value ~p_t2:x)
   in
   let stop_part =
     (1. -. Utility.transition_mass p ~tau:span ~p0:p.Params.p0 band)
@@ -78,10 +76,10 @@ let b_t1_cont ?quad_nodes t ~p_star =
   let gbm = Params.gbm p in
   let span = leg_a t in
   let band = p_t2_band t ~p_star in
-  let pdf x = Gbm.pdf gbm ~x ~p0:p.Params.p0 ~tau:span in
+  let value = b_t2_cont t ~p_star in
   let cont_part =
-    Utility.integrate_over ?quad_nodes band ~f:(fun x ->
-        pdf x *. b_t2_cont t ~p_star ~p_t2:x)
+    Utility.integrate_law ?quad_nodes (law_t2 t) band ~f:(fun x ->
+        value ~p_t2:x)
   in
   let outside =
     Gbm.expectation gbm ~p0:p.Params.p0 ~tau:span
@@ -90,15 +88,13 @@ let b_t1_cont ?quad_nodes t ~p_star =
   (cont_part +. outside) *. Utility.discount ~r:p.Params.bob.r ~horizon:span
 
 let success_rate ?quad_nodes t ~p_star =
-  let p = t.params in
-  let gbm = Params.gbm p in
   let k3 = p_t3_low t ~p_star in
   let band = p_t2_band t ~p_star in
   if Intervals.is_empty band then 0.
   else
-    Utility.integrate_over ?quad_nodes band ~f:(fun x ->
-        Gbm.pdf gbm ~x ~p0:p.Params.p0 ~tau:(leg_a t)
-        *. Gbm.sf gbm ~x:k3 ~p0:x ~tau:(leg_b t))
+    let leg = Gbm.leg (Params.gbm t.params) ~tau:(leg_b t) in
+    Utility.integrate_law ?quad_nodes (law_t2 t) band ~f:(fun x ->
+        Gbm.leg_sf leg ~k:k3 ~p0:x)
 
 let schedule_cost ?quad_nodes (p : Params.t) ~p_star ~delay_t2 ~delay_t3 =
   let zero = create p ~delay_t2:0. ~delay_t3:0. in

@@ -24,7 +24,7 @@ val b_t2_cont : t -> p_star:float -> p_t2:float -> float
 (** Bob's deployment value with the longer diffusion leg to Alice's
     decision and the stretched refund schedule. *)
 
-val p_t2_band : ?scan_points:int -> t -> p_star:float -> Intervals.t
+val p_t2_band : t -> p_star:float -> Intervals.t
 
 val a_t1_cont : ?quad_nodes:int -> t -> p_star:float -> float
 val b_t1_cont : ?quad_nodes:int -> t -> p_star:float -> float

@@ -16,24 +16,15 @@ let full_band = Intervals.of_list [ { Intervals.lo = 0.; hi = infinity } ]
 
 (* The committed agent's cutoff degenerates (Alice: k3 = 0, she always
    reveals; Bob: the whole positive axis, he always deploys); the other
-   agent's threshold is re-solved against that behaviour. *)
+   agent's threshold is re-solved against that behaviour.  Bob's best
+   response to a committed Alice is AC3's band (k3 = 0), and to a
+   rational Alice the equilibrium band. *)
 let solve_regime (p : Params.t) ~p_star regime =
-  let k3 = if regime.alice_committed then 0. else Cutoff.p_t3_low p ~p_star in
-  let band =
-    if regime.bob_committed then full_band
-    else begin
-      (* Bob best-responds to Alice's (possibly committed) t3 rule. *)
-      let g x =
-        Utility.b_t2_cont p ~p_star ~k3 ~p_t2:x -. Utility.b_t2_stop ~p_t2:x
-      in
-      let domain_lo, domain_hi = Cutoff.scan_domain p ~p_star in
-      let roots =
-        Numerics.Root.find_all_roots_log ~n:600 g ~a:domain_lo ~b:domain_hi
-      in
-      Intervals.of_sign_changes ~f:g ~roots ~domain_lo:0. ~domain_hi:infinity
-    end
-  in
-  (k3, band)
+  if regime.alice_committed then
+    (0., if regime.bob_committed then full_band else Ac3.bob_band p ~p_star)
+  else
+    ( Cutoff.p_t3_low p ~p_star,
+      if regime.bob_committed then full_band else Cutoff.p_t2_band p ~p_star )
 
 let value ?quad_nodes (p : Params.t) ~p_star regime =
   let k3, band = solve_regime p ~p_star regime in

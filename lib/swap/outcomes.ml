@@ -21,10 +21,12 @@ let distribution ?quad_nodes (p : Params.t) ~p_star =
     in
     let band = Cutoff.p_t2_band p ~p_star in
     let success = Success.analytic_given ?quad_nodes p ~k3 ~band in
+    let leg = Gbm.leg gbm ~tau:p.Params.tau_b in
     let alice_reneges =
-      Utility.integrate_over ?quad_nodes band ~f:(fun x ->
-          Gbm.pdf gbm ~x ~p0:p.Params.p0 ~tau:p.Params.tau_a
-          *. Gbm.cdf gbm ~x:k3 ~p0:x ~tau:p.Params.tau_b)
+      Utility.integrate_law ?quad_nodes
+        (Gbm.transition gbm ~p0:p.Params.p0 ~tau:p.Params.tau_a)
+        band
+        ~f:(fun x -> Gbm.leg_cdf leg ~k:k3 ~p0:x)
     in
     { success; bob_balks_low; bob_balks_high; alice_reneges }
 

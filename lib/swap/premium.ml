@@ -12,5 +12,5 @@ let success_rate ?quad_nodes t ~p_star =
 let success_curve ?quad_nodes t ~p_stars =
   Collateral.success_curve ?quad_nodes t ~p_stars
 
-let initiation_set ?rule ?scan_points ?quad_nodes t =
-  Collateral.initiation_set ?rule ?scan_points ?quad_nodes t
+let initiation_set ?rule ?quad_nodes t =
+  Collateral.initiation_set ?rule ?quad_nodes t

@@ -24,5 +24,4 @@ val success_curve :
   ?quad_nodes:int -> t -> p_stars:float array -> Success.point array
 
 val initiation_set :
-  ?rule:Collateral.rule -> ?scan_points:int -> ?quad_nodes:int -> t ->
-  Intervals.t
+  ?rule:Collateral.rule -> ?quad_nodes:int -> t -> Intervals.t

@@ -1,4 +1,3 @@
-open Numerics
 open Stochastic
 
 type t = { params : Params.t; yield_a : float; yield_b : float }
@@ -22,22 +21,17 @@ let p_t3_low { params = p; yield_a; _ } ~p_star =
 (* Bob at t2: his Token_b sits locked for 2 tau_b hours when the swap
    completes (claimed at t5) and 3 tau_b hours when it is refunded at
    t7; the forgone yield is linear in the current price. *)
-let b_t2_cont ({ params = p; yield_b; _ } as t) ~p_star ~p_t2 =
+(* Staged as Utility.b_t2_cont. *)
+let b_t2_cont ({ params = p; yield_b; _ } as t) ~p_star =
   let k3 = p_t3_low t ~p_star in
-  let gbm = Params.gbm p in
-  let prob_refund = Gbm.cdf gbm ~x:k3 ~p0:p_t2 ~tau:p.Params.tau_b in
-  let expected_lock_hours =
-    p.Params.tau_b *. (2. +. prob_refund)
-  in
-  Utility.b_t2_cont p ~p_star ~k3 ~p_t2
-  -. (yield_b *. p_t2 *. expected_lock_hours)
+  let leg = Gbm.leg (Params.gbm p) ~tau:p.Params.tau_b in
+  let base = Utility.b_t2_cont p ~p_star ~k3 in
+  fun ~p_t2 ->
+    let prob_refund = Gbm.leg_cdf leg ~k:k3 ~p0:p_t2 in
+    let expected_lock_hours = p.Params.tau_b *. (2. +. prob_refund) in
+    base ~p_t2 -. (yield_b *. p_t2 *. expected_lock_hours)
 
-let p_t2_band ?(scan_points = 600) t ~p_star =
-  let p = t.params in
-  let g x = b_t2_cont t ~p_star ~p_t2:x -. Utility.b_t2_stop ~p_t2:x in
-  let domain_lo, domain_hi = Cutoff.scan_domain p ~p_star in
-  let roots = Root.find_all_roots_log ~n:scan_points g ~a:domain_lo ~b:domain_hi in
-  Intervals.of_sign_changes ~f:g ~roots ~domain_lo:0. ~domain_hi:infinity
+let p_t2_band t ~p_star = Cutoff.t2_region t.params ~p_star (b_t2_cont t ~p_star)
 
 let success_rate ?quad_nodes t ~p_star =
   let p = t.params in

@@ -31,7 +31,7 @@ val b_t2_cont : t -> p_star:float -> p_t2:float -> float
 (** Bob's continuation value at [t2] net of his expected forgone
     Token_b yield. *)
 
-val p_t2_band : ?scan_points:int -> t -> p_star:float -> Intervals.t
+val p_t2_band : t -> p_star:float -> Intervals.t
 
 val success_rate : ?quad_nodes:int -> t -> p_star:float -> float
 

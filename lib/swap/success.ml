@@ -5,11 +5,11 @@ type point = { p_star : float; sr : float }
 
 let analytic_given ?quad_nodes (p : Params.t) ~k3 ~band =
   let gbm = Params.gbm p in
-  let integrand x =
-    Gbm.pdf gbm ~x ~p0:p.p0 ~tau:p.tau_a
-    *. Gbm.sf gbm ~x:k3 ~p0:x ~tau:p.tau_b
-  in
-  Utility.integrate_over ?quad_nodes band ~f:integrand
+  let leg = Gbm.leg gbm ~tau:p.tau_b in
+  Utility.integrate_law ?quad_nodes
+    (Gbm.transition gbm ~p0:p.p0 ~tau:p.tau_a)
+    band
+    ~f:(fun x -> Gbm.leg_sf leg ~k:k3 ~p0:x)
 
 let analytic ?quad_nodes (p : Params.t) ~p_star =
   let k3 = Cutoff.p_t3_low p ~p_star in

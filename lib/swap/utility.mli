@@ -28,10 +28,12 @@ val b_t3_stop : Params.t -> p_t3:float -> float
 (* --- t2: Bob decides to deploy his HTLC (cont) vs withdraw (stop) --- *)
 
 val a_t2_cont : Params.t -> p_star:float -> k3:float -> p_t2:float -> float
-(** Eq. 20, via the closed-form partial lognormal expectation. *)
+(** Eq. 20, via the closed-form partial lognormal expectation.  Staged:
+    [a_t2_cont p ~p_star ~k3] computes the constants once and returns
+    the function of [p_t2], which allocates only its result. *)
 
 val b_t2_cont : Params.t -> p_star:float -> k3:float -> p_t2:float -> float
-(** Eq. 21. *)
+(** Eq. 21, staged as {!a_t2_cont}. *)
 
 val a_t2_stop : Params.t -> p_star:float -> float
 (** Eq. 22: [P* / e^{r_A (tau_b + eps_b + 2 tau_a)}]. *)
@@ -58,11 +60,15 @@ val a_t1_stop : p_star:float -> float
 val b_t1_stop : Params.t -> float
 (** Eq. 28: [P_t1 = p0]. *)
 
-val integrate_over :
-  ?quad_nodes:int -> Intervals.t -> f:(float -> float) -> float
-(** Integral of [f] over an interval set; unbounded tails are handled
-    with a decaying-transform quadrature.  Exposed for the collateral
-    and premium variants. *)
+val integrate_law :
+  ?quad_nodes:int -> Numerics.Lognormal.t -> Intervals.t ->
+  f:(float -> float) -> float
+(** [integrate_law law set ~f] is the integral of [pdf law x *. f x]
+    over the set: Gauss–Legendre with [quad_nodes] (default 96) nodes
+    per interval in [z = (ln x - mu) / sigma], clipped to [|z| <= 9], so
+    the nodes sit where the law has its mass however wide the set is.
+    [f] must not include the density.  Every Eq. 25/26/31/36/37/40-style
+    integral uses it. *)
 
 val transition_mass :
   Params.t -> tau:float -> p0:float -> Intervals.t -> float

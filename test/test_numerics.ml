@@ -73,14 +73,17 @@ let test_log_gamma () =
   check_float ~tol:1e-9 "log_gamma 10.3" 13.48203678613836
     (Special.log_gamma 10.3)
 
+(* The incomplete-gamma route the library's erfc is fitted from lives in
+   test/oracle; its own identities still hold. *)
 let test_gamma_p_q () =
+  let open Oracle.Gamma in
   (* P(a,x) + Q(a,x) = 1 *)
   List.iter
     (fun (a, x) ->
       check_float ~tol:1e-12
         (Printf.sprintf "P+Q=1 at a=%g x=%g" a x)
         1.
-        (Special.gamma_p a x +. Special.gamma_q a x))
+        (gamma_p a x +. gamma_q a x))
     [ (0.5, 0.1); (0.5, 3.); (2., 1.); (5., 10.); (10., 3.) ];
   (* P(1, x) = 1 - exp(-x) *)
   List.iter
@@ -88,8 +91,57 @@ let test_gamma_p_q () =
       check_float ~tol:1e-12
         (Printf.sprintf "P(1,%g)" x)
         (1. -. exp (-.x))
-        (Special.gamma_p 1. x))
+        (gamma_p 1. x))
     [ 0.2; 1.; 4. ]
+
+(* The Chebyshev erfc against the gamma oracle on a grid of step 1/1024
+   over [-6, 26.5], which reaches erfc's underflow.  On |x| <= 6 the
+   largest relative difference, 1.0e-14, sits at x = 1.22, where the
+   oracle switches from its series to its continued fraction (x^2 = 1.5)
+   and is least accurate itself: against 40-digit arithmetic the fit's
+   worst error there is 6.6e-15 and the oracle's 7.9e-15.  Beyond
+   |x| = 6 both routes round -x^2 inside one exp, so each carries up to
+   ~x^2 ulp of relative error; the bound pins that growth (measured
+   worst ratio to x^2 eps: 1.7).  The exponent is not split into an
+   exact and a small part as in Cody's erfc. *)
+let test_erfc_oracle () =
+  let core = ref 0. and tail = ref 0. in
+  let n = 32 * 1024 in
+  for i = 0 to n do
+    let x = -6. +. (32.5 *. float_of_int i /. float_of_int n) in
+    let want = Oracle.Gamma.erfc x in
+    if want > 0. then begin
+      let rel = abs_float (Special.erfc x -. want) /. want in
+      if abs_float x <= 6. then core := Float.max !core rel
+      else tail := Float.max !tail (rel /. (x *. x *. epsilon_float))
+    end
+  done;
+  if !core > 1.5e-14 then
+    Alcotest.failf "erfc vs oracle on |x| <= 6: rel %.3g > 1.5e-14" !core;
+  if !tail > 3. then
+    Alcotest.failf "erfc vs oracle for x > 6: rel / (x^2 eps) = %.3g > 3"
+      !tail
+
+(* The gamma path allocates ~29 words per call.  The fit allocates only
+   its boxed result (2 words): measured against a call of the identity,
+   which pays the same argument boxing and accumulation. *)
+let test_erfc_allocation () =
+  let xs = Array.init 1000 (fun i -> -4. +. (0.011 *. float_of_int i)) in
+  let sink = ref 0. in
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10 do
+      Array.iter (fun x -> sink := !sink +. f x) xs
+    done;
+    (Gc.minor_words () -. w0) /. 10_000.
+  in
+  let base = words Fun.id in
+  let fit = words Special.erfc -. base in
+  let oracle = words Oracle.Gamma.erfc -. base in
+  if fit > 2. then Alcotest.failf "erfc allocates %.2f words per call" fit;
+  if oracle < 20. then
+    Alcotest.failf "oracle allocates only %.1f words per call" oracle;
+  Alcotest.(check bool) "finite" true (Float.is_finite !sink)
 
 (* --- Normal distribution ---------------------------------------------- *)
 
@@ -208,24 +260,75 @@ let test_newton () =
   let df x = 3. *. x *. x in
   check_float ~tol:1e-10 "newton cbrt8" 2. (Root.newton ~f ~df 3.)
 
+(* Multi-root finding now goes through the certified solver; the
+   fixed-density scan it replaced survives as its oracle. *)
 let test_find_all_roots () =
   (* sin has roots at pi and 2 pi inside (1, 7). *)
-  let roots = Root.find_all_roots ~n:100 sin ~a:1. ~b:7. in
+  let roots = Root.roots_log sin ~a:1. ~b:7. in
   (match roots with
   | [ r1; r2 ] ->
-    check_float ~tol:1e-9 "root pi" Special.pi r1;
-    check_float ~tol:1e-9 "root 2pi" (2. *. Special.pi) r2
+    check_float ~tol:1e-12 "root pi" Special.pi r1;
+    check_float ~tol:1e-12 "root 2pi" (2. *. Special.pi) r2
   | other -> Alcotest.failf "expected 2 roots, got %d" (List.length other));
   (* A cubic with 3 roots. *)
   let f x = (x -. 1.) *. (x -. 2.) *. (x -. 3.) in
-  let roots = Root.find_all_roots ~n:300 f ~a:0. ~b:4. in
+  let roots = Root.roots_log f ~a:0.5 ~b:4. in
   Alcotest.(check int) "3 roots" 3 (List.length roots)
 
 let test_find_all_roots_log () =
   let f x = log x in
-  match Root.find_all_roots_log ~n:200 f ~a:0.01 ~b:100. with
+  (match Oracle.Dense.find_all_roots_log ~n:200 f ~a:0.01 ~b:100. with
   | [ r ] -> check_float ~tol:1e-9 "log root at 1" 1. r
-  | other -> Alcotest.failf "expected 1 root, got %d" (List.length other)
+  | other -> Alcotest.failf "expected 1 root, got %d" (List.length other));
+  match Root.roots_log f ~a:0.01 ~b:100. with
+  | [ r ] -> check_float ~tol:1e-12 "roots_log: root at 1" 1. r
+  | other ->
+    Alcotest.failf "roots_log: expected 1 root, got %d" (List.length other)
+
+(* The certified scan must find what a dense scan finds even where the
+   coarse samples show no sign change: a band narrower than one coarse
+   cell (48 cells over [1e-2, 1e2] are 0.19 wide in ln x), and three
+   roots inside one cell. *)
+let test_roots_log_narrow_band () =
+  let f x =
+    let u = log x -. 0.3 in
+    1e-3 -. (u *. u)
+  in
+  match Root.roots_log f ~a:1e-2 ~b:1e2 with
+  | [ lo; hi ] ->
+    check_float ~tol:1e-12 "lower root" (exp (0.3 -. sqrt 1e-3)) lo;
+    check_float ~tol:1e-12 "upper root" (exp (0.3 +. sqrt 1e-3)) hi
+  | other -> Alcotest.failf "expected 2 roots, got %d" (List.length other)
+
+let test_roots_log_close_roots () =
+  let f x =
+    let u = log x in
+    (u -. 0.1) *. (u -. 0.15) *. (u -. 0.2)
+  in
+  let roots = Root.roots_log f ~a:1e-2 ~b:1e2 in
+  Alcotest.(check int) "3 roots" 3 (List.length roots);
+  List.iter2
+    (fun want got -> check_float ~tol:1e-12 "root" (exp want) got)
+    [ 0.1; 0.15; 0.2 ] roots
+
+(* Relative tolerances: scaling the argument scales the roots. *)
+let test_roots_log_scale_free () =
+  let f x = (x -. 1.3) *. (x -. 2.9) in
+  let base = Root.roots_log f ~a:0.01 ~b:100. in
+  List.iter
+    (fun lambda ->
+      let scaled =
+        Root.roots_log (fun x -> f (x *. lambda)) ~a:(0.01 /. lambda)
+          ~b:(100. /. lambda)
+      in
+      List.iter2
+        (fun r s ->
+          let rel = abs_float ((s *. lambda) -. r) /. r in
+          if rel > 1e-14 then
+            Alcotest.failf "scale %g: root %.17g vs %.17g" lambda r
+              (s *. lambda))
+        base scaled)
+    [ 1e-7; 1e3; 1e11 ]
 
 let test_brent_no_bracket () =
   Alcotest.check_raises "no bracket"
@@ -511,6 +614,9 @@ let () =
           Alcotest.test_case "erfc_inv round trip" `Quick test_erfc_inv;
           Alcotest.test_case "log_gamma" `Quick test_log_gamma;
           Alcotest.test_case "incomplete gamma" `Quick test_gamma_p_q;
+          Alcotest.test_case "erfc matches the gamma oracle" `Quick
+            test_erfc_oracle;
+          Alcotest.test_case "erfc allocation" `Quick test_erfc_allocation;
         ] );
       ( "normal",
         [
@@ -548,6 +654,12 @@ let () =
             test_find_all_roots_log;
           Alcotest.test_case "brent rejects non-bracket" `Quick
             test_brent_no_bracket;
+          Alcotest.test_case "roots_log narrow band" `Quick
+            test_roots_log_narrow_band;
+          Alcotest.test_case "roots_log close roots" `Quick
+            test_roots_log_close_roots;
+          Alcotest.test_case "roots_log scale-free" `Quick
+            test_roots_log_scale_free;
         ] );
       ( "rng",
         [
