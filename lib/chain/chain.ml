@@ -41,6 +41,10 @@ type t = {
 
 let miner_account = "miner"
 
+(* Receipt text is built by concatenation: [g] prints a float as "%g"
+   does, without the format interpreter. *)
+let g = Obs.Json.g
+
 let no_fault_stats =
   { dropped = 0; reorged = 0; delayed = 0; halted = 0; extra_delay = 0. }
 
@@ -183,10 +187,10 @@ let execute_tx t now (tx : Tx.t) =
         Ledger.transfer t.ledger ~from_ ~to_ ~amount;
         Ok ()
       with Ledger.Insufficient_funds { have; need; _ } ->
-        Error (Printf.sprintf "insufficient funds: have %g, need %g" have need))
+        Error ("insufficient funds: have " ^ g have ^ ", need " ^ g need))
     | Tx.Htlc_lock { contract_id; sender; recipient; amount; hash; expiry } -> (
       if Hashtbl.mem t.htlcs contract_id then
-        Error (Printf.sprintf "contract %s already exists" contract_id)
+        Error ("contract " ^ contract_id ^ " already exists")
       else if expiry <= now then
         Error "cannot deploy an HTLC that is already expired"
       else
@@ -204,11 +208,10 @@ let execute_tx t now (tx : Tx.t) =
           Ok ()
         with Ledger.Insufficient_funds { have; need; _ } ->
           Error
-            (Printf.sprintf "insufficient funds to lock: have %g, need %g" have
-               need))
+            ("insufficient funds to lock: have " ^ g have ^ ", need " ^ g need))
     | Tx.Htlc_claim { contract_id; preimage } -> (
       match Hashtbl.find_opt t.htlcs contract_id with
-      | None -> Error (Printf.sprintf "unknown contract %s" contract_id)
+      | None -> Error ("unknown contract " ^ contract_id)
       | Some contract -> (
         match Htlc.try_claim contract ~preimage ~at:now with
         | Error e -> Error e
@@ -220,7 +223,7 @@ let execute_tx t now (tx : Tx.t) =
           Ok ()))
     | Tx.Htlc_refund { contract_id } -> (
       match Hashtbl.find_opt t.htlcs contract_id with
-      | None -> Error (Printf.sprintf "unknown contract %s" contract_id)
+      | None -> Error ("unknown contract " ^ contract_id)
       | Some contract -> (
         match Htlc.try_refund contract ~at:now with
         | Error e -> Error e
@@ -233,7 +236,7 @@ let execute_tx t now (tx : Tx.t) =
     | Tx.Escrow_lock { contract_id; owner; counterparty; amount; arbiter; expiry }
       -> (
       if Hashtbl.mem t.escrows contract_id then
-        Error (Printf.sprintf "escrow %s already exists" contract_id)
+        Error ("escrow " ^ contract_id ^ " already exists")
       else if expiry <= now then
         Error "cannot deploy an escrow that is already expired"
       else
@@ -251,11 +254,10 @@ let execute_tx t now (tx : Tx.t) =
           Ok ()
         with Ledger.Insufficient_funds { have; need; _ } ->
           Error
-            (Printf.sprintf "insufficient funds to lock: have %g, need %g" have
-               need))
+            ("insufficient funds to lock: have " ^ g have ^ ", need " ^ g need))
     | Tx.Escrow_decide { contract_id; by; commit } -> (
       match Hashtbl.find_opt t.escrows contract_id with
-      | None -> Error (Printf.sprintf "unknown escrow %s" contract_id)
+      | None -> Error ("unknown escrow " ^ contract_id)
       | Some contract -> (
         match Escrow.decide contract ~by ~commit ~at:now with
         | Error e -> Error e
@@ -276,7 +278,7 @@ let execute_tx t now (tx : Tx.t) =
   let forgiven = if Result.is_ok result then collect_fee t tx.payload else 0. in
   let describe =
     if forgiven > 1e-12 then
-      Printf.sprintf "%s [fee forgiven: %g]" describe forgiven
+      String.concat "" [ describe; " [fee forgiven: "; g forgiven; "]" ]
     else describe
   in
   record t ~time:now ~tx_id:(Some tx.Tx.id) ~description:describe ~result
@@ -285,18 +287,18 @@ let execute_escrow_timeout t now ~contract_id =
   match Hashtbl.find_opt t.escrows contract_id with
   | None ->
     record t ~time:now ~tx_id:None
-      ~description:(Printf.sprintf "escrow-timeout %s" contract_id)
+      ~description:("escrow-timeout " ^ contract_id)
       ~result:(Error "unknown escrow")
   | Some contract ->
     if not (Escrow.is_held contract) then
       record t ~time:now ~tx_id:None
-        ~description:(Printf.sprintf "escrow-timeout %s (noop)" contract_id)
+        ~description:("escrow-timeout " ^ contract_id ^ " (noop)")
         ~result:(Ok ())
     else begin
       match Escrow.try_timeout contract ~at:contract.Escrow.expiry with
       | Error e ->
         record t ~time:now ~tx_id:None
-          ~description:(Printf.sprintf "escrow-timeout %s" contract_id)
+          ~description:("escrow-timeout " ^ contract_id)
           ~result:(Error e)
       | Ok aborted ->
         Hashtbl.replace t.escrows contract_id aborted;
@@ -305,8 +307,9 @@ let execute_escrow_timeout t now ~contract_id =
           ~to_:contract.Escrow.owner ~amount:contract.Escrow.amount;
         record t ~time:now ~tx_id:None
           ~description:
-            (Printf.sprintf "escrow-timeout %s: %g returned to %s" contract_id
-               contract.Escrow.amount contract.Escrow.owner)
+            (String.concat ""
+               [ "escrow-timeout "; contract_id; ": "; g contract.Escrow.amount;
+                 " returned to "; contract.Escrow.owner ])
           ~result:(Ok ())
     end
 
@@ -314,13 +317,13 @@ let execute_auto_refund t now ~contract_id =
   match Hashtbl.find_opt t.htlcs contract_id with
   | None ->
     record t ~time:now ~tx_id:None
-      ~description:(Printf.sprintf "auto-refund %s" contract_id)
+      ~description:("auto-refund " ^ contract_id)
       ~result:(Error "unknown contract")
   | Some contract ->
     if not (Htlc.is_locked contract) then
       (* Already claimed or explicitly refunded: nothing to do. *)
       record t ~time:now ~tx_id:None
-        ~description:(Printf.sprintf "auto-refund %s (noop)" contract_id)
+        ~description:("auto-refund " ^ contract_id ^ " (noop)")
         ~result:(Ok ())
     else begin
       (* The lock expired at [contract.expiry]; funds are credited now
@@ -328,7 +331,7 @@ let execute_auto_refund t now ~contract_id =
       match Htlc.try_refund contract ~at:contract.Htlc.expiry with
       | Error e ->
         record t ~time:now ~tx_id:None
-          ~description:(Printf.sprintf "auto-refund %s" contract_id)
+          ~description:("auto-refund " ^ contract_id)
           ~result:(Error e)
       | Ok refunded ->
         Hashtbl.replace t.htlcs contract_id refunded;
@@ -337,8 +340,9 @@ let execute_auto_refund t now ~contract_id =
           ~to_:contract.Htlc.sender ~amount:contract.Htlc.amount;
         record t ~time:now ~tx_id:None
           ~description:
-            (Printf.sprintf "auto-refund %s: %g returned to %s" contract_id
-               contract.Htlc.amount contract.Htlc.sender)
+            (String.concat ""
+               [ "auto-refund "; contract_id; ": "; g contract.Htlc.amount;
+                 " returned to "; contract.Htlc.sender ])
           ~result:(Ok ())
     end
 
@@ -375,7 +379,9 @@ let escrow t ~contract_id = Hashtbl.find_opt t.escrows contract_id
 let receipts t = List.rev t.receipt_log
 
 let tx_receipt t ~tx_id =
-  List.find_opt (fun r -> r.tx_id = Some tx_id) t.receipt_log
+  List.find_opt
+    (fun r -> match r.tx_id with Some id -> id = tx_id | None -> false)
+    t.receipt_log
 
 let faults t = t.faults
 let fault_stats t = t.fstats

@@ -44,5 +44,5 @@ let is_held t = t.state = Held
 
 let state_to_string = function
   | Held -> "held"
-  | Committed { at } -> Printf.sprintf "committed@%g" at
-  | Aborted { at } -> Printf.sprintf "aborted@%g" at
+  | Committed { at } -> "committed@" ^ Obs.Json.g at
+  | Aborted { at } -> "aborted@" ^ Obs.Json.g at

@@ -43,5 +43,5 @@ let is_locked t = t.state = Locked
 
 let state_to_string = function
   | Locked -> "locked"
-  | Claimed { at; _ } -> Printf.sprintf "claimed@%g" at
-  | Refunded { at } -> Printf.sprintf "refunded@%g" at
+  | Claimed { at; _ } -> "claimed@" ^ Obs.Json.g at
+  | Refunded { at } -> "refunded@" ^ Obs.Json.g at

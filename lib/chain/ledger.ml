@@ -27,7 +27,8 @@ let transfer t ~from_ ~to_ ~amount =
    is a public listing, and float addition is not associative, so even
    [total_supply] would otherwise depend on the table's insertion
    history. *)
-let accounts t = Hashtbl.to_seq_keys t |> List.of_seq |> List.sort compare
+let accounts t =
+  Hashtbl.to_seq_keys t |> List.of_seq |> List.sort String.compare
 
 let total_supply t =
   List.fold_left (fun acc a -> acc +. balance t a) 0. (accounts t)

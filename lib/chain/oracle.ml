@@ -20,7 +20,7 @@ let create chain ~alice ~bob ~q =
     alice;
     bob;
     q;
-    vault = Printf.sprintf "oracle:vault:%d" id;
+    vault = "oracle:vault:" ^ string_of_int id;
     is_deposited = false;
     released = 0.;
   }

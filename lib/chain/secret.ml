@@ -2,7 +2,25 @@ open Numerics
 
 type t = { preimage : string; hash : string }
 
-let of_preimage preimage = { preimage; hash = Sha256.digest preimage }
+(* A one-entry memo of the last digest each domain computed.  A swap
+   hashes its preimage when the secret is made and again at every claim
+   and mempool check; the memo turns those repeats into one string
+   comparison.  Sound because strings are immutable and a hit requires
+   the whole preimage to be equal, so the memo can only return
+   [Sha256.digest preimage]; domain-local, so no domain sees another's
+   entry half written. *)
+let memo = Domain.DLS.new_key (fun () -> ("", Sha256.digest ""))
+
+let digest preimage =
+  let last, hash = Domain.DLS.get memo in
+  if String.equal last preimage then hash
+  else begin
+    let hash = Sha256.digest preimage in
+    Domain.DLS.set memo (preimage, hash);
+    hash
+  end
+
+let of_preimage preimage = { preimage; hash = digest preimage }
 
 let generate rng =
   let b = Bytes.create 32 in
@@ -18,5 +36,5 @@ let generate rng =
   done;
   of_preimage (Bytes.to_string b)
 
-let verify ~hash ~preimage = String.equal (Sha256.digest preimage) hash
+let verify ~hash ~preimage = String.equal (digest preimage) hash
 let hash_hex t = Sha256.hex_of_bytes t.hash

@@ -10,7 +10,10 @@ val generate : Numerics.Rng.t -> t
 val of_preimage : string -> t
 
 val verify : hash:string -> preimage:string -> bool
-(** Constant content check: [Sha256.digest preimage = hash]. *)
+(** Constant content check: [Sha256.digest preimage = hash].  Each
+    domain remembers its last [(preimage, digest)] pair, so checking the
+    same preimage again (as every claim of one swap does) costs a string
+    comparison instead of a hash. *)
 
 val hash_hex : t -> string
 (** Hex rendering of the commitment, for traces. *)

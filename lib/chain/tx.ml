@@ -23,26 +23,28 @@ type payload =
 type id = int
 type t = { id : id; submitted_at : float; payload : payload }
 
-let pp_payload fmt = function
-  | Transfer { from_; to_; amount } ->
-    Format.fprintf fmt "transfer %g from %s to %s" amount from_ to_
-  | Htlc_lock { contract_id; sender; recipient; amount; expiry; _ } ->
-    Format.fprintf fmt "htlc-lock %s: %g from %s to %s, expires %g"
-      contract_id amount sender recipient expiry
-  | Htlc_claim { contract_id; _ } ->
-    Format.fprintf fmt "htlc-claim %s (preimage revealed)" contract_id
-  | Htlc_refund { contract_id } ->
-    Format.fprintf fmt "htlc-refund %s" contract_id
-  | Escrow_lock { contract_id; owner; counterparty; amount; arbiter; expiry } ->
-    Format.fprintf fmt
-      "escrow-lock %s: %g from %s to %s, arbiter %s, expires %g" contract_id
-      amount owner counterparty arbiter expiry
-  | Escrow_decide { contract_id; by; commit } ->
-    Format.fprintf fmt "escrow-decide %s: %s by %s" contract_id
-      (if commit then "commit" else "abort")
-      by
+let g = Obs.Json.g
 
-let payload_to_string p = Format.asprintf "%a" pp_payload p
+(* Concatenation with [g] gives the text [Format "%g"] would, without
+   running the format interpreter once per executed transaction. *)
+let payload_to_string = function
+  | Transfer { from_; to_; amount } ->
+    String.concat "" [ "transfer "; g amount; " from "; from_; " to "; to_ ]
+  | Htlc_lock { contract_id; sender; recipient; amount; expiry; _ } ->
+    String.concat ""
+      [ "htlc-lock "; contract_id; ": "; g amount; " from "; sender; " to ";
+        recipient; ", expires "; g expiry ]
+  | Htlc_claim { contract_id; _ } ->
+    "htlc-claim " ^ contract_id ^ " (preimage revealed)"
+  | Htlc_refund { contract_id } -> "htlc-refund " ^ contract_id
+  | Escrow_lock { contract_id; owner; counterparty; amount; arbiter; expiry } ->
+    String.concat ""
+      [ "escrow-lock "; contract_id; ": "; g amount; " from "; owner; " to ";
+        counterparty; ", arbiter "; arbiter; ", expires "; g expiry ]
+  | Escrow_decide { contract_id; by; commit } ->
+    String.concat ""
+      [ "escrow-decide "; contract_id; ": ";
+        (if commit then "commit" else "abort"); " by "; by ]
 
 let reveals_preimage = function
   | Htlc_claim { preimage; _ } -> Some preimage

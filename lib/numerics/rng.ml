@@ -1,10 +1,19 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-  mutable cached_normal : float option;
-}
+(* The whole generator is one 40-byte buffer: the four xoshiro256++
+   words at byte offsets 0, 8, 16 and 24, and at 32 the bits of the
+   second deviate of the last polar pair, or [no_deviate] when none is
+   cached.  The unboxed primitives read and write the words in place,
+   so a draw allocates nothing beyond its boxed result.  The layout
+   (and its native byte order) never leaves this module. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let cached = 32
+
+(* A NaN pattern: a polar deviate is always finite, so it can never
+   collide with a cached value. *)
+let no_deviate = 0x7FF8_0000_0000_0001L
 
 (* splitmix64: expands a 64-bit seed into arbitrarily many well-mixed
    words; the recommended way to seed xoshiro generators. *)
@@ -23,13 +32,18 @@ let mix64 z =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create ?(seed = 0x5eed) () =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3; cached_normal = None }
+(* A fresh generator whose words are the next four splitmix64 outputs
+   from [key], in order; no deviate is cached. *)
+let expand key =
+  let state = ref key in
+  let t = Bytes.create 40 in
+  for i = 0 to 3 do
+    set64 t (8 * i) (splitmix64_next state)
+  done;
+  set64 t cached no_deviate;
+  t
+
+let create ?(seed = 0x5eed) () = expand (Int64.of_int seed)
 
 let of_stream ?(seed = 0x5eed) ~stream () =
   if stream < 0 then invalid_arg "Rng.of_stream: stream must be >= 0";
@@ -39,92 +53,88 @@ let of_stream ?(seed = 0x5eed) ~stream () =
      each parallel chunk a statistically independent generator that is a
      pure function of (seed, stream) — the basis of the jobs-invariant
      Monte-Carlo contract. *)
-  let key =
-    mix64
-      (Int64.logxor
-         (mix64 (Int64.of_int seed))
-         (Int64.mul (Int64.of_int stream) 0x9E3779B97F4A7C15L))
-  in
-  let state = ref key in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3; cached_normal = None }
+  expand
+    (mix64
+       (Int64.logxor
+          (mix64 (Int64.of_int seed))
+          (Int64.mul (Int64.of_int stream) 0x9E3779B97F4A7C15L)))
 
-let copy t = { t with s0 = t.s0 }
+(* The cached deviate is part of the state: a copy taken between the
+   two deviates of a pair yields the second one too. *)
+let copy = Bytes.copy
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-(* xoshiro256++ *)
-let bits64 t =
+(* xoshiro256++, inlined into every draw so its words stay unboxed. *)
+let[@inline] next t =
   let open Int64 in
-  let result = add (rotl (add t.s0 t.s3) 23) t.s0 in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64 t 0 and s1 = get64 t 8 in
+  let s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = add (rotl (add s0 s3) 23) s0 in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 (logxor s2 tmp);
+  set64 t 24 (rotl s3 45);
   result
 
-let split t =
-  let state = ref (bits64 t) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3; cached_normal = None }
+let bits64 t = next t
+let split t = expand (next t)
 
-let uniform t =
-  (* Top 53 bits -> float in [0, 1). *)
-  let x = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float x *. 0x1.0p-53
+(* Top 53 bits -> float in [0, 1). *)
+let[@inline] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1.0p-53
+
+let uniform t = unit_float t
 
 let uniform_range t ~lo ~hi =
   if hi <= lo then invalid_arg "Rng.uniform_range: requires lo < hi";
-  lo +. ((hi -. lo) *. uniform t)
+  lo +. ((hi -. lo) *. unit_float t)
 
 let int_below t n =
   if n <= 0 then invalid_arg "Rng.int_below: requires n > 0";
   (* Rejection sampling on the top bits to avoid modulo bias. *)
   let n64 = Int64.of_int n in
+  let limit = Int64.sub (Int64.sub Int64.max_int n64) Int64.one in
   let rec draw () =
-    let x = Int64.shift_right_logical (bits64 t) 1 in
+    let x = Int64.shift_right_logical (next t) 1 in
     (* x uniform in [0, 2^63) *)
     let r = Int64.rem x n64 in
-    if Int64.sub x r > Int64.sub (Int64.sub Int64.max_int n64) Int64.one then
-      draw ()
-    else Int64.to_int r
+    if Int64.sub x r > limit then draw () else Int64.to_int r
   in
   draw ()
 
+(* Marsaglia's polar method: returns the first deviate of an accepted
+   pair and caches the second. *)
+let rec polar t =
+  let u = (2. *. unit_float t) -. 1. in
+  let v = (2. *. unit_float t) -. 1. in
+  let s = (u *. u) +. (v *. v) in
+  if s >= 1. || s = 0. then polar t
+  else begin
+    let m = sqrt (-2. *. log s /. s) in
+    set64 t cached (Int64.bits_of_float (v *. m));
+    u *. m
+  end
+
 let normal t =
-  match t.cached_normal with
-  | Some z ->
-    t.cached_normal <- None;
-    z
-  | None ->
-    let rec polar () =
-      let u = (2. *. uniform t) -. 1. in
-      let v = (2. *. uniform t) -. 1. in
-      let s = (u *. u) +. (v *. v) in
-      if s >= 1. || s = 0. then polar ()
-      else
-        let m = sqrt (-2. *. log s /. s) in
-        (u *. m, v *. m)
-    in
-    let z0, z1 = polar () in
-    t.cached_normal <- Some z1;
-    z0
+  let z = get64 t cached in
+  if Int64.equal z no_deviate then polar t
+  else begin
+    set64 t cached no_deviate;
+    Int64.float_of_bits z
+  end
 
 let gaussian t ~mean ~stddev = mean +. (stddev *. normal t)
 
 let exponential t ~rate =
   if rate <= 0. then invalid_arg "Rng.exponential: requires rate > 0";
-  -.log (1. -. uniform t) /. rate
+  -.log (1. -. unit_float t) /. rate
 
 let lognormal t ~mu ~sigma = exp (mu +. (sigma *. normal t))
 

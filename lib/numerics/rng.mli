@@ -4,7 +4,9 @@
     across platforms. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the four xoshiro256++ words and the cached
+    polar deviate, read and written in place, so a draw allocates
+    nothing but its boxed result. *)
 
 val create : ?seed:int -> unit -> t
 (** [create ~seed ()] builds a generator whose 256-bit state is expanded
@@ -19,7 +21,8 @@ val of_stream : ?seed:int -> stream:int -> unit -> t
     parallel runs are bit-identical for any jobs count. *)
 
 val copy : t -> t
-(** Independent copy of the current state. *)
+(** Independent copy of the current state, including a cached second
+    polar deviate: the copy's next {!normal} equals the original's. *)
 
 val split : t -> t
 (** [split t] draws from [t] to seed a statistically independent child

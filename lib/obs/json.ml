@@ -26,8 +26,10 @@ let str s =
     Buffer.contents b
   end
 
-(* The C conversion that [Printf]'s "%.17g" and "%.0f" end in. *)
+(* The C conversion that [Printf]'s "%.17g", "%.0f" and "%g" end in. *)
 external format_float : string -> float -> string = "caml_format_float"
+
+let g x = format_float "%g" x
 
 (* Floats print with enough digits to round-trip; non-finite values have
    no JSON representation and become null.  Integral values below 1e15

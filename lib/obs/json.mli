@@ -14,3 +14,8 @@ val num : float -> string
     [null] (JSON has no encoding for them). *)
 
 val int : int -> string
+
+val g : float -> string
+(** [Printf.sprintf "%g" x], byte for byte (the same C conversion,
+    without the format interpreter), for plain-text receipts and logs:
+    ["nan"], ["inf"] and ["-0"] included, so it is not JSON. *)

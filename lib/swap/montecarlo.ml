@@ -30,50 +30,62 @@ let outcome_to_string = function
   | Abort_t2 -> "abort@t2"
   | Abort_t3 -> "abort@t3"
 
-(* One simulated swap.  Returns the outcome together with each agent's
-   realised utility assessed at t1: (1 + alpha S) * receipt value *
-   e^{-r * (receipt time - t1)}, plus any deposit flows supplied by
-   [deposit_flows outcome] (time-stamped extra Token_a amounts). *)
-let simulate_one rng (p : Params.t) ~p_star ~(policy : Agent.t)
-    ~(sampler : sampler) =
-  let tl = Timeline.ideal p in
+(* A trial writes each agent's realised utility, assessed at t1, into a
+   float-only record: (1 + alpha S) * receipt value *
+   e^{-r * (receipt time - t1)}, plus any deposit flows.  Only the
+   outcome is returned, so a trial allocates no tuple and boxes no
+   utility.  Both are unset on [Abort_t1]. *)
+type utilities = { mutable ua : float; mutable ub : float }
+
+type trial = Rng.t -> utilities -> outcome
+
+(* One simulated swap.  Everything that depends only on the run's
+   inputs — the t1 decision, the Eq. 13 timeline and its discount
+   factors — is computed here, once per run.  Each hoisted value must
+   be a whole subexpression of the utility it enters, so that every
+   utility keeps its float association order and its bits. *)
+let swap_trial (p : Params.t) ~p_star ~(policy : Agent.t) ~(sampler : sampler)
+    : trial =
   match policy.Agent.alice_t1 ~p_star with
-  | Agent.Stop -> (Abort_t1, 0., 0., [])
-  | Agent.Cont -> (
-    let p_t2 = sampler rng ~p0:p.p0 ~tau:p.tau_a in
-    match policy.Agent.bob_t2 ~p_t2 with
-    | Agent.Stop ->
-      (* Bob keeps Token_b now; Alice's refund arrives at t8. *)
-      let u_bob = p_t2 *. exp (-.p.bob.r *. (tl.Timeline.t2 -. tl.Timeline.t1)) in
-      let u_alice = p_star *. exp (-.p.alice.r *. (tl.Timeline.t8 -. tl.Timeline.t1)) in
-      (Abort_t2, u_alice, u_bob, [ ("p_t2", p_t2) ])
-    | Agent.Cont -> (
-      let p_t3 = sampler rng ~p0:p_t2 ~tau:p.tau_b in
-      match policy.Agent.alice_t3 ~p_t3 with
+  | Agent.Stop -> fun _ _ -> Abort_t1
+  | Agent.Cont ->
+    let tl = Timeline.ideal p in
+    let da horizon = exp (-.p.alice.r *. horizon) in
+    let db horizon = exp (-.p.bob.r *. horizon) in
+    let p0 = p.p0 and tau_a = p.tau_a and tau_b = p.tau_b in
+    let tau_t7 = 2. *. p.tau_b in
+    (* Alice's refund arrives at t8 whenever the swap aborts. *)
+    let u_alice_refund = p_star *. da (tl.Timeline.t8 -. tl.Timeline.t1) in
+    let d_bob_t2 = db (tl.Timeline.t2 -. tl.Timeline.t1) in
+    let d_bob_t7 = db (tl.Timeline.t7 -. tl.Timeline.t1) in
+    let k_alice = 1. +. p.alice.alpha in
+    let d_alice_t5 = da (tl.Timeline.t5 -. tl.Timeline.t1) in
+    let u_bob_success =
+      (1. +. p.bob.alpha) *. p_star *. db (tl.Timeline.t6 -. tl.Timeline.t1)
+    in
+    fun rng u ->
+      let p_t2 = sampler rng ~p0 ~tau:tau_a in
+      match policy.Agent.bob_t2 ~p_t2 with
       | Agent.Stop ->
-        (* Alice waives: refunds at t8 (Alice) and t7 (Bob). *)
-        let p_t7 = sampler rng ~p0:p_t3 ~tau:(2. *. p.tau_b) in
-        let u_alice =
-          p_star *. exp (-.p.alice.r *. (tl.Timeline.t8 -. tl.Timeline.t1))
-        in
-        let u_bob =
-          p_t7 *. exp (-.p.bob.r *. (tl.Timeline.t7 -. tl.Timeline.t1))
-        in
-        (Abort_t3, u_alice, u_bob, [ ("p_t2", p_t2); ("p_t3", p_t3) ])
-      | Agent.Cont ->
-        (* Success: Alice receives Token_b at t5, Bob Token_a at t6. *)
-        let p_t5 = sampler rng ~p0:p_t3 ~tau:p.tau_b in
-        let u_alice =
-          (1. +. p.alice.alpha)
-          *. p_t5
-          *. exp (-.p.alice.r *. (tl.Timeline.t5 -. tl.Timeline.t1))
-        in
-        let u_bob =
-          (1. +. p.bob.alpha)
-          *. p_star
-          *. exp (-.p.bob.r *. (tl.Timeline.t6 -. tl.Timeline.t1))
-        in
-        (Success, u_alice, u_bob, [ ("p_t2", p_t2); ("p_t3", p_t3) ])))
+        (* Bob keeps Token_b now. *)
+        u.ua <- u_alice_refund;
+        u.ub <- p_t2 *. d_bob_t2;
+        Abort_t2
+      | Agent.Cont -> (
+        let p_t3 = sampler rng ~p0:p_t2 ~tau:tau_b in
+        match policy.Agent.alice_t3 ~p_t3 with
+        | Agent.Stop ->
+          (* Alice waives: refunds at t8 (Alice) and t7 (Bob). *)
+          let p_t7 = sampler rng ~p0:p_t3 ~tau:tau_t7 in
+          u.ua <- u_alice_refund;
+          u.ub <- p_t7 *. d_bob_t7;
+          Abort_t3
+        | Agent.Cont ->
+          (* Success: Alice receives Token_b at t5, Bob Token_a at t6. *)
+          let p_t5 = sampler rng ~p0:p_t3 ~tau:tau_b in
+          u.ua <- k_alice *. p_t5 *. d_alice_t5;
+          u.ub <- u_bob_success;
+          Success)
 
 (* --- parallel substrate ------------------------------------------------- *)
 
@@ -97,14 +109,15 @@ let set_trials_override o =
 let effective_trials requested =
   match Atomic.get trials_override with Some n -> n | None -> requested
 
+(* The utility sums live in a float-only record, stored unboxed, so
+   tallying a trial allocates nothing. *)
 type tally = {
   mutable n_success : int;
   mutable n_abort_t1 : int;
   mutable n_abort_t2 : int;
   mutable n_abort_t3 : int;
   mutable n_initiated : int;
-  mutable sum_ua : float;
-  mutable sum_ub : float;
+  sum : utilities;
 }
 
 let tally () =
@@ -114,21 +127,21 @@ let tally () =
     n_abort_t2 = 0;
     n_abort_t3 = 0;
     n_initiated = 0;
-    sum_ua = 0.;
-    sum_ub = 0.;
+    sum = { ua = 0.; ub = 0. };
   }
 
-let record t outcome ua ub =
+let record t outcome (u : utilities) =
   (match outcome with
   | Success -> t.n_success <- t.n_success + 1
   | Abort_t1 -> t.n_abort_t1 <- t.n_abort_t1 + 1
   | Abort_t2 -> t.n_abort_t2 <- t.n_abort_t2 + 1
   | Abort_t3 -> t.n_abort_t3 <- t.n_abort_t3 + 1);
-  if outcome <> Abort_t1 then begin
+  match outcome with
+  | Abort_t1 -> ()
+  | Success | Abort_t2 | Abort_t3 ->
     t.n_initiated <- t.n_initiated + 1;
-    t.sum_ua <- t.sum_ua +. ua;
-    t.sum_ub <- t.sum_ub +. ub
-  end
+    t.sum.ua <- t.sum.ua +. u.ua;
+    t.sum.ub <- t.sum.ub +. u.ub
 
 let merge acc t =
   acc.n_success <- acc.n_success + t.n_success;
@@ -136,8 +149,8 @@ let merge acc t =
   acc.n_abort_t2 <- acc.n_abort_t2 + t.n_abort_t2;
   acc.n_abort_t3 <- acc.n_abort_t3 + t.n_abort_t3;
   acc.n_initiated <- acc.n_initiated + t.n_initiated;
-  acc.sum_ua <- acc.sum_ua +. t.sum_ua;
-  acc.sum_ub <- acc.sum_ub +. t.sum_ub;
+  acc.sum.ua <- acc.sum.ua +. t.sum.ua;
+  acc.sum.ub <- acc.sum.ub +. t.sum.ub;
   acc
 
 let summarise ~trials (t : tally) =
@@ -161,9 +174,9 @@ let summarise ~trials (t : tally) =
     initiated = initiated_n;
     ci95;
     mean_utility_alice =
-      (if initiated_n = 0 then 0. else t.sum_ua /. float_of_int initiated_n);
+      (if initiated_n = 0 then 0. else t.sum.ua /. float_of_int initiated_n);
     mean_utility_bob =
-      (if initiated_n = 0 then 0. else t.sum_ub /. float_of_int initiated_n);
+      (if initiated_n = 0 then 0. else t.sum.ub /. float_of_int initiated_n);
   }
 
 let m_runs = Obs.Metrics.counter "mc.runs"
@@ -174,7 +187,7 @@ let m_trials_per_s = Obs.Metrics.gauge "mc.trials_per_s"
    run and chunk granularity (a chunk is 512 trials), never per trial,
    and touch nothing the RNG streams depend on — instrumented runs stay
    bit-identical to uninstrumented ones for any jobs count. *)
-let run_tallied ?jobs ~trials ~seed simulate =
+let run_tallied ?jobs ~trials ~seed (trial : trial) =
   Obs.Metrics.incr m_runs;
   Obs.Metrics.add m_trials trials;
   let t0 = if Obs.Metrics.enabled () then Obs.Monotonic.now_ns () else 0L in
@@ -188,9 +201,9 @@ let run_tallied ?jobs ~trials ~seed simulate =
         Obs.Trace.annotate chunk_span "chunk" (string_of_int chunk);
         let rng = Rng.of_stream ~seed ~stream:chunk () in
         let t = tally () in
+        let u = { ua = 0.; ub = 0. } in
         for _ = lo to hi - 1 do
-          let outcome, ua, ub = simulate rng in
-          record t outcome ua ub
+          record t (trial rng u) u
         done;
         t)
       ~combine:merge
@@ -206,14 +219,13 @@ let run ?(trials = 20_000) ?(seed = 0x51ab) ?jobs ?sampler (p : Params.t)
     ~p_star ~policy =
   let trials = effective_trials trials in
   let sampler = Option.value ~default:(gbm_sampler p) sampler in
-  run_tallied ?jobs ~trials ~seed (fun rng ->
-      let outcome, ua, ub, _ = simulate_one rng p ~p_star ~policy ~sampler in
-      (outcome, ua, ub))
+  run_tallied ?jobs ~trials ~seed (swap_trial p ~p_star ~policy ~sampler)
 
 let utility_samples ?(trials = 20_000) ?(seed = 0x51ab) ?jobs ?sampler
     (p : Params.t) ~p_star ~policy =
   let trials = effective_trials trials in
   let sampler = Option.value ~default:(gbm_sampler p) sampler in
+  let trial = swap_trial p ~p_star ~policy ~sampler in
   Obs.Metrics.incr m_runs;
   Obs.Metrics.add m_trials trials;
   (* Each chunk fills preallocated buffers in one pass (no reversed
@@ -226,13 +238,14 @@ let utility_samples ?(trials = 20_000) ?(seed = 0x51ab) ?jobs ?sampler
         let cap = hi - lo in
         let ua = Array.make cap 0. and ub = Array.make cap 0. in
         let count = ref 0 in
+        let u = { ua = 0.; ub = 0. } in
         for _ = lo to hi - 1 do
-          let outcome, a, b, _ = simulate_one rng p ~p_star ~policy ~sampler in
-          if outcome <> Abort_t1 then begin
-            ua.(!count) <- a;
-            ub.(!count) <- b;
+          match trial rng u with
+          | Abort_t1 -> ()
+          | Success | Abort_t2 | Abort_t3 ->
+            ua.(!count) <- u.ua;
+            ub.(!count) <- u.ub;
             incr count
-          end
         done;
         (!count, ua, ub))
   in
@@ -248,59 +261,69 @@ let utility_samples ?(trials = 20_000) ?(seed = 0x51ab) ?jobs ?sampler
   (ua, ub)
 
 (* Collateral game: same path logic, but deposits flow per the Oracle
-   rules and decisions use the Section IV thresholds. *)
-let simulate_one_collateral rng (c : Collateral.t) ~p_star
-    ~(policy : Agent.t) ~(sampler : sampler) =
+   rules and decisions use the Section IV thresholds.  Hoisted as in
+   [swap_trial]. *)
+let collateral_trial (c : Collateral.t) ~p_star ~(policy : Agent.t)
+    ~(sampler : sampler) : trial =
   let p = c.Collateral.params in
   let qa = c.Collateral.q_alice and qb = c.Collateral.q_bob in
-  let tl = Timeline.ideal p in
-  let da horizon = exp (-.p.Params.alice.r *. horizon) in
-  let db horizon = exp (-.p.Params.bob.r *. horizon) in
   match policy.Agent.alice_t1 ~p_star with
-  | Agent.Stop -> (Abort_t1, 0., 0.)
-  | Agent.Cont -> (
-    let p_t2 = sampler rng ~p0:p.Params.p0 ~tau:p.Params.tau_a in
-    match policy.Agent.bob_t2 ~p_t2 with
-    | Agent.Stop ->
-      (* Bob forfeits; Alice receives refund at t8 plus both deposits
-         released at t3, credited t3 + tau_a. *)
-      let u_alice =
-        (p_star *. da (tl.Timeline.t8 -. tl.Timeline.t1))
-        +. ((qa +. qb) *. da (tl.Timeline.t3 +. p.Params.tau_a -. tl.Timeline.t1))
-      in
-      let u_bob = p_t2 *. db (tl.Timeline.t2 -. tl.Timeline.t1) in
-      (Abort_t2, u_alice, u_bob)
-    | Agent.Cont -> (
-      let p_t3 = sampler rng ~p0:p_t2 ~tau:p.Params.tau_b in
-      (* Bob's own deposit returns at t3 + tau_a in all t3 branches. *)
-      let bob_deposit_back =
-        qb *. db (tl.Timeline.t3 +. p.Params.tau_a -. tl.Timeline.t1)
-      in
-      match policy.Agent.alice_t3 ~p_t3 with
+  | Agent.Stop -> fun _ _ -> Abort_t1
+  | Agent.Cont ->
+    let tl = Timeline.ideal p in
+    let da horizon = exp (-.p.Params.alice.r *. horizon) in
+    let db horizon = exp (-.p.Params.bob.r *. horizon) in
+    let p0 = p.Params.p0 and tau_a = p.Params.tau_a in
+    let tau_b = p.Params.tau_b in
+    let tau_t7 = 2. *. p.Params.tau_b in
+    (* Bob forfeits at t2; Alice receives her refund at t8 plus both
+       deposits released at t3, credited t3 + tau_a. *)
+    let u_alice_forfeit =
+      (p_star *. da (tl.Timeline.t8 -. tl.Timeline.t1))
+      +. ((qa +. qb) *. da (tl.Timeline.t3 +. p.Params.tau_a -. tl.Timeline.t1))
+    in
+    let d_bob_t2 = db (tl.Timeline.t2 -. tl.Timeline.t1) in
+    (* Bob's own deposit returns at t3 + tau_a in all t3 branches. *)
+    let bob_deposit_back =
+      qb *. db (tl.Timeline.t3 +. p.Params.tau_a -. tl.Timeline.t1)
+    in
+    let u_alice_refund = p_star *. da (tl.Timeline.t8 -. tl.Timeline.t1) in
+    let d_bob_t7 = db (tl.Timeline.t7 -. tl.Timeline.t1) in
+    let alice_deposit_to_bob =
+      qa *. db (tl.Timeline.t4 +. p.Params.tau_a -. tl.Timeline.t1)
+    in
+    let k_alice = 1. +. p.Params.alice.alpha in
+    let d_alice_t5 = da (tl.Timeline.t5 -. tl.Timeline.t1) in
+    let alice_deposit_back =
+      qa *. da (tl.Timeline.t4 +. p.Params.tau_a -. tl.Timeline.t1)
+    in
+    let u_bob_success =
+      ((1. +. p.Params.bob.alpha)
+      *. p_star
+      *. db (tl.Timeline.t6 -. tl.Timeline.t1))
+      +. bob_deposit_back
+    in
+    fun rng u ->
+      let p_t2 = sampler rng ~p0 ~tau:tau_a in
+      match policy.Agent.bob_t2 ~p_t2 with
       | Agent.Stop ->
-        let p_t7 = sampler rng ~p0:p_t3 ~tau:(2. *. p.Params.tau_b) in
-        let u_alice = p_star *. da (tl.Timeline.t8 -. tl.Timeline.t1) in
-        let u_bob =
-          (p_t7 *. db (tl.Timeline.t7 -. tl.Timeline.t1))
-          +. bob_deposit_back
-          +. (qa *. db (tl.Timeline.t4 +. p.Params.tau_a -. tl.Timeline.t1))
-        in
-        (Abort_t3, u_alice, u_bob)
-      | Agent.Cont ->
-        let p_t5 = sampler rng ~p0:p_t3 ~tau:p.Params.tau_b in
-        let u_alice =
-          ((1. +. p.Params.alice.alpha)
-          *. p_t5
-          *. da (tl.Timeline.t5 -. tl.Timeline.t1))
-          +. (qa *. da (tl.Timeline.t4 +. p.Params.tau_a -. tl.Timeline.t1))
-        in
-        let u_bob =
-          ((1. +. p.Params.bob.alpha)
-          *. p_star
-          *. db (tl.Timeline.t6 -. tl.Timeline.t1))
-          +. bob_deposit_back
-        in
-        (Success, u_alice, u_bob)))
+        u.ua <- u_alice_forfeit;
+        u.ub <- p_t2 *. d_bob_t2;
+        Abort_t2
+      | Agent.Cont -> (
+        let p_t3 = sampler rng ~p0:p_t2 ~tau:tau_b in
+        match policy.Agent.alice_t3 ~p_t3 with
+        | Agent.Stop ->
+          let p_t7 = sampler rng ~p0:p_t3 ~tau:tau_t7 in
+          u.ua <- u_alice_refund;
+          u.ub <-
+            (p_t7 *. d_bob_t7) +. bob_deposit_back +. alice_deposit_to_bob;
+          Abort_t3
+        | Agent.Cont ->
+          let p_t5 = sampler rng ~p0:p_t3 ~tau:tau_b in
+          u.ua <- (k_alice *. p_t5 *. d_alice_t5) +. alice_deposit_back;
+          u.ub <- u_bob_success;
+          Success)
 
 let run_collateral ?(trials = 20_000) ?(seed = 0x51ab) ?jobs ?sampler
     (c : Collateral.t) ~p_star =
@@ -308,5 +331,4 @@ let run_collateral ?(trials = 20_000) ?(seed = 0x51ab) ?jobs ?sampler
   let p = c.Collateral.params in
   let sampler = Option.value ~default:(gbm_sampler p) sampler in
   let policy = Agent.rational_collateral c ~p_star in
-  run_tallied ?jobs ~trials ~seed (fun rng ->
-      simulate_one_collateral rng c ~p_star ~policy ~sampler)
+  run_tallied ?jobs ~trials ~seed (collateral_trial c ~p_star ~policy ~sampler)

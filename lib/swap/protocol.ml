@@ -58,6 +58,10 @@ let bob = "bob"
 let contract_a = "htlc:a"
 let contract_b = "htlc:b"
 
+(* Log lines are built by concatenation: [g] prints a float as "%g"
+   does, without the format interpreter. *)
+let g = Obs.Json.g
+
 let m_runs = Obs.Metrics.counter "protocol.runs"
 let m_retries = Obs.Metrics.counter "protocol.retries"
 let m_out_success = Obs.Metrics.counter "protocol.outcome.success"
@@ -76,13 +80,11 @@ let count_outcome = function
 (* Funds still parked in contract escrows (or the Oracle vault) once
    the run has settled; nonzero means a refund was never credited. *)
 let locked_leftover chain =
-  let has_prefix prefix account =
-    String.length account >= String.length prefix
-    && String.equal (String.sub account 0 (String.length prefix)) prefix
-  in
   List.fold_left
     (fun acc (account, bal) ->
-      if has_prefix "escrow:" account || has_prefix "oracle:vault:" account
+      if
+        String.starts_with ~prefix:"escrow:" account
+        || String.starts_with ~prefix:"oracle:vault:" account
       then acc +. bal
       else acc)
     0. (Chain.accounts chain)
@@ -132,7 +134,7 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
     if q > 0. then begin
       let o = Oracle.create chain_a ~alice ~bob ~q in
       Oracle.deposit o ~at:tl.Timeline.t0;
-      log tl.Timeline.t0 (Printf.sprintf "oracle charged %g from each agent" q);
+      log tl.Timeline.t0 ("oracle charged " ^ g q ^ " from each agent");
       Some o
     end
     else None
@@ -142,7 +144,9 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
     | None -> ()
     | Some o when amount > 0. ->
       ignore (Oracle.release o ~at ~to_ ~amount);
-      log at (Printf.sprintf "oracle releases %g to %s (%s)" amount to_ reason)
+      log at
+        (String.concat ""
+           [ "oracle releases "; g amount; " to "; to_; " ("; reason; ")" ])
     | Some _ -> ()
   in
   let online offline_from online_again_at at =
@@ -207,23 +211,22 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
           let next = at +. tau +. wait in
           if next +. tau > deadline +. 1e-9 then begin
             log (at +. tau)
-              (Printf.sprintf
-                 "%s unconfirmed; remaining margin cannot cover another \
-                  confirmation, giving up"
-                 action);
+              (action
+             ^ " unconfirmed; remaining margin cannot cover another \
+                confirmation, giving up");
             false
           end
           else if not (is_online next) then begin
             log (at +. tau)
-              (Printf.sprintf
-                 "%s unconfirmed; agent offline, no resubmission" action);
+              (action ^ " unconfirmed; agent offline, no resubmission");
             false
           end
           else begin
             incr retries;
             logk "retry" next
-              (Printf.sprintf "%s unconfirmed; resubmitting (attempt %d)"
-                 action (n + 1));
+              (String.concat ""
+                 [ action; " unconfirmed; resubmitting (attempt ";
+                   string_of_int (n + 1); ")" ]);
             attempt (n + 1) next
           end
         end
@@ -328,14 +331,13 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
         | Some (Htlc.Refunded _), Some (Htlc.Claimed _) ->
           Anomalous "Alice claimed Token_b but Bob's claim never landed"
         | a, b ->
+          let state = function
+            | Some s -> Htlc.state_to_string s
+            | None -> "missing"
+          in
           Anomalous
-            (Printf.sprintf "unsettled contracts (a=%s, b=%s)"
-               (match a with
-               | Some s -> Htlc.state_to_string s
-               | None -> "missing")
-               (match b with
-               | Some s -> Htlc.state_to_string s
-               | None -> "missing")))
+            (String.concat ""
+               [ "unsettled contracts (a="; state a; ", b="; state b; ")" ]))
     in
     finish outcome ~secret_observed_at_t4
   in
@@ -395,7 +397,7 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
       match bob_t2 with
       | Agent.Stop ->
         log tl.Timeline.t2
-          (Printf.sprintf "bob stops at t2 (P_t2 = %g): no HTLC on chain_b" p_t2);
+          ("bob stops at t2 (P_t2 = " ^ g p_t2 ^ "): no HTLC on chain_b");
         (* Bob forfeits: the Oracle pays both deposits to Alice at t3. *)
         oracle_release ~at:tl.Timeline.t3 ~to_:alice ~amount:(2. *. q)
           "bob withdrew";
@@ -412,8 +414,7 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
             (1., secret.Secret.hash, tl.Timeline.t_lock_b -. hours)
         in
         log tl.Timeline.t2
-          (Printf.sprintf "bob locks Token_b under the same hash (P_t2 = %g)"
-             p_t2);
+          ("bob locks Token_b under the same hash (P_t2 = " ^ g p_t2 ^ ")");
         ignore
           (submit_watched chain_b ~is_online:bob_online ~action:"bob's lock"
              ~at:tl.Timeline.t2 ~deadline:tl.Timeline.t3
@@ -454,8 +455,7 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
         match b_contract_problem with
         | Some reason ->
           log tl.Timeline.t3
-            (Printf.sprintf "alice withholds the secret: bob's contract %s"
-               reason);
+            ("alice withholds the secret: bob's contract " ^ reason);
           oracle_release ~at:tl.Timeline.t3 ~to_:alice ~amount:q
             "bob's contract non-conforming";
           settle ~locked_a:true ~locked_b:true ~secret_observed_at_t4:false
@@ -471,8 +471,7 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
           match alice_t3 with
           | Agent.Stop ->
             log tl.Timeline.t3
-              (Printf.sprintf "alice stops at t3 (P_t3 = %g): secret withheld"
-                 p_t3);
+              ("alice stops at t3 (P_t3 = " ^ g p_t3 ^ "): secret withheld");
             (* Alice forfeits: her deposit goes to Bob at t4. *)
             oracle_release ~at:tl.Timeline.t4 ~to_:bob ~amount:q
               "alice withheld the secret";
@@ -480,9 +479,8 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
           | Agent.Cont ->
             let reveal_at = tl.Timeline.t3 +. reveal_delay in
             log reveal_at
-              (Printf.sprintf
-                 "alice claims Token_b, revealing the preimage (P_t3 = %g)"
-                 p_t3);
+              ("alice claims Token_b, revealing the preimage (P_t3 = " ^ g p_t3
+             ^ ")");
             ignore
               (submit_watched chain_b ~is_online:alice_online
                  ~action:"alice's claim" ~at:reveal_at

@@ -81,6 +81,75 @@ let test_secret_distinct () =
   Alcotest.(check bool) "fresh secrets differ" false
     (String.equal a.Secret.preimage b.Secret.preimage)
 
+(* [verify] keeps each domain's last (preimage, digest) pair.  After a
+   hit on P, no variation of P, no other hash and no other secret may
+   be answered from it. *)
+let test_secret_memo_soundness () =
+  let rng = Numerics.Rng.create ~seed:11 () in
+  let s = Secret.generate rng and t = Secret.generate rng in
+  let p = s.Secret.preimage in
+  let verify ~hash preimage = Secret.verify ~hash ~preimage in
+  Alcotest.(check bool) "memoised hashes are the digests" true
+    (String.equal s.Secret.hash (Sha256.digest p)
+    && String.equal t.Secret.hash (Sha256.digest t.Secret.preimage));
+  Alcotest.(check bool) "P verifies" true (verify ~hash:s.Secret.hash p);
+  String.iteri
+    (fun i _ ->
+      let flipped =
+        String.mapi
+          (fun j c -> if j = i then Char.chr (Char.code c lxor 0x01) else c)
+          p
+      in
+      if verify ~hash:s.Secret.hash flipped then
+        Alcotest.failf "P with byte %d flipped verifies after a hit on P" i;
+      if not (verify ~hash:s.Secret.hash p) then
+        Alcotest.failf "P fails after its byte-%d variant" i)
+    p;
+  Alcotest.(check bool) "P against another secret's hash" false
+    (verify ~hash:t.Secret.hash p);
+  Alcotest.(check bool) "P against an unrelated hash" false
+    (verify ~hash:(Sha256.digest "unrelated") p);
+  for _ = 1 to 4 do
+    Alcotest.(check bool) "S interleaved" true (verify ~hash:s.Secret.hash p);
+    Alcotest.(check bool) "T interleaved" true
+      (verify ~hash:t.Secret.hash t.Secret.preimage);
+    Alcotest.(check bool) "T's preimage under S's hash" false
+      (verify ~hash:s.Secret.hash t.Secret.preimage);
+    Alcotest.(check bool) "S's preimage under T's hash" false
+      (verify ~hash:t.Secret.hash p)
+  done
+
+(* Four domains, each verifying its own preimage interleaved with the
+   others', at once: every answer is the digest comparison. *)
+let test_secret_memo_domains () =
+  (* Hashed by [Sha256] itself, so nothing here depends on the memo. *)
+  let secrets =
+    Array.init 4 (fun i ->
+        let preimage = Printf.sprintf "preimage of domain %d" i in
+        (preimage, Sha256.digest preimage))
+  in
+  let worker i () =
+    let own, own_hash = secrets.(i) in
+    let wrong = ref 0 in
+    for k = 1 to 1500 do
+      let other, other_hash = secrets.((i + 1 + (k mod 3)) mod 4) in
+      let expect hash preimage want =
+        if Secret.verify ~hash ~preimage <> want then incr wrong
+      in
+      expect own_hash own true;
+      expect own_hash other false;
+      expect other_hash other true;
+      expect other_hash own false
+    done;
+    !wrong
+  in
+  let domains = Array.init 4 (fun i -> Domain.spawn (worker i)) in
+  Array.iteri
+    (fun i d ->
+      Alcotest.(check int) (Printf.sprintf "domain %d wrong answers" i) 0
+        (Domain.join d))
+    domains
+
 (* --- Ledger --------------------------------------------------------------------- *)
 
 let test_ledger_transfer () =
@@ -461,6 +530,133 @@ let test_fee_forgiveness_recorded_in_receipt () =
   Alcotest.(check bool) "receipt records the forgiven fee" true
     (contains_substring (List.hd receipts).Chain.description "[fee forgiven: 1]")
 
+(* --- Receipt text ------------------------------------------------------------- *)
+
+(* Receipts are built by concatenation; each must read exactly as the
+   [Format "%g"] text it replaced, on every payload and on the floats
+   where "%g" is least obvious. *)
+let awkward_floats = [ 1e-7; 1e21; 0.1 +. 0.2; -0.; Float.nan; Float.infinity ]
+
+let format_payload : Tx.payload -> string = function
+  | Tx.Transfer { from_; to_; amount } ->
+    Format.asprintf "transfer %g from %s to %s" amount from_ to_
+  | Tx.Htlc_lock { contract_id; sender; recipient; amount; expiry; _ } ->
+    Format.asprintf "htlc-lock %s: %g from %s to %s, expires %g" contract_id
+      amount sender recipient expiry
+  | Tx.Htlc_claim { contract_id; _ } ->
+    Format.asprintf "htlc-claim %s (preimage revealed)" contract_id
+  | Tx.Htlc_refund { contract_id } ->
+    Format.asprintf "htlc-refund %s" contract_id
+  | Tx.Escrow_lock { contract_id; owner; counterparty; amount; arbiter; expiry }
+    ->
+    Format.asprintf "escrow-lock %s: %g from %s to %s, arbiter %s, expires %g"
+      contract_id amount owner counterparty arbiter expiry
+  | Tx.Escrow_decide { contract_id; by; commit } ->
+    Format.asprintf "escrow-decide %s: %s by %s" contract_id
+      (if commit then "commit" else "abort")
+      by
+
+let test_payload_text () =
+  List.iter
+    (fun x ->
+      let payloads =
+        [
+          Tx.Transfer { from_ = "a"; to_ = "b"; amount = x };
+          Tx.Htlc_lock
+            { contract_id = "htlc:a"; sender = "alice"; recipient = "bob";
+              amount = x; hash = "h"; expiry = -.x };
+          Tx.Htlc_claim { contract_id = "htlc:b"; preimage = "p" };
+          Tx.Htlc_refund { contract_id = "htlc:a" };
+          Tx.Escrow_lock
+            { contract_id = "e"; owner = "a"; counterparty = "b"; amount = x;
+              arbiter = "w"; expiry = 3. *. x };
+          Tx.Escrow_decide { contract_id = "e"; by = "w"; commit = true };
+          Tx.Escrow_decide { contract_id = "e"; by = "w"; commit = false };
+        ]
+      in
+      List.iter
+        (fun p ->
+          Alcotest.(check string)
+            (Format.asprintf "payload at %h" x)
+            (format_payload p) (Tx.payload_to_string p))
+        payloads)
+    awkward_floats
+
+(* The chain's own descriptions: auto-refund and escrow timeout (done
+   and no-op), a forgiven fee, and the error texts. *)
+let test_receipt_text () =
+  let c = fresh_chain () in
+  Chain.mint c ~account:"a" ~amount:10.;
+  let amount = 0.1 +. 0.2 in
+  let lock id expiry =
+    Tx.Htlc_lock
+      { contract_id = id; sender = "a"; recipient = "b"; amount; hash = "h";
+        expiry }
+  in
+  ignore (Chain.submit c ~at:0. (lock "h1" 5.));
+  ignore (Chain.submit c ~at:0. (lock "h2" 5.));
+  ignore (Chain.submit c ~at:1. (Tx.Htlc_refund { contract_id = "h2" }));
+  ignore
+    (Chain.submit c ~at:1.
+       (Tx.Escrow_lock
+          { contract_id = "e1"; owner = "a"; counterparty = "b"; amount = 1e-7;
+            arbiter = "w"; expiry = 6. }));
+  ignore
+    (Chain.submit c ~at:1.
+       (Tx.Escrow_lock
+          { contract_id = "e2"; owner = "a"; counterparty = "b"; amount = 2.5;
+            arbiter = "w"; expiry = 6. }));
+  ignore
+    (Chain.submit c ~at:4.
+       (Tx.Escrow_decide { contract_id = "e2"; by = "w"; commit = false }));
+  ignore
+    (Chain.submit c ~at:4.
+       (Tx.Htlc_claim { contract_id = "nope"; preimage = "x" }));
+  ignore
+    (Chain.submit c ~at:4.
+       (Tx.Transfer { from_ = "z"; to_ = "b"; amount = 1e21 }));
+  ignore (Chain.advance c ~until:20.);
+  Chain.set_fee_per_tx c 1e21;
+  ignore
+    (Chain.submit c ~at:20.
+       (Tx.Transfer { from_ = "a"; to_ = "b"; amount = 1. }));
+  ignore (Chain.advance c ~until:30.);
+  let texts =
+    List.map
+      (fun (r : Chain.receipt) ->
+        match r.Chain.result with
+        | Ok () -> r.Chain.description
+        | Error e -> r.Chain.description ^ " => " ^ e)
+      (Chain.receipts c)
+  in
+  let h1 = lock "h1" 5. and h2 = lock "h2" 5. in
+  let expected =
+    [
+      format_payload h1;
+      format_payload h2;
+      format_payload (Tx.Htlc_refund { contract_id = "h2" })
+      ^ " => time lock not yet expired";
+      Format.asprintf "escrow-lock %s: %g from %s to %s, arbiter %s, expires %g"
+        "e1" 1e-7 "a" "b" "w" 6.;
+      Format.asprintf "escrow-lock %s: %g from %s to %s, arbiter %s, expires %g"
+        "e2" 2.5 "a" "b" "w" 6.;
+      Format.asprintf "escrow-decide %s: %s by %s" "e2" "abort" "w";
+      "htlc-claim nope (preimage revealed) => "
+      ^ Format.asprintf "unknown contract %s" "nope";
+      format_payload (Tx.Transfer { from_ = "z"; to_ = "b"; amount = 1e21 })
+      ^ " => "
+      ^ Format.asprintf "insufficient funds: have %g, need %g" 0. 1e21;
+      Format.asprintf "auto-refund %s: %g returned to %s" "h1" amount "a";
+      Format.asprintf "auto-refund %s: %g returned to %s" "h2" amount "a";
+      Format.asprintf "escrow-timeout %s: %g returned to %s" "e1" 1e-7 "a";
+      Format.asprintf "escrow-timeout %s (noop)" "e2";
+      Format.asprintf "%s [fee forgiven: %g]"
+        (format_payload (Tx.Transfer { from_ = "a"; to_ = "b"; amount = 1. }))
+        (1e21 -. (10. -. (2. *. amount) -. 1e-7 -. 1.));
+    ]
+  in
+  Alcotest.(check (list string)) "receipt texts" expected texts
+
 (* --- Escrow (AC3 witness contracts) ------------------------------------------ *)
 
 let make_escrow () =
@@ -825,6 +1021,9 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_secret_roundtrip;
           Alcotest.test_case "fresh secrets distinct" `Quick
             test_secret_distinct;
+          Alcotest.test_case "memo soundness" `Quick test_secret_memo_soundness;
+          Alcotest.test_case "memo across four domains" `Quick
+            test_secret_memo_domains;
         ] );
       ( "ledger",
         [
@@ -870,6 +1069,13 @@ let () =
           Alcotest.test_case "forgiveness audited in receipt" `Quick
             test_fee_forgiveness_recorded_in_receipt;
           Alcotest.test_case "zero by default" `Quick test_fees_zero_by_default;
+        ] );
+      ( "receipts",
+        [
+          Alcotest.test_case "payloads match Format %g" `Quick
+            test_payload_text;
+          Alcotest.test_case "chain descriptions match Format %g" `Quick
+            test_receipt_text;
         ] );
       ( "faults",
         [

@@ -550,6 +550,24 @@ let test_mc_jump_sampler_direction () =
     Alcotest.fail
       "same-variance jump model should raise SR (lower diffusive sigma)"
 
+(* A trial writes its utilities in place and tallies them unboxed, and
+   the t1 decision, the timeline and the discount factors are computed
+   once per run: at Table III a trial allocates ~15 words, mostly the
+   sampler's boxed prices. *)
+let test_mc_allocation () =
+  let p_star = 2. in
+  let policy = Swap.Agent.rational p ~p_star in
+  let trials = 20_000 in
+  let run () = Swap.Montecarlo.run ~trials ~seed:3 ~jobs:1 p ~p_star ~policy in
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let r = run () in
+  let per_trial = (Gc.minor_words () -. w0) /. float_of_int trials in
+  if per_trial > 40. then
+    Alcotest.failf "Montecarlo.run allocates %.1f words per trial" per_trial;
+  Alcotest.(check int)
+    "every trial initiated" trials r.Swap.Montecarlo.initiated
+
 let test_mc_utility_samples_consistent () =
   let policy = Swap.Agent.rational p ~p_star:2. in
   let ua, ub = Swap.Montecarlo.utility_samples ~trials:20_000 ~seed:8 p ~p_star:2. ~policy in
@@ -927,6 +945,7 @@ let () =
             test_mc_jump_sampler_direction;
           Alcotest.test_case "utility samples consistent" `Slow
             test_mc_utility_samples_consistent;
+          Alcotest.test_case "allocation per trial" `Quick test_mc_allocation;
         ] );
       ( "multihop",
         [
