@@ -11,7 +11,7 @@ let show_receipts label receipts =
   Printf.printf "%s\n" label;
   List.iter
     (fun (r : Chain.receipt) ->
-      Printf.printf "  [%5.1f h] %s -> %s\n" r.Chain.time r.Chain.description
+      Printf.printf "  [%5.1f h] %s -> %s\n" r.Chain.time (Chain.describe r)
         (match r.Chain.result with Ok () -> "ok" | Error e -> "FAILED: " ^ e))
     receipts
 

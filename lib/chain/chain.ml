@@ -1,15 +1,26 @@
+type payout = { amount : float; to_ : string }
+
+type event =
+  | Confirmed of { payload : Tx.payload; fee_forgiven : float }
+  | Htlc_expired of { contract_id : string; refund : payout option }
+  | Escrow_expired of { contract_id : string; refund : payout option }
+  | Contract_payout of { from_ : string; to_ : string; amount : float }
+
 type receipt = {
   time : float;
   tx_id : Tx.id option;
-  description : string;
+  event : event;
   result : (unit, string) result;
 }
 
-type event_kind =
+(* What the event queue holds: work due at [at], FIFO by [seq] within
+   equal times. *)
+type due_kind =
   | Confirm of Tx.t
-  | Auto_refund of { contract_id : string }
-  | Auto_escrow_timeout of { contract_id : string }
-type event = { at : float; seq : int; kind : event_kind }
+  | Expire_htlc of string
+  | Expire_escrow of string
+  | Pay of { from_ : string; to_ : string; amount : float }
+type due = { at : float; seq : int; kind : due_kind }
 
 type fault_stats = {
   dropped : int;
@@ -30,7 +41,7 @@ type t = {
   ledger : Ledger.t;
   htlcs : (string, Htlc.t) Hashtbl.t;
   escrows : (string, Escrow.t) Hashtbl.t;
-  events : event Heap.t;
+  events : due Heap.t;
   mutable submitted : Tx.t list;  (** Reverse-chronological. *)
   mutable receipt_log : receipt list;  (** Reverse-chronological. *)
   mutable next_tx_id : int;
@@ -113,11 +124,14 @@ let push_event t ~at kind =
   Heap.push t.events { at = deferred; seq = t.next_seq; kind };
   t.next_seq <- t.next_seq + 1
 
-let submit t ~at payload =
+let check_not_past t what ~at =
   if at < t.clock then
     invalid_arg
-      (Printf.sprintf "Chain.submit(%s): time %g before chain clock %g" t.name
-         at t.clock);
+      (Printf.sprintf "Chain.%s(%s): time %g before chain clock %g" what t.name
+         at t.clock)
+
+let submit t ~at payload =
+  check_not_past t "submit" ~at;
   let id = t.next_tx_id in
   t.next_tx_id <- id + 1;
   let tx = { Tx.id; submitted_at = at; payload } in
@@ -144,10 +158,24 @@ let submit t ~at payload =
     push_event t ~at:(at +. t.tau +. extra) (Confirm tx));
   id
 
-let record t ~time ~tx_id ~description ~result =
-  let r = { time; tx_id; description; result } in
+(* Queued like an auto-refund, not submitted: no fate draw and no fee,
+   but [push_event] still applies halt windows. *)
+let schedule_payout t ~at ~from_ ~to_ ~amount =
+  check_not_past t "schedule_payout" ~at;
+  if amount < 0. then invalid_arg "Chain.schedule_payout: negative amount";
+  push_event t ~at:(at +. t.tau) (Pay { from_; to_; amount })
+
+let record t ~time ~tx_id ~event ~result =
+  let r = { time; tx_id; event; result } in
   t.receipt_log <- r :: t.receipt_log;
   r
+
+let transfer_result t ~from_ ~to_ ~amount =
+  try
+    Ledger.transfer t.ledger ~from_ ~to_ ~amount;
+    Ok ()
+  with Ledger.Insufficient_funds { have; need; _ } ->
+    Error ("insufficient funds: have " ^ g have ^ ", need " ^ g need)
 
 (* The account footing a transaction's fee. *)
 let fee_payer t (payload : Tx.payload) =
@@ -179,15 +207,10 @@ let collect_fee t payload =
 
 (* Execute a confirmed transaction at its confirmation time [now]. *)
 let execute_tx t now (tx : Tx.t) =
-  let describe = Tx.payload_to_string tx.payload in
   let result =
     match tx.payload with
-    | Tx.Transfer { from_; to_; amount } -> (
-      try
-        Ledger.transfer t.ledger ~from_ ~to_ ~amount;
-        Ok ()
-      with Ledger.Insufficient_funds { have; need; _ } ->
-        Error ("insufficient funds: have " ^ g have ^ ", need " ^ g need))
+    | Tx.Transfer { from_; to_; amount } ->
+      transfer_result t ~from_ ~to_ ~amount
     | Tx.Htlc_lock { contract_id; sender; recipient; amount; hash; expiry } -> (
       if Hashtbl.mem t.htlcs contract_id then
         Error ("contract " ^ contract_id ^ " already exists")
@@ -204,7 +227,7 @@ let execute_tx t now (tx : Tx.t) =
           Hashtbl.replace t.htlcs contract_id contract;
           (* Funds return automatically if no claim lands by the expiry;
              the sender is credited one confirmation delay later. *)
-          push_event t ~at:(expiry +. t.tau) (Auto_refund { contract_id });
+          push_event t ~at:(expiry +. t.tau) (Expire_htlc contract_id);
           Ok ()
         with Ledger.Insufficient_funds { have; need; _ } ->
           Error
@@ -250,7 +273,7 @@ let execute_tx t now (tx : Tx.t) =
           Hashtbl.replace t.escrows contract_id contract;
           (* Undecided escrows abort at expiry; the owner is credited
              one confirmation delay later. *)
-          push_event t ~at:(expiry +. t.tau) (Auto_escrow_timeout { contract_id });
+          push_event t ~at:(expiry +. t.tau) (Expire_escrow contract_id);
           Ok ()
         with Ledger.Insufficient_funds { have; need; _ } ->
           Error
@@ -275,76 +298,66 @@ let execute_tx t now (tx : Tx.t) =
   (* Fees are charged after the effect and only on executed
      transactions, so they can never fail an otherwise-valid one.
      Unpayable remainders are forgiven but audited on the receipt. *)
-  let forgiven = if Result.is_ok result then collect_fee t tx.payload else 0. in
-  let describe =
-    if forgiven > 1e-12 then
-      String.concat "" [ describe; " [fee forgiven: "; g forgiven; "]" ]
-    else describe
+  let fee_forgiven =
+    if Result.is_ok result then collect_fee t tx.payload else 0.
   in
-  record t ~time:now ~tx_id:(Some tx.Tx.id) ~description:describe ~result
+  record t ~time:now ~tx_id:(Some tx.Tx.id)
+    ~event:(Confirmed { payload = tx.payload; fee_forgiven })
+    ~result
 
 let execute_escrow_timeout t now ~contract_id =
+  let event refund = Escrow_expired { contract_id; refund } in
   match Hashtbl.find_opt t.escrows contract_id with
   | None ->
-    record t ~time:now ~tx_id:None
-      ~description:("escrow-timeout " ^ contract_id)
+    record t ~time:now ~tx_id:None ~event:(event None)
       ~result:(Error "unknown escrow")
   | Some contract ->
     if not (Escrow.is_held contract) then
-      record t ~time:now ~tx_id:None
-        ~description:("escrow-timeout " ^ contract_id ^ " (noop)")
-        ~result:(Ok ())
+      record t ~time:now ~tx_id:None ~event:(event None) ~result:(Ok ())
     else begin
       match Escrow.try_timeout contract ~at:contract.Escrow.expiry with
       | Error e ->
-        record t ~time:now ~tx_id:None
-          ~description:("escrow-timeout " ^ contract_id)
-          ~result:(Error e)
+        record t ~time:now ~tx_id:None ~event:(event None) ~result:(Error e)
       | Ok aborted ->
         Hashtbl.replace t.escrows contract_id aborted;
-        Ledger.transfer t.ledger
-          ~from_:(escrow_account ~contract_id)
-          ~to_:contract.Escrow.owner ~amount:contract.Escrow.amount;
+        let amount = contract.Escrow.amount and to_ = contract.Escrow.owner in
+        Ledger.transfer t.ledger ~from_:(escrow_account ~contract_id) ~to_
+          ~amount;
         record t ~time:now ~tx_id:None
-          ~description:
-            (String.concat ""
-               [ "escrow-timeout "; contract_id; ": "; g contract.Escrow.amount;
-                 " returned to "; contract.Escrow.owner ])
+          ~event:(event (Some { amount; to_ }))
           ~result:(Ok ())
     end
 
 let execute_auto_refund t now ~contract_id =
+  let event refund = Htlc_expired { contract_id; refund } in
   match Hashtbl.find_opt t.htlcs contract_id with
   | None ->
-    record t ~time:now ~tx_id:None
-      ~description:("auto-refund " ^ contract_id)
+    record t ~time:now ~tx_id:None ~event:(event None)
       ~result:(Error "unknown contract")
   | Some contract ->
     if not (Htlc.is_locked contract) then
       (* Already claimed or explicitly refunded: nothing to do. *)
-      record t ~time:now ~tx_id:None
-        ~description:("auto-refund " ^ contract_id ^ " (noop)")
-        ~result:(Ok ())
+      record t ~time:now ~tx_id:None ~event:(event None) ~result:(Ok ())
     else begin
       (* The lock expired at [contract.expiry]; funds are credited now
          (= expiry + tau). *)
       match Htlc.try_refund contract ~at:contract.Htlc.expiry with
       | Error e ->
-        record t ~time:now ~tx_id:None
-          ~description:("auto-refund " ^ contract_id)
-          ~result:(Error e)
+        record t ~time:now ~tx_id:None ~event:(event None) ~result:(Error e)
       | Ok refunded ->
         Hashtbl.replace t.htlcs contract_id refunded;
-        Ledger.transfer t.ledger
-          ~from_:(escrow_account ~contract_id)
-          ~to_:contract.Htlc.sender ~amount:contract.Htlc.amount;
+        let amount = contract.Htlc.amount and to_ = contract.Htlc.sender in
+        Ledger.transfer t.ledger ~from_:(escrow_account ~contract_id) ~to_
+          ~amount;
         record t ~time:now ~tx_id:None
-          ~description:
-            (String.concat ""
-               [ "auto-refund "; contract_id; ": "; g contract.Htlc.amount;
-                 " returned to "; contract.Htlc.sender ])
+          ~event:(event (Some { amount; to_ }))
           ~result:(Ok ())
     end
+
+let execute_payout t now ~from_ ~to_ ~amount =
+  record t ~time:now ~tx_id:None
+    ~event:(Contract_payout { from_; to_; amount })
+    ~result:(transfer_result t ~from_ ~to_ ~amount)
 
 let advance t ~until =
   if until < t.clock then
@@ -360,10 +373,11 @@ let advance t ~until =
       let receipt =
         match ev.kind with
         | Confirm tx -> execute_tx t ev.at tx
-        | Auto_refund { contract_id } ->
-          execute_auto_refund t ev.at ~contract_id
-        | Auto_escrow_timeout { contract_id } ->
+        | Expire_htlc contract_id -> execute_auto_refund t ev.at ~contract_id
+        | Expire_escrow contract_id ->
           execute_escrow_timeout t ev.at ~contract_id
+        | Pay { from_; to_; amount } ->
+          execute_payout t ev.at ~from_ ~to_ ~amount
       in
       produced := receipt :: !produced;
       Obs.Metrics.incr m_events;
@@ -373,6 +387,31 @@ let advance t ~until =
   loop ();
   t.clock <- until;
   List.rev !produced
+
+(* Receipt text is rendered here, at the edge: nothing on the
+   simulation path reads it, so executing an event records only what
+   happened. *)
+let describe r =
+  let expiry kind contract_id refund =
+    match (refund, r.result) with
+    | Some { amount; to_ }, _ ->
+      String.concat ""
+        [ kind; contract_id; ": "; g amount; " returned to "; to_ ]
+    | None, Ok () -> String.concat "" [ kind; contract_id; " (noop)" ]
+    | None, Error _ -> kind ^ contract_id
+  in
+  match r.event with
+  | Confirmed { payload; fee_forgiven } ->
+    let text = Tx.payload_to_string payload in
+    if fee_forgiven > 1e-12 then
+      String.concat "" [ text; " [fee forgiven: "; g fee_forgiven; "]" ]
+    else text
+  | Htlc_expired { contract_id; refund } ->
+    expiry "auto-refund " contract_id refund
+  | Escrow_expired { contract_id; refund } ->
+    expiry "escrow-timeout " contract_id refund
+  | Contract_payout { from_; to_; amount } ->
+    String.concat "" [ "payout "; g amount; " from "; from_; " to "; to_ ]
 
 let htlc t ~contract_id = Hashtbl.find_opt t.htlcs contract_id
 let escrow t ~contract_id = Hashtbl.find_opt t.escrows contract_id

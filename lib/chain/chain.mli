@@ -16,12 +16,38 @@
 
 type t
 
+type payout = { amount : float; to_ : string }
+
+(** What a receipt records: the facts its text is rendered from by
+    {!describe}. *)
+type event =
+  | Confirmed of { payload : Tx.payload; fee_forgiven : float }
+      (** A transaction reached its confirmation time and was executed
+          or refused (see [result]).  [fee_forgiven] is the part of the
+          fee its payer could not cover (see {!set_fee_per_tx}); 0 when
+          the fee was paid, there was none, or the transaction failed. *)
+  | Htlc_expired of { contract_id : string; refund : payout option }
+      (** An HTLC's time lock ran out.  [refund] is what returned to
+          the sender; [None] when nothing moved: a no-op on a contract
+          already claimed or refunded ([result = Ok ()]), or a failure. *)
+  | Escrow_expired of { contract_id : string; refund : payout option }
+      (** An undecided escrow timed out; [refund] as for [Htlc_expired]. *)
+  | Contract_payout of { from_ : string; to_ : string; amount : float }
+      (** A payout a contract scheduled with {!schedule_payout}. *)
+
 type receipt = {
   time : float;  (** When the effect was applied (confirmation time). *)
-  tx_id : Tx.id option;  (** [None] for auto-refunds. *)
-  description : string;
+  tx_id : Tx.id option;  (** [None] for events no transaction caused. *)
+  event : event;
   result : (unit, string) result;
 }
+
+val describe : receipt -> string
+(** The receipt's one-line text, e.g. ["htlc-lock c1: 4 from alice to
+    bob, expires 10"], ["auto-refund c2: 4 returned to alice"],
+    ["auto-refund c1 (noop)"], or ["transfer 2 from a to b [fee
+    forgiven: 1]"]; amounts print as [Format "%g"] would.  Built on
+    each call: executing an event records only the {!event}. *)
 
 type fault_stats = {
   dropped : int;  (** Transactions censored (never confirm). *)
@@ -58,8 +84,9 @@ val set_fee_per_tx : t -> float -> unit
     owner / arbiter) and credited to {!miner_account}.  When the
     initiator cannot pay the full fee the remainder is forgiven, so
     fees never make an otherwise-valid transaction fail; the forgiven
-    amount is recorded on the receipt description
-    ([... \[fee forgiven: x\]]) so fee experiments can audit it.
+    amount is recorded on the receipt ([fee_forgiven], rendered by
+    {!describe} as [... \[fee forgiven: x\]]) so fee experiments can
+    audit it.
     @raise Invalid_argument on negative fees. *)
 
 val name : t -> string
@@ -87,6 +114,17 @@ val submit : t -> at:float -> Tx.payload -> Tx.id
     any fault-injected extra latency; a dropped transaction never
     executes but stays mempool-visible).
     @raise Invalid_argument if [at] is before the chain clock. *)
+
+val schedule_payout :
+  t -> at:float -> from_:string -> to_:string -> amount:float -> unit
+(** A contract's own transfer out of an account it controls (the
+    collateral {!Oracle}'s vault), decided at [at] and credited at
+    [at + tau] like an HTLC auto-refund: it is no transaction, so the
+    fault layer can neither drop, delay nor reorg it and no fee is
+    charged; a halt window defers it.  Its receipt is a
+    [Contract_payout], failed if [from_] cannot cover [amount].
+    @raise Invalid_argument if [at] is before the chain clock or
+    [amount < 0.]. *)
 
 val advance : t -> until:float -> receipt list
 (** Processes every confirmation and expiry event with time [<= until],

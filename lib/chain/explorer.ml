@@ -9,7 +9,7 @@ let blocks chain =
          else { height; time = current_time; events = List.rev current } :: acc)
     | (r : Chain.receipt) :: rest ->
       let line =
-        Printf.sprintf "%s -> %s" r.Chain.description
+        Printf.sprintf "%s -> %s" (Chain.describe r)
           (match r.Chain.result with Ok () -> "ok" | Error e -> "failed: " ^ e)
       in
       if current = [] || r.Chain.time = current_time then

@@ -41,7 +41,7 @@ let release t ~at ~to_ ~amount =
   if t.released +. amount > (2. *. t.q) +. 1e-9 then
     invalid_arg "Oracle.release: vault overdrawn";
   t.released <- t.released +. amount;
-  Chain.submit t.chain ~at (Tx.Transfer { from_ = t.vault; to_; amount })
+  Chain.schedule_payout t.chain ~at ~from_:t.vault ~to_ ~amount
 
 let released_total t = t.released
 let deposited t = t.is_deposited

@@ -7,9 +7,13 @@
 
     Deposits are taken instantaneously at [deposit] time — the paper
     grants the contract "special permission to charge each of them
-    simultaneously" (Section IV, assumption 1). Releases are ordinary
-    chain transfers from the vault and take one confirmation delay to
-    credit, matching the [t + tau_a] receipt times in the paper. *)
+    simultaneously" (Section IV, assumption 1). A release is the
+    contract's own payout from the vault ({!Chain.schedule_payout}),
+    credited one confirmation delay later, matching the [t + tau_a]
+    receipt times in the paper.  Being no transaction, it cannot be
+    dropped, delayed or reorged by the fault layer, so a vault is
+    always emptied by the releases that settle it; a halt window
+    defers a release as it does an auto-refund. *)
 
 type t
 
@@ -25,10 +29,11 @@ val deposit : t -> at:float -> unit
     @raise Ledger.Insufficient_funds if either agent cannot pay.
     @raise Invalid_argument if called twice. *)
 
-val release : t -> at:float -> to_:string -> amount:float -> Tx.id
-(** Submits a vault transfer; credited at [at + tau_a].
+val release : t -> at:float -> to_:string -> amount:float -> unit
+(** Schedules a payout of [amount] from the vault to [to_], credited at
+    [at + tau_a] (later only if a halt window covers that time).
     @raise Invalid_argument if the vault would be overdrawn by the total
-    amount released so far. *)
+    amount released so far, or if [at] is before the chain clock. *)
 
 val released_total : t -> float
 val deposited : t -> bool

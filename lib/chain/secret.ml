@@ -25,14 +25,7 @@ let of_preimage preimage = { preimage; hash = digest preimage }
 let generate rng =
   let b = Bytes.create 32 in
   for i = 0 to 3 do
-    let word = Rng.bits64 rng in
-    for j = 0 to 7 do
-      Bytes.set b
-        ((i * 8) + j)
-        (Char.chr
-           (Int64.to_int
-              (Int64.logand (Int64.shift_right_logical word (8 * j)) 0xFFL)))
-    done
+    Bytes.set_int64_le b (8 * i) (Rng.bits64 rng)
   done;
   of_preimage (Bytes.to_string b)
 

@@ -34,8 +34,9 @@ type id = int
 type t = { id : id; submitted_at : float; payload : payload }
 
 val payload_to_string : payload -> string
-(** The receipt description: the text [Format "%g"] would print for each
-    amount and expiry, built by concatenation. *)
+(** A confirmed transaction's receipt text ({!Chain.describe}): the
+    text [Format "%g"] would print for each amount and expiry, built by
+    concatenation. *)
 
 val reveals_preimage : payload -> string option
 (** The preimage carried by a claim transaction, if any — what a

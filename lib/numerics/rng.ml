@@ -15,30 +15,26 @@ let cached = 32
    collide with a cached value. *)
 let no_deviate = 0x7FF8_0000_0000_0001L
 
-(* splitmix64: expands a 64-bit seed into arbitrarily many well-mixed
-   words; the recommended way to seed xoshiro generators. *)
-let splitmix64_next state =
-  let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
+(* splitmix64's state increment. *)
+let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* The splitmix64 finaliser alone: a strong 64-bit mixing function. *)
-let mix64 z =
+let[@inline] mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-(* A fresh generator whose words are the next four splitmix64 outputs
-   from [key], in order; no deviate is cached. *)
+(* A fresh generator, seeded the way xoshiro's authors recommend: its
+   words are the first four splitmix64 outputs from [key], in order, and
+   no deviate is cached.  splitmix64's i-th output is [mix64] of its
+   state [key + i * golden_gamma] (mod 2^64), so each word is computed
+   from [i] directly and no state is boxed. *)
 let expand key =
-  let state = ref key in
   let t = Bytes.create 40 in
-  for i = 0 to 3 do
-    set64 t (8 * i) (splitmix64_next state)
+  for i = 1 to 4 do
+    set64 t (8 * (i - 1))
+      (mix64 (Int64.add key (Int64.mul (Int64.of_int i) golden_gamma)))
   done;
   set64 t cached no_deviate;
   t
@@ -57,7 +53,7 @@ let of_stream ?(seed = 0x5eed) ~stream () =
     (mix64
        (Int64.logxor
           (mix64 (Int64.of_int seed))
-          (Int64.mul (Int64.of_int stream) 0x9E3779B97F4A7C15L)))
+          (Int64.mul (Int64.of_int stream) golden_gamma)))
 
 (* The cached deviate is part of the state: a copy taken between the
    two deviates of a pair yields the second one too. *)

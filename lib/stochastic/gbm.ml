@@ -77,11 +77,19 @@ let partial_expectation_below t ~k ~p0 ~tau =
   check_args ~p0 ~tau;
   leg_pe_below (leg t ~tau) ~k ~p0
 
+(* The exact transition draw, shared by every sampler: [drift] and [sd]
+   are [log_return_mean] and [log_return_stddev] at the step's [tau]. *)
+let[@inline] draw rng ~drift ~sd ~p0 =
+  p0 *. exp (drift +. (sd *. Rng.normal rng))
+
 let sample rng t ~p0 ~tau =
   check_args ~p0 ~tau;
-  p0
-  *. exp
-       (log_return_mean t ~tau +. (log_return_stddev t ~tau *. Rng.normal rng))
+  draw rng ~drift:(log_return_mean t ~tau) ~sd:(log_return_stddev t ~tau) ~p0
+
+let sampler t ~tau =
+  if tau <= 0. then invalid_arg "Gbm: requires tau > 0";
+  let drift = log_return_mean t ~tau and sd = log_return_stddev t ~tau in
+  fun rng ~p0 -> draw rng ~drift ~sd ~p0
 
 let sample_path rng t ~p0 ~times =
   if p0 <= 0. then invalid_arg "Gbm.sample_path: requires p0 > 0";
@@ -92,7 +100,10 @@ let sample_path rng t ~p0 ~times =
     let dt = times.(i) -. !prev_t in
     if dt <= 0. then
       invalid_arg "Gbm.sample_path: times must be strictly increasing (> 0)";
-    let p = sample rng t ~p0:!prev_p ~tau:dt in
+    let p =
+      draw rng ~drift:(log_return_mean t ~tau:dt)
+        ~sd:(log_return_stddev t ~tau:dt) ~p0:!prev_p
+    in
     out.(i) <- p;
     prev_t := times.(i);
     prev_p := p

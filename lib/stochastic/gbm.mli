@@ -64,13 +64,32 @@ val leg_pe_above : leg -> k:float -> p0:float -> float
 val leg_pe_below : leg -> k:float -> p0:float -> float
 (** [partial_expectation_below t ~k ~p0 ~tau]. *)
 
+(** {2 Sampling}
+
+    One formula serves every draw: [p0 exp (m + s Z)] with [Z] from
+    {!Numerics.Rng.normal}, [m = log_return_mean] and
+    [s = log_return_stddev] at the step's [tau].  The three entry points
+    differ only in when [m] and [s] are computed, so at equal generator
+    state they return the same bits. *)
+
 val sample : Numerics.Rng.t -> t -> p0:float -> tau:float -> float
-(** Exact draw from the transition law (no discretisation error). *)
+(** Exact draw from the transition law (no discretisation error).
+    @raise Invalid_argument if [p0 <= 0.] or [tau <= 0.]. *)
+
+val sampler : t -> tau:float -> Numerics.Rng.t -> p0:float -> float
+(** [sampler t ~tau] computes [m] and [s] once and returns the draw for
+    that step, [sample rng t ~p0 ~tau] without the per-call argument
+    checks: the form for inner loops that draw many times at a few fixed
+    [tau] (Monte-Carlo trials).  [p0 > 0] is not checked.
+    @raise Invalid_argument if [tau <= 0.]. *)
 
 val sample_path :
   Numerics.Rng.t -> t -> p0:float -> times:float array -> float array
 (** Exact joint draw of the path at the given strictly increasing times
-    (starting after 0; [P_0 = p0] is implicit). *)
+    (starting after 0; [P_0 = p0] is implicit); step [i] is the draw at
+    [tau = times.(i) - times.(i-1)], with the arguments checked once per
+    path.
+    @raise Invalid_argument if [p0 <= 0.] or the times do not increase. *)
 
 val log_return_mean : t -> tau:float -> float
 (** [(mu - sigma^2/2) tau]. *)

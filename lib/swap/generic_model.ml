@@ -78,7 +78,7 @@ let success_rate ?quad_nodes (p : Params.t) model ~p_star =
         Lognormal.sf (model.transition ~p0:x ~tau:p.Params.tau_b) k3)
 
 let sampler model : Montecarlo.sampler =
- fun rng ~p0 ~tau ->
+ fun ~tau rng ~p0 ->
   let law = model.transition ~p0 ~tau in
   Rng.lognormal rng ~mu:law.Lognormal.mu ~sigma:law.Lognormal.sigma
 

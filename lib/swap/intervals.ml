@@ -20,7 +20,12 @@ let of_list ivs =
 
 let intervals t = t
 let is_empty t = t = []
-let contains t x = List.exists (fun { lo; hi } -> lo < x && x < hi) t
+(* A direct walk: [List.exists] would build a closure over [x] per
+   call, and [Agent.rational] asks once per Monte-Carlo trial. *)
+let rec contains t x =
+  match t with
+  | [] -> false
+  | { lo; hi } :: rest -> (lo < x && x < hi) || contains rest x
 
 let total_length t =
   List.fold_left (fun acc { lo; hi } -> acc +. (hi -. lo)) 0. t

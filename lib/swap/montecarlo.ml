@@ -16,13 +16,12 @@ type result = {
   mean_utility_bob : float;
 }
 
-type sampler = Rng.t -> p0:float -> tau:float -> float
+type sampler = tau:float -> Rng.t -> p0:float -> float
 
-let gbm_sampler (p : Params.t) =
-  let gbm = Params.gbm p in
-  fun rng ~p0 ~tau -> Gbm.sample rng gbm ~p0 ~tau
+let gbm_sampler (p : Params.t) : sampler = Gbm.sampler (Params.gbm p)
 
-let jump_sampler jd = fun rng ~p0 ~tau -> Jump_diffusion.sample rng jd ~p0 ~tau
+let jump_sampler jd : sampler =
+ fun ~tau rng ~p0 -> Jump_diffusion.sample rng jd ~p0 ~tau
 
 let outcome_to_string = function
   | Success -> "success"
@@ -40,10 +39,11 @@ type utilities = { mutable ua : float; mutable ub : float }
 type trial = Rng.t -> utilities -> outcome
 
 (* One simulated swap.  Everything that depends only on the run's
-   inputs — the t1 decision, the Eq. 13 timeline and its discount
-   factors — is computed here, once per run.  Each hoisted value must
-   be a whole subexpression of the utility it enters, so that every
-   utility keeps its float association order and its bits. *)
+   inputs — the t1 decision, the Eq. 13 timeline, its discount factors
+   and the sampler's steps over tau_a, tau_b and 2 tau_b — is computed
+   here, once per run.  Each hoisted value must be a whole subexpression
+   of the utility it enters, so that every utility keeps its float
+   association order and its bits. *)
 let swap_trial (p : Params.t) ~p_star ~(policy : Agent.t) ~(sampler : sampler)
     : trial =
   match policy.Agent.alice_t1 ~p_star with
@@ -52,8 +52,9 @@ let swap_trial (p : Params.t) ~p_star ~(policy : Agent.t) ~(sampler : sampler)
     let tl = Timeline.ideal p in
     let da horizon = exp (-.p.alice.r *. horizon) in
     let db horizon = exp (-.p.bob.r *. horizon) in
-    let p0 = p.p0 and tau_a = p.tau_a and tau_b = p.tau_b in
-    let tau_t7 = 2. *. p.tau_b in
+    let p0 = p.p0 in
+    let step_a = sampler ~tau:p.tau_a and step_b = sampler ~tau:p.tau_b in
+    let step_t7 = sampler ~tau:(2. *. p.tau_b) in
     (* Alice's refund arrives at t8 whenever the swap aborts. *)
     let u_alice_refund = p_star *. da (tl.Timeline.t8 -. tl.Timeline.t1) in
     let d_bob_t2 = db (tl.Timeline.t2 -. tl.Timeline.t1) in
@@ -64,7 +65,7 @@ let swap_trial (p : Params.t) ~p_star ~(policy : Agent.t) ~(sampler : sampler)
       (1. +. p.bob.alpha) *. p_star *. db (tl.Timeline.t6 -. tl.Timeline.t1)
     in
     fun rng u ->
-      let p_t2 = sampler rng ~p0 ~tau:tau_a in
+      let p_t2 = step_a rng ~p0 in
       match policy.Agent.bob_t2 ~p_t2 with
       | Agent.Stop ->
         (* Bob keeps Token_b now. *)
@@ -72,17 +73,17 @@ let swap_trial (p : Params.t) ~p_star ~(policy : Agent.t) ~(sampler : sampler)
         u.ub <- p_t2 *. d_bob_t2;
         Abort_t2
       | Agent.Cont -> (
-        let p_t3 = sampler rng ~p0:p_t2 ~tau:tau_b in
+        let p_t3 = step_b rng ~p0:p_t2 in
         match policy.Agent.alice_t3 ~p_t3 with
         | Agent.Stop ->
           (* Alice waives: refunds at t8 (Alice) and t7 (Bob). *)
-          let p_t7 = sampler rng ~p0:p_t3 ~tau:tau_t7 in
+          let p_t7 = step_t7 rng ~p0:p_t3 in
           u.ua <- u_alice_refund;
           u.ub <- p_t7 *. d_bob_t7;
           Abort_t3
         | Agent.Cont ->
           (* Success: Alice receives Token_b at t5, Bob Token_a at t6. *)
-          let p_t5 = sampler rng ~p0:p_t3 ~tau:tau_b in
+          let p_t5 = step_b rng ~p0:p_t3 in
           u.ua <- k_alice *. p_t5 *. d_alice_t5;
           u.ub <- u_bob_success;
           Success)
@@ -273,9 +274,10 @@ let collateral_trial (c : Collateral.t) ~p_star ~(policy : Agent.t)
     let tl = Timeline.ideal p in
     let da horizon = exp (-.p.Params.alice.r *. horizon) in
     let db horizon = exp (-.p.Params.bob.r *. horizon) in
-    let p0 = p.Params.p0 and tau_a = p.Params.tau_a in
-    let tau_b = p.Params.tau_b in
-    let tau_t7 = 2. *. p.Params.tau_b in
+    let p0 = p.Params.p0 in
+    let step_a = sampler ~tau:p.Params.tau_a in
+    let step_b = sampler ~tau:p.Params.tau_b in
+    let step_t7 = sampler ~tau:(2. *. p.Params.tau_b) in
     (* Bob forfeits at t2; Alice receives her refund at t8 plus both
        deposits released at t3, credited t3 + tau_a. *)
     let u_alice_forfeit =
@@ -304,23 +306,23 @@ let collateral_trial (c : Collateral.t) ~p_star ~(policy : Agent.t)
       +. bob_deposit_back
     in
     fun rng u ->
-      let p_t2 = sampler rng ~p0 ~tau:tau_a in
+      let p_t2 = step_a rng ~p0 in
       match policy.Agent.bob_t2 ~p_t2 with
       | Agent.Stop ->
         u.ua <- u_alice_forfeit;
         u.ub <- p_t2 *. d_bob_t2;
         Abort_t2
       | Agent.Cont -> (
-        let p_t3 = sampler rng ~p0:p_t2 ~tau:tau_b in
+        let p_t3 = step_b rng ~p0:p_t2 in
         match policy.Agent.alice_t3 ~p_t3 with
         | Agent.Stop ->
-          let p_t7 = sampler rng ~p0:p_t3 ~tau:tau_t7 in
+          let p_t7 = step_t7 rng ~p0:p_t3 in
           u.ua <- u_alice_refund;
           u.ub <-
             (p_t7 *. d_bob_t7) +. bob_deposit_back +. alice_deposit_to_bob;
           Abort_t3
         | Agent.Cont ->
-          let p_t5 = sampler rng ~p0:p_t3 ~tau:tau_b in
+          let p_t5 = step_b rng ~p0:p_t3 in
           u.ua <- (k_alice *. p_t5 *. d_alice_t5) +. alice_deposit_back;
           u.ub <- u_bob_success;
           Success)

@@ -23,11 +23,16 @@ type result = {
   mean_utility_bob : float;
 }
 
-type sampler = Numerics.Rng.t -> p0:float -> tau:float -> float
-(** One-step price transition sampler. *)
+type sampler = tau:float -> Numerics.Rng.t -> p0:float -> float
+(** One-step price transition sampler, staged per step length:
+    [sampler ~tau] returns the draw of [P_{t+tau}] given [P_t = p0].  A
+    run applies it to [tau_a], [tau_b] and [2 tau_b] once, so whatever a
+    sampler can compute from [tau] alone (the GBM drift and [sigma
+    sqrt tau]) is computed once per run, not once per draw. *)
 
 val gbm_sampler : Params.t -> sampler
-(** Exact lognormal transitions of the paper's model. *)
+(** Exact lognormal transitions of the paper's model
+    ({!Stochastic.Gbm.sampler}). *)
 
 val jump_sampler : Stochastic.Jump_diffusion.t -> sampler
 (** Fat-tailed alternative for the robustness ablation. *)

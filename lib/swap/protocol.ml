@@ -77,17 +77,8 @@ let count_outcome = function
   | Abort_t3 -> Obs.Metrics.incr m_out_abort_t3
   | Anomalous _ -> Obs.Metrics.incr m_out_anomalous
 
-(* Funds still parked in contract escrows (or the Oracle vault) once
-   the run has settled; nonzero means a refund was never credited. *)
-let locked_leftover chain =
-  List.fold_left
-    (fun acc (account, bal) ->
-      if
-        String.starts_with ~prefix:"escrow:" account
-        || String.starts_with ~prefix:"oracle:vault:" account
-      then acc +. bal
-      else acc)
-    0. (Chain.accounts chain)
+let escrow_a = Chain.escrow_account ~contract_id:contract_a
+let escrow_b = Chain.escrow_account ~contract_id:contract_b
 
 let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
     ?bob_deviation ?alice_offline_from ?alice_online_again_at
@@ -99,15 +90,9 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
   Obs.Trace.with_span "protocol.run" @@ fun _run_span ->
   let price = Option.value ~default:(fun _t -> p.Params.p0) price in
   let tl = Timeline.slacked ~delay_t2 ~delay_t3 p in
-  (* Steps land in a structured event sink keyed by kind (step / retry /
-     crash / recovery); the public [trace] field is rebuilt from it at
-     run end, so its contents and order are exactly the old reversed-ref
-     log. *)
-  let events = Obs.Sink.memory () in
-  let logk kind t msg =
-    Obs.Sink.emit events ~ts:t ~kind [ ("msg", Obs.Sink.Str msg) ]
-  in
-  let log t msg = logk "step" t msg in
+  (* The run's log, newest first; [finish] reverses it into [trace]. *)
+  let log_rev = ref [] in
+  let log t msg = log_rev := (t, msg) :: !log_rev in
   (* Chain_a's mempool delay never enters the model; zero keeps Eq. 3.
      Fault seeds derive from the run seed but differ per chain, so the
      two schedules are decorrelated. *)
@@ -143,7 +128,7 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
     match oracle with
     | None -> ()
     | Some o when amount > 0. ->
-      ignore (Oracle.release o ~at ~to_ ~amount);
+      Oracle.release o ~at ~to_ ~amount;
       log at
         (String.concat ""
            [ "oracle releases "; g amount; " to "; to_; " ("; reason; ")" ])
@@ -223,7 +208,7 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
           end
           else begin
             incr retries;
-            logk "retry" next
+            log next
               (String.concat ""
                  [ action; " unconfirmed; resubmitting (attempt ";
                    string_of_int (n + 1); ")" ]);
@@ -248,17 +233,6 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
     Obs.Metrics.add m_retries !retries;
     ignore (Chain.advance chain_a ~until:horizon);
     ignore (Chain.advance chain_b ~until:horizon);
-    let trace =
-      List.map
-        (fun (e : Obs.Sink.event) ->
-          let msg =
-            match List.assoc_opt "msg" e.fields with
-            | Some (Obs.Sink.Str m) -> m
-            | _ -> e.kind
-          in
-          (e.ts, msg))
-        (Obs.Sink.events events)
-    in
     let subs =
       (* Backfill per-attempt confirmation times from transaction
          receipts: [Ok] means this attempt's transaction applied the
@@ -275,6 +249,15 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
           in
           { s with confirmed_at })
         !submissions
+    in
+    (* Funds still parked once the run has settled; nonzero means a
+       refund was never credited.  A run parks funds only in the two
+       HTLC escrows and the Oracle vault, added here in sorted account
+       order. *)
+    let vault =
+      match oracle with
+      | Some o -> Chain.balance chain_a ~account:(Oracle.vault_account o)
+      | None -> 0.
     in
     let margin_on name tau =
       List.fold_left
@@ -294,7 +277,7 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
       bob_delta_a = Chain.balance chain_a ~account:bob -. base_a_bob;
       bob_delta_b = Chain.balance chain_b ~account:bob -. base_b_bob;
       secret_observed_at_t4;
-      trace;
+      trace = List.rev !log_rev;
       receipts_a = Chain.receipts chain_a;
       receipts_b = Chain.receipts chain_b;
       telemetry =
@@ -306,8 +289,9 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
           margin_consumed_a = margin_on "chain_a" p.Params.tau_a;
           margin_consumed_b = margin_on "chain_b" p.Params.tau_b;
         };
-      escrow_leftover_a = locked_leftover chain_a;
-      escrow_leftover_b = locked_leftover chain_b;
+      escrow_leftover_a =
+        0. +. Chain.balance chain_a ~account:escrow_a +. vault;
+      escrow_leftover_b = 0. +. Chain.balance chain_b ~account:escrow_b;
     }
   in
   (* Derive the outcome from final contract states once both chains have
@@ -345,7 +329,7 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
   let alice_t1 =
     if alice_online tl.Timeline.t1 then policy.Agent.alice_t1 ~p_star
     else begin
-      logk "crash" tl.Timeline.t1 "alice is offline (crash): no initiation";
+      log tl.Timeline.t1 "alice is offline (crash): no initiation";
       Agent.Stop
     end
   in
@@ -389,8 +373,7 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
       let bob_t2 =
         if bob_online tl.Timeline.t2 then policy.Agent.bob_t2 ~p_t2
         else begin
-          logk "crash" tl.Timeline.t2
-            "bob is offline (crash): no HTLC on chain_b";
+          log tl.Timeline.t2 "bob is offline (crash): no HTLC on chain_b";
           Agent.Stop
         end
       in
@@ -463,7 +446,7 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
           let alice_t3 =
             if alice_online tl.Timeline.t3 then policy.Agent.alice_t3 ~p_t3
             else begin
-              logk "crash" tl.Timeline.t3
+              log tl.Timeline.t3
                 "alice is offline (crash): secret never revealed";
               Agent.Stop
             end
@@ -523,11 +506,11 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
                 match bob_online_again_at with
                 | Some r when r > observe_at && policy.Agent.bob_t4 = Agent.Cont
                   ->
-                  logk "recovery" r
+                  log r
                     "bob back online: claims Token_a with the revealed secret";
                   bob_claim ~at:r
                 | _ ->
-                  logk "crash" observe_at
+                  log observe_at
                     "bob is offline (crash): the revealed secret goes unclaimed"
               end
               else log observe_at "bob (irrationally) declines to claim"

@@ -515,7 +515,7 @@ let test_fault_seed_replay_identical () =
     done;
     ignore (Chain.advance c ~until:100.);
     List.map
-      (fun r -> (r.Chain.time, r.Chain.description, Result.is_ok r.Chain.result))
+      (fun r -> (r.Chain.time, Chain.describe r, Result.is_ok r.Chain.result))
       (Chain.receipts c)
   in
   Alcotest.(check bool) "same (seed, schedule) replays the same trace" true
@@ -528,7 +528,7 @@ let test_fee_forgiveness_recorded_in_receipt () =
   ignore (Chain.submit c ~at:0. (Tx.Transfer { from_ = "a"; to_ = "b"; amount = 2. }));
   let receipts = Chain.advance c ~until:5. in
   Alcotest.(check bool) "receipt records the forgiven fee" true
-    (contains_substring (List.hd receipts).Chain.description "[fee forgiven: 1]")
+    (contains_substring (Chain.describe (List.hd receipts)) "[fee forgiven: 1]")
 
 (* --- Receipt text ------------------------------------------------------------- *)
 
@@ -625,8 +625,8 @@ let test_receipt_text () =
     List.map
       (fun (r : Chain.receipt) ->
         match r.Chain.result with
-        | Ok () -> r.Chain.description
-        | Error e -> r.Chain.description ^ " => " ^ e)
+        | Ok () -> Chain.describe r
+        | Error e -> Chain.describe r ^ " => " ^ e)
       (Chain.receipts c)
   in
   let h1 = lock "h1" 5. and h2 = lock "h2" 5. in
@@ -849,12 +849,42 @@ let test_oracle_flow () =
   check_float "alice charged" 0.5 (Chain.balance c ~account:"alice");
   check_float "vault holds 2q" 3.
     (Chain.balance c ~account:(Oracle.vault_account o));
-  ignore (Oracle.release o ~at:1. ~to_:"bob" ~amount:3.);
+  Oracle.release o ~at:1. ~to_:"bob" ~amount:3.;
   ignore (Chain.advance c ~until:4.);
   check_float "bob paid both deposits" 3.5 (Chain.balance c ~account:"bob");
   match Oracle.release o ~at:5. ~to_:"bob" ~amount:0.1 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "overdraw must be rejected"
+
+(* A release is the contract's payout, not a transaction: a chain that
+   drops every transaction still credits it, a halt window defers it,
+   and its receipt names the vault. *)
+let test_oracle_release_is_a_payout () =
+  let c =
+    faulty_chain (Faults.create ~drop_prob:1. ~halts:[ (2.5, 5.) ] ())
+  in
+  Chain.mint c ~account:"alice" ~amount:1.;
+  Chain.mint c ~account:"bob" ~amount:1.;
+  let o = Oracle.create c ~alice:"alice" ~bob:"bob" ~q:1. in
+  Oracle.deposit o ~at:0.;
+  Oracle.release o ~at:1. ~to_:"bob" ~amount:2.;
+  ignore (Chain.advance c ~until:4.9);
+  check_float "deferred by the halt" 0. (Chain.balance c ~account:"bob");
+  match Chain.advance c ~until:5. with
+  | [ r ] ->
+    check_float "credited at the halt's end" 2.
+      (Chain.balance c ~account:"bob");
+    check_float "vault empty" 0.
+      (Chain.balance c ~account:(Oracle.vault_account o));
+    Alcotest.(check bool) "no transaction" true (r.Chain.tx_id = None);
+    Alcotest.(check string) "receipt text"
+      ("payout 2 from " ^ Oracle.vault_account o ^ " to bob")
+      (Chain.describe r);
+    Alcotest.(check int) "one halt deferral" 1
+      (Chain.fault_stats c).Chain.halted;
+    Alcotest.(check int) "nothing dropped" 0
+      (Chain.fault_stats c).Chain.dropped
+  | rs -> Alcotest.failf "expected one receipt at 5 h, got %d" (List.length rs)
 
 let test_oracle_double_deposit () =
   let c = fresh_chain () in
@@ -1127,6 +1157,8 @@ let () =
       ( "oracle",
         [
           Alcotest.test_case "deposit/release flow" `Quick test_oracle_flow;
+          Alcotest.test_case "release is a payout" `Quick
+            test_oracle_release_is_a_payout;
           Alcotest.test_case "double deposit rejected" `Quick
             test_oracle_double_deposit;
         ] );

@@ -137,6 +137,49 @@ let test_zero_intensity_is_seed_behaviour () =
   Alcotest.(check bool) "same telemetry" true
     (plain.Swap.Protocol.telemetry = gated.Swap.Protocol.telemetry)
 
+(* The collateral Oracle's releases are the contract's own payouts, so
+   drops cannot strand a deposit in the vault: every run under a lossy
+   schedule settles with the vault empty, and a successful swap returns
+   each agent's deposit (Table I deltas on chain_a). *)
+let test_collateral_not_stranded_by_drops () =
+  let lossy = Chainsim.Faults.create ~drop_prob:0.3 () in
+  let q = 0.3 and p_star = 2. in
+  let successes = ref 0 in
+  for seed = 1 to 250 do
+    let r =
+      Swap.Protocol.run ~q ~faults_a:lossy ~faults_b:lossy
+        ~retry:Swap.Agent.default_retry ~delay_t2:3. ~delay_t3:3. ~seed p
+        ~p_star
+    in
+    let ctx msg =
+      Printf.sprintf "seed %d (%s): %s" seed
+        (Swap.Protocol.outcome_to_string r.Swap.Protocol.outcome)
+        msg
+    in
+    if
+      abs_float r.Swap.Protocol.escrow_leftover_a > 1e-9
+      || abs_float r.Swap.Protocol.escrow_leftover_b > 1e-9
+    then
+      Alcotest.fail
+        (ctx
+           (Printf.sprintf "%g left in escrow or vault on chain_a"
+              r.Swap.Protocol.escrow_leftover_a));
+    if
+      abs_float (r.Swap.Protocol.alice_delta_a +. r.Swap.Protocol.bob_delta_a)
+      > 1e-9
+    then Alcotest.fail (ctx "chain_a deltas must sum to zero");
+    if r.Swap.Protocol.outcome = Swap.Protocol.Success then begin
+      incr successes;
+      if
+        abs_float (r.Swap.Protocol.alice_delta_a +. p_star) > 1e-9
+        || abs_float (r.Swap.Protocol.bob_delta_a -. p_star) > 1e-9
+      then Alcotest.fail (ctx "a success must return both deposits")
+    end
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "saw successes (%d of 250)" !successes)
+    true (!successes > 0)
+
 let () =
   Alcotest.run "chaos"
     [
@@ -148,5 +191,7 @@ let () =
           Alcotest.test_case "seed replay determinism" `Quick test_determinism;
           Alcotest.test_case "zero intensity = seed behaviour" `Quick
             test_zero_intensity_is_seed_behaviour;
+          Alcotest.test_case "collateral not stranded by drops" `Quick
+            test_collateral_not_stranded_by_drops;
         ] );
     ]

@@ -672,7 +672,10 @@ let test_rng_golden_normal () =
 
 (* A draw reads and writes the state in place, so it allocates at most
    its boxed result (2 words): measured against a call that returns a
-   constant, which pays the same accumulation. *)
+   constant, which pays the same accumulation.  Seeding computes the
+   splitmix64 words unboxed, so a new generator is its 40-byte buffer
+   (7 words) plus the boxed key and optional seed, ~12 words; the bound
+   fails if the splitmix64 state is boxed again (38 to 45 words). *)
 let test_rng_allocation () =
   let r = Rng.create ~seed:3 () in
   let sink = ref 0. in
@@ -690,6 +693,19 @@ let test_rng_allocation () =
     Alcotest.failf "Rng.uniform allocates %.2f words per call" uniform;
   if normal > 2. then
     Alcotest.failf "Rng.normal allocates %.2f words per call" normal;
+  let seeding f =
+    let w0 = Gc.minor_words () in
+    for i = 1 to 10_000 do
+      ignore (Sys.opaque_identity (f i))
+    done;
+    (Gc.minor_words () -. w0) /. 10_000.
+  in
+  let create = seeding (fun seed -> Rng.create ~seed ()) in
+  let of_stream = seeding (fun stream -> Rng.of_stream ~seed:3 ~stream ()) in
+  if create > 16. then
+    Alcotest.failf "Rng.create allocates %.2f words per call" create;
+  if of_stream > 16. then
+    Alcotest.failf "Rng.of_stream allocates %.2f words per call" of_stream;
   Alcotest.(check bool) "finite" true (Float.is_finite !sink)
 
 (* --- Stats ---------------------------------------------------------------- *)

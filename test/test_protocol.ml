@@ -307,14 +307,56 @@ let test_protocol_deterministic_under_faults () =
   Alcotest.(check bool) "same receipts" true
     (List.map
        (fun (r : Chainsim.Chain.receipt) ->
-         (r.Chainsim.Chain.time, r.Chainsim.Chain.description))
+         (r.Chainsim.Chain.time, Chainsim.Chain.describe r))
        a.Swap.Protocol.receipts_a
     = List.map
         (fun (r : Chainsim.Chain.receipt) ->
-          (r.Chainsim.Chain.time, r.Chainsim.Chain.description))
+          (r.Chainsim.Chain.time, Chainsim.Chain.describe r))
         b.Swap.Protocol.receipts_a);
   Alcotest.(check bool) "same telemetry" true
     (a.Swap.Protocol.telemetry = b.Swap.Protocol.telemetry)
+
+(* A faulty run as the simulate benchmark makes them: rational
+   decisions on an hourly GBM path, drops, delays and reorgs on both
+   chains, retries into slack.  A run logs into a plain list, records
+   receipts without text and reads its leftover from three balances:
+   ~2030 words a run here.  The bound fails if a run goes back to a
+   per-run event sink, receipt text on every event and a sorted scan
+   of every account (~2800 words together). *)
+let test_protocol_allocation () =
+  let p_star = 2. in
+  let policy = Swap.Agent.rational p ~p_star in
+  let faults =
+    Chainsim.Faults.create ~drop_prob:0.1 ~delay_prob:0.3
+      ~delay:(Chainsim.Faults.Shifted_exponential { mean = 1.5; cap = 6. })
+      ~reorg_prob:0.05 ()
+  in
+  let hours = Array.init 48 (fun h -> float_of_int (h + 1)) in
+  let path =
+    Stochastic.Path.create
+      ~times:(Array.append [| 0. |] hours)
+      ~values:
+        (Array.append [| p.Swap.Params.p0 |]
+           (Stochastic.Gbm.sample_path (Numerics.Rng.create ~seed:5 ())
+              (Swap.Params.gbm p) ~p0:p.Swap.Params.p0 ~times:hours))
+  in
+  let run seed =
+    Swap.Protocol.run ~policy
+      ~price:(fun t -> Stochastic.Path.at path t)
+      ~faults_a:faults ~faults_b:faults ~retry:Swap.Agent.default_retry
+      ~delay_t2:5.5 ~delay_t3:5.5 ~seed p ~p_star
+  in
+  for seed = 1 to 50 do
+    ignore (run seed)
+  done;
+  let runs = 500 in
+  let w0 = Gc.minor_words () in
+  for seed = 1 to runs do
+    ignore (run seed)
+  done;
+  let per_run = (Gc.minor_words () -. w0) /. float_of_int runs in
+  if per_run > 2400. then
+    Alcotest.failf "Protocol.run allocates %.0f words per run" per_run
 
 let test_telemetry_faultless_baseline () =
   let r = Swap.Protocol.run p ~p_star:2. in
@@ -551,9 +593,11 @@ let test_mc_jump_sampler_direction () =
       "same-variance jump model should raise SR (lower diffusive sigma)"
 
 (* A trial writes its utilities in place and tallies them unboxed, and
-   the t1 decision, the timeline and the discount factors are computed
-   once per run: at Table III a trial allocates ~15 words, mostly the
-   sampler's boxed prices. *)
+   the t1 decision, the timeline, the discount factors and the
+   sampler's per-tau constants are computed once per run: at Table III
+   a trial allocates ~11 words, 4 a draw (the boxed price and the boxed
+   normal deviate under it).  The bound fails if draws go back through
+   an unstaged per-call [Gbm.sample] (~15 words). *)
 let test_mc_allocation () =
   let p_star = 2. in
   let policy = Swap.Agent.rational p ~p_star in
@@ -563,7 +607,7 @@ let test_mc_allocation () =
   let w0 = Gc.minor_words () in
   let r = run () in
   let per_trial = (Gc.minor_words () -. w0) /. float_of_int trials in
-  if per_trial > 40. then
+  if per_trial > 13. then
     Alcotest.failf "Montecarlo.run allocates %.1f words per trial" per_trial;
   Alcotest.(check int)
     "every trial initiated" trials r.Swap.Montecarlo.initiated
@@ -869,6 +913,8 @@ let () =
             test_protocol_marginal_early_expiry_tolerated;
           Alcotest.test_case "trace and receipts" `Quick
             test_protocol_trace_and_receipts;
+          Alcotest.test_case "allocation per run" `Quick
+            test_protocol_allocation;
         ] );
       ( "crash",
         [
