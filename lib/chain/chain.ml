@@ -100,12 +100,10 @@ let name t = t.name
 let token t = t.token
 let tau t = t.tau
 let mempool_delay t = t.mempool_delay
-let fee_per_tx t = t.fee_per_tx
 
 let set_fee_per_tx t fee =
   if fee < 0. then invalid_arg "Chain.set_fee_per_tx: negative fee";
   t.fee_per_tx <- fee
-let clock t = t.clock
 let mint t ~account ~amount = Ledger.mint t.ledger account amount
 let balance t ~account = Ledger.balance t.ledger account
 let escrow_account ~contract_id = "escrow:" ^ contract_id
@@ -422,7 +420,6 @@ let tx_receipt t ~tx_id =
     (fun r -> match r.tx_id with Some id -> id = tx_id | None -> false)
     t.receipt_log
 
-let faults t = t.faults
 let fault_stats t = t.fstats
 
 let observable_txs t ~at =

@@ -75,8 +75,6 @@ val create :
 val miner_account : string
 (** Account accumulating transaction fees. *)
 
-val fee_per_tx : t -> float
-
 val set_fee_per_tx : t -> float -> unit
 (** Configure a flat per-transaction fee, charged at confirmation —
     after the transaction's effect, and only on successfully executed
@@ -93,9 +91,6 @@ val name : t -> string
 val token : t -> string
 val tau : t -> float
 val mempool_delay : t -> float
-
-val clock : t -> float
-(** Time up to which events have been processed. *)
 
 val mint : t -> account:string -> amount:float -> unit
 (** Bootstrap balances (genesis allocation). *)
@@ -144,9 +139,6 @@ val receipts : t -> receipt list
 val tx_receipt : t -> tx_id:Tx.id -> receipt option
 (** The receipt of a specific transaction, if it has confirmed ([None]
     while pending — or forever, if the fault layer dropped it). *)
-
-val faults : t -> Faults.t
-(** The fault schedule this chain was created with. *)
 
 val fault_stats : t -> fault_stats
 (** Running counters of fault-layer interference on this chain; all

@@ -5,8 +5,6 @@ type 'a t = {
 }
 
 let create ~cmp = { cmp; data = [||]; size = 0 }
-let length t = t.size
-let is_empty t = t.size = 0
 
 let grow t x =
   let cap = Array.length t.data in
@@ -62,13 +60,3 @@ let pop t =
   end
 
 let pop_exn t = match pop t with Some x -> x | None -> raise Not_found
-
-let to_sorted_list t =
-  if t.size = 0 then []
-  else begin
-    let copy = { t with data = Array.sub t.data 0 t.size } in
-    let rec drain acc =
-      match pop copy with None -> List.rev acc | Some x -> drain (x :: acc)
-    in
-    drain []
-  end

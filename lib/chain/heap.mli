@@ -4,8 +4,6 @@
 type 'a t
 
 val create : cmp:('a -> 'a -> int) -> 'a t
-val length : 'a t -> int
-val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 
 val peek : 'a t -> 'a option
@@ -16,7 +14,3 @@ val pop : 'a t -> 'a option
 
 val pop_exn : 'a t -> 'a
 (** @raise Not_found on an empty heap. *)
-
-val to_sorted_list : 'a t -> 'a list
-(** Drains a copy of the heap in ascending order (the heap itself is
-    unchanged). *)

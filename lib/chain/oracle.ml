@@ -25,7 +25,6 @@ let create chain ~alice ~bob ~q =
     released = 0.;
   }
 
-let q t = t.q
 let vault_account t = t.vault
 
 let deposit t ~at:_ =
@@ -42,6 +41,3 @@ let release t ~at ~to_ ~amount =
     invalid_arg "Oracle.release: vault overdrawn";
   t.released <- t.released +. amount;
   Chain.schedule_payout t.chain ~at ~from_:t.vault ~to_ ~amount
-
-let released_total t = t.released
-let deposited t = t.is_deposited

@@ -20,7 +20,6 @@ type t
 val create : Chain.t -> alice:string -> bob:string -> q:float -> t
 (** @raise Invalid_argument if [q < 0.]. *)
 
-val q : t -> float
 val vault_account : t -> string
 
 val deposit : t -> at:float -> unit
@@ -34,6 +33,3 @@ val release : t -> at:float -> to_:string -> amount:float -> unit
     [at + tau_a] (later only if a halt window covers that time).
     @raise Invalid_argument if the vault would be overdrawn by the total
     amount released so far, or if [at] is before the chain clock. *)
-
-val released_total : t -> float
-val deposited : t -> bool

@@ -112,5 +112,3 @@ let hex_of_bytes s =
   let b = Buffer.create (2 * String.length s) in
   String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
   Buffer.contents b
-
-let hex_digest msg = hex_of_bytes (digest msg)

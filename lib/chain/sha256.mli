@@ -5,8 +5,5 @@
 val digest : string -> string
 (** [digest msg] is the 32-byte binary digest of [msg]. *)
 
-val hex_digest : string -> string
-(** Lowercase hexadecimal digest (64 characters). *)
-
 val hex_of_bytes : string -> string
 (** Helper: lowercase hex encoding of arbitrary bytes. *)

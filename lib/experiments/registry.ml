@@ -60,5 +60,3 @@ let run_all ?jobs () =
       (e.run ())
   in
   String.concat "\n" (Numerics.Pool.map_list ?jobs report all)
-
-let names () = List.map (fun e -> e.name) all

@@ -18,5 +18,3 @@ val run_all : ?jobs:int -> unit -> string
 (** Concatenated reports of every experiment, in paper order.  Runs one
     experiment per domain-pool task ([jobs] defaults to the pool's
     global setting); the output is identical for any jobs count. *)
-
-val names : unit -> string list

@@ -23,25 +23,6 @@ let chance ?(label = "") branches =
     invalid_arg "Game.chance: probabilities must sum to 1";
   Chance { node_label = label; branches }
 
-let rec first_leaf = function
-  | Terminal { payoffs; _ } -> payoffs
-  | Decision { actions = (_, child) :: _; _ } -> first_leaf child
-  | Decision { actions = []; _ } -> assert false
-  | Chance { branches = (_, child) :: _; _ } -> first_leaf child
-  | Chance { branches = []; _ } -> assert false
-
-let n_players t =
-  let n = Array.length (first_leaf t) in
-  let rec check = function
-    | Terminal { payoffs; _ } ->
-      if Array.length payoffs <> n then
-        invalid_arg "Game.n_players: inconsistent payoff arity"
-    | Decision { actions; _ } -> List.iter (fun (_, c) -> check c) actions
-    | Chance { branches; _ } -> List.iter (fun (_, c) -> check c) branches
-  in
-  check t;
-  n
-
 let rec size = function
   | Terminal _ -> 1
   | Decision { actions; _ } ->
@@ -49,14 +30,14 @@ let rec size = function
   | Chance { branches; _ } ->
     List.fold_left (fun acc (_, c) -> acc + size c) 1 branches
 
-let rec depth = function
-  | Terminal _ -> 0
-  | Decision { actions; _ } ->
-    1 + List.fold_left (fun acc (_, c) -> max acc (depth c)) 0 actions
-  | Chance { branches; _ } ->
-    1 + List.fold_left (fun acc (_, c) -> max acc (depth c)) 0 branches
-
 let validate t =
+  let rec first_leaf = function
+    | Terminal { payoffs; _ } -> payoffs
+    | Decision { actions = (_, child) :: _; _ } -> first_leaf child
+    | Decision { actions = []; _ } -> assert false
+    | Chance { branches = (_, child) :: _; _ } -> first_leaf child
+    | Chance { branches = []; _ } -> assert false
+  in
   let n = Array.length (first_leaf t) in
   let rec go = function
     | Terminal { payoffs; _ } ->

@@ -24,15 +24,8 @@ val chance : ?label:string -> (float * t) list -> t
 (** @raise Invalid_argument if probabilities are not positive or do not
     sum to 1 within [1e-9]. *)
 
-val n_players : t -> int
-(** Number of players implied by the payoff vectors.
-    @raise Invalid_argument if leaves disagree. *)
-
 val size : t -> int
 (** Total node count. *)
-
-val depth : t -> int
-(** Longest root-to-leaf path (edges). *)
 
 val validate : t -> (unit, string) result
 (** Checks probability normalisation, payoff-arity consistency and

@@ -50,102 +50,3 @@ let pure_nash t =
     done
   done;
   !acc
-
-let is_dominant t ~player k =
-  let m, n = dims t in
-  match player with
-  | `Row ->
-    if k < 0 || k >= m then invalid_arg "Normal_form.is_dominant: bad action";
-    let ok = ref true in
-    for i = 0 to m - 1 do
-      for j = 0 to n - 1 do
-        if t.row_payoffs.(k).(j) < t.row_payoffs.(i).(j) -. 1e-12 then
-          ok := false
-      done
-    done;
-    !ok
-  | `Col ->
-    if k < 0 || k >= n then invalid_arg "Normal_form.is_dominant: bad action";
-    let ok = ref true in
-    for j = 0 to n - 1 do
-      for i = 0 to m - 1 do
-        if t.col_payoffs.(i).(k) < t.col_payoffs.(i).(j) -. 1e-12 then
-          ok := false
-      done
-    done;
-    !ok
-
-let iterated_dominance t =
-  let m, n = dims t in
-  let rows = ref (List.init m Fun.id) in
-  let cols = ref (List.init n Fun.id) in
-  let strictly_dominated_row i =
-    List.exists
-      (fun i' ->
-        i' <> i
-        && List.for_all
-             (fun j -> t.row_payoffs.(i').(j) > t.row_payoffs.(i).(j) +. 1e-12)
-             !cols)
-      !rows
-  in
-  let strictly_dominated_col j =
-    List.exists
-      (fun j' ->
-        j' <> j
-        && List.for_all
-             (fun i -> t.col_payoffs.(i).(j') > t.col_payoffs.(i).(j) +. 1e-12)
-             !rows)
-      !cols
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let keep_rows = List.filter (fun i -> not (strictly_dominated_row i)) !rows in
-    if List.length keep_rows < List.length !rows then begin
-      rows := keep_rows;
-      changed := true
-    end;
-    let keep_cols = List.filter (fun j -> not (strictly_dominated_col j)) !cols in
-    if List.length keep_cols < List.length !cols then begin
-      cols := keep_cols;
-      changed := true
-    end
-  done;
-  (!rows, !cols)
-
-type mixed = { row_p : float; col_p : float }
-
-let mixed_nash_2x2 t =
-  let m, n = dims t in
-  if m <> 2 || n <> 2 then invalid_arg "Normal_form.mixed_nash_2x2: not 2x2";
-  (* Column player's probability q on her first action makes the row
-     player indifferent:
-       q a00 + (1-q) a01 = q a10 + (1-q) a11. *)
-  let a = t.row_payoffs and b = t.col_payoffs in
-  let denom_q = a.(0).(0) -. a.(0).(1) -. a.(1).(0) +. a.(1).(1) in
-  let denom_p = b.(0).(0) -. b.(1).(0) -. b.(0).(1) +. b.(1).(1) in
-  if abs_float denom_q < 1e-12 || abs_float denom_p < 1e-12 then None
-  else begin
-    let q = (a.(1).(1) -. a.(0).(1)) /. denom_q in
-    let p = (b.(1).(1) -. b.(1).(0)) /. denom_p in
-    if p > 0. && p < 1. && q > 0. && q < 1. then
-      Some { row_p = p; col_p = q }
-    else None
-  end
-
-let expected_payoffs t ~row_p ~col_p =
-  let m, n = dims t in
-  if Array.length row_p <> m || Array.length col_p <> n then
-    invalid_arg "Normal_form.expected_payoffs: shape mismatch";
-  let sum arr = Array.fold_left ( +. ) 0. arr in
-  if abs_float (sum row_p -. 1.) > 1e-9 || abs_float (sum col_p -. 1.) > 1e-9
-  then invalid_arg "Normal_form.expected_payoffs: probabilities must sum to 1";
-  let r = ref 0. and c = ref 0. in
-  for i = 0 to m - 1 do
-    for j = 0 to n - 1 do
-      let w = row_p.(i) *. col_p.(j) in
-      r := !r +. (w *. t.row_payoffs.(i).(j));
-      c := !c +. (w *. t.col_payoffs.(i).(j))
-    done
-  done;
-  (!r, !c)

@@ -18,24 +18,3 @@ val create :
 val pure_nash : t -> (int * int) list
 (** All pure-strategy Nash equilibria (action-index pairs), row-major
     order.  Weak inequalities: ties count as best responses. *)
-
-val is_dominant : t -> player:[ `Row | `Col ] -> int -> bool
-(** Whether the action is weakly dominant for the player. *)
-
-val iterated_dominance : t -> int list * int list
-(** Surviving row and column actions after iterated elimination of
-    strictly dominated strategies. *)
-
-type mixed = { row_p : float; col_p : float }
-(** Probability each player puts on their {e first} action. *)
-
-val mixed_nash_2x2 : t -> mixed option
-(** The interior mixed equilibrium of a 2x2 game, when one exists
-    (both indifference conditions solvable with probabilities strictly
-    inside (0, 1)).
-    @raise Invalid_argument if the game is not 2x2. *)
-
-val expected_payoffs : t -> row_p:float array -> col_p:float array -> float * float
-(** Expected (row, col) payoffs under mixed profiles (distributions
-    over actions).  @raise Invalid_argument on shape/probability
-    errors. *)

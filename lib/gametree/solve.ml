@@ -60,19 +60,6 @@ let rec solve (game : Game.t) : solved =
       solved_branches;
     S_chance { node_label; value = acc; branches = solved_branches }
 
-let rec principal_actions = function
-  | S_terminal _ -> []
-  | S_decision { chosen; branches; _ } ->
-    chosen :: principal_actions (List.assoc chosen branches)
-  | S_chance { branches; _ } ->
-    let _, best =
-      List.fold_left
-        (fun ((bp, _) as acc) ((p, _) as cand) ->
-          if p > bp then cand else acc)
-        (List.hd branches) (List.tl branches)
-    in
-    principal_actions best
-
 let rec outcome_probability s pred =
   match s with
   | S_terminal { label; _ } -> if pred label then 1. else 0.
@@ -82,28 +69,3 @@ let rec outcome_probability s pred =
     List.fold_left
       (fun acc (p, child) -> acc +. (p *. outcome_probability child pred))
       0. branches
-
-let expected_payoff s ~player = (value s).(player)
-
-let rec sample_playout rng = function
-  | S_terminal { label; _ } -> label
-  | S_decision { chosen; branches; _ } ->
-    sample_playout rng (List.assoc chosen branches)
-  | S_chance { branches; _ } ->
-    let u = Numerics.Rng.uniform rng in
-    let rec pick acc = function
-      | [ (_, child) ] -> child
-      | (p, child) :: rest -> if u < acc +. p then child else pick (acc +. p) rest
-      | [] -> invalid_arg "Solve.sample_playout: empty chance node"
-    in
-    sample_playout rng (pick 0. branches)
-
-let strategy s =
-  let rec go acc = function
-    | S_terminal _ -> acc
-    | S_decision { node_label; chosen; branches; _ } ->
-      go ((node_label, chosen) :: acc) (List.assoc chosen branches)
-    | S_chance { branches; _ } ->
-      List.fold_left (fun acc (_, child) -> go acc child) acc branches
-  in
-  List.rev (go [] s)

@@ -26,24 +26,7 @@ val solve : Game.t -> solved
 val value : solved -> float array
 (** Equilibrium expected payoffs at the node. *)
 
-val principal_actions : solved -> string list
-(** Actions chosen along the principal line of play, descending the
-    most probable branch at chance nodes (first on ties). *)
-
 val outcome_probability : solved -> (string -> bool) -> float
 (** [outcome_probability s pred] — equilibrium probability of reaching a
     terminal node whose label satisfies [pred].  At decision nodes the
     chosen branch has probability 1. *)
-
-val expected_payoff : solved -> player:int -> float
-
-val sample_playout : Numerics.Rng.t -> solved -> string
-(** Simulates one play through the solved tree: the chosen action at
-    decision nodes, a random branch (by its probability) at chance
-    nodes; returns the terminal label reached.  Playout frequencies
-    converge to {!outcome_probability} (tested). *)
-
-val strategy : solved -> (string * string) list
-(** All (decision-node label, chosen action) pairs, depth-first, only
-    for nodes on reachable equilibrium paths (decision branches not
-    chosen are excluded; all chance branches are explored). *)

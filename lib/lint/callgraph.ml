@@ -10,12 +10,16 @@
    Node = one module-level value binding ("Serve.Reactor.process").
    Edge = the body of one binding mentions another binding — by
    resolved path for cross-module references (the typechecker has
-   already chased opens and dune's wrapping aliases for us) and by
-   ident stamp for references to siblings in the same compilation
-   unit.  "Mentions" deliberately over-approximates "calls": passing a
-   function to List.iter reaches it just as surely as applying it, and
-   for taint/blocking reachability an over-approximation errs on the
-   loud side.
+   already chased opens and dune's wrapping aliases for us), by ident
+   stamp for references to siblings in the same compilation unit, and
+   through the unit's own module names: a path headed by a local alias
+   ([module M = Obs.Metrics], [let module J = Obs.Json in ...]) or by a
+   nested structure ([module Bilinear = struct ... end]) is rewritten
+   onto the module it denotes before it is resolved.  "Mentions"
+   deliberately over-approximates "calls": passing a function to
+   List.iter reaches it just as surely as applying it, and for
+   taint/blocking reachability an over-approximation errs on the loud
+   side.
 
    Known false-negative classes (stated honestly, see DESIGN.md §15):
    functor bodies and first-class modules are not expanded; references
@@ -73,24 +77,36 @@ let display_modname modname =
   | "Dune" :: "exe" :: (_ :: _ as rest) -> String.concat "." rest
   | parts -> String.concat "." parts
 
-let rec path_components p acc =
+(* Ident stamps restart with every compilation unit, so every table
+   keyed by one is keyed "<unit_id>#<unique name>". *)
+let stamp_key ~unit_id id = unit_id ^ "#" ^ Ident.unique_name id
+
+(* [modules] maps the stamp key of a unit's local module names to the
+   components of the module each denotes: an alias's target, or a
+   nested structure's own path.  A head found there is replaced, so
+   [M.incr] under [module M = Obs.Metrics] reads ["Obs"; "Metrics";
+   "incr"]. *)
+let rec path_components ~modules ~unit_id p acc =
   match p with
-  | Path.Pident id -> Ident.name id :: acc
-  | Path.Pdot (p, s) -> path_components p (s :: acc)
-  | Path.Papply (_, p) -> path_components p acc
-  | Path.Pextra_ty (p, _) -> path_components p acc
+  | Path.Pident id -> (
+    match Hashtbl.find_opt modules (stamp_key ~unit_id id) with
+    | Some target -> target @ acc
+    | None -> Ident.name id :: acc)
+  | Path.Pdot (p, s) -> path_components ~modules ~unit_id p (s :: acc)
+  | Path.Papply (_, p) -> path_components ~modules ~unit_id p acc
+  | Path.Pextra_ty (p, _) -> path_components ~modules ~unit_id p acc
 
 (* The rule-matching spelling: Stdlib dropped so `Stdlib.Random.int`
    and `Random.int` name the same primitive, wrapping expanded so an
    intra-library spelling matches the cross-library one. *)
-let op_path_of p =
-  match path_components p [] with
+let op_path_of comps =
+  match comps with
   | "Stdlib" :: rest -> rest
   | head :: rest -> split_wrapped head @ rest
   | [] -> []
 
-let ref_id_of p =
-  match path_components p [] with
+let ref_id_of comps =
+  match comps with
   | head :: rest -> String.concat "." (display_modname head :: rest)
   | [] -> ""
 
@@ -136,11 +152,27 @@ let binding_name vb ~line =
   | id :: _ -> Ident.name id
   | [] -> Printf.sprintf "_init_L%d" line
 
+let rec unwrap_module (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Tmod_constraint (me, _, _, _) -> unwrap_module me
+  | desc -> desc
+
+(* Record what a local module name denotes, if it is an alias: its
+   target, itself expanded, so an alias of an alias resolves too. *)
+let record_alias ~modules ~unit_id id (me : Typedtree.module_expr) =
+  match unwrap_module me with
+  | Tmod_ident (p, _) ->
+    Hashtbl.replace modules (stamp_key ~unit_id id)
+      (path_components ~modules ~unit_id p [])
+  | _ -> ()
+
 (* Walk a unit's structure collecting module-level bindings, recursing
    into plain nested modules (functors and first-class modules are the
-   documented blind spot). *)
-let rec collect_structure ~modpath ~(acc : binding list ref)
+   documented blind spot) and recording, in [modules], what each local
+   module name denotes.  [comps] is the enclosing module's path. *)
+let rec collect_structure ~modules ~unit_id ~comps ~(acc : binding list ref)
     (str : Typedtree.structure) =
+  let modpath = ref_id_of comps in
   List.iter
     (fun (item : Typedtree.structure_item) ->
       match item.str_desc with
@@ -152,30 +184,30 @@ let rec collect_structure ~modpath ~(acc : binding list ref)
               { b_modpath = modpath; b_name = binding_name vb ~line; b_vb = vb }
               :: !acc)
           vbs
-      | Tstr_module mb -> collect_module ~modpath ~acc mb
-      | Tstr_recmodule mbs -> List.iter (collect_module ~modpath ~acc) mbs
+      | Tstr_module mb -> collect_module ~modules ~unit_id ~comps ~acc mb
+      | Tstr_recmodule mbs ->
+        List.iter (collect_module ~modules ~unit_id ~comps ~acc) mbs
       | _ -> ())
     str.str_items
 
-and collect_module ~modpath ~acc (mb : Typedtree.module_binding) =
-  let name =
-    match mb.mb_name.txt with Some n -> n | None -> "_"
-  in
-  let rec unwrap (me : Typedtree.module_expr) =
-    match me.mod_desc with
-    | Tmod_structure str -> Some str
-    | Tmod_constraint (me, _, _, _) -> unwrap me
-    | _ -> None
-  in
-  match unwrap mb.mb_expr with
-  | Some str -> collect_structure ~modpath:(modpath ^ "." ^ name) ~acc str
-  | None -> ()
+and collect_module ~modules ~unit_id ~comps ~acc (mb : Typedtree.module_binding)
+    =
+  let name = match mb.mb_name.txt with Some n -> n | None -> "_" in
+  match (unwrap_module mb.mb_expr, mb.mb_id) with
+  | Tmod_structure str, id ->
+    let comps = comps @ [ name ] in
+    Option.iter
+      (fun id -> Hashtbl.replace modules (stamp_key ~unit_id id) comps)
+      id;
+    collect_structure ~modules ~unit_id ~comps ~acc str
+  | _, Some id -> record_alias ~modules ~unit_id id mb.mb_expr
+  | _, None -> ()
 
 (* Body analysis: every Texp_ident in [vb], classified.  [locals] maps
-   "<unit_id>#<ident stamp>" of module-level bindings to node ids — the
-   unit prefix matters because Ident stamps restart per compilation
-   unit, so bare stamps collide across units. *)
-let analyse_body ~locals ~unit_id (vb : Typedtree.value_binding) =
+   the stamp key of module-level bindings to node ids; [modules] gains
+   the body's own [let module X = <path> in] aliases before their
+   scope is walked. *)
+let analyse_body ~locals ~modules ~unit_id (vb : Typedtree.value_binding) =
   let refs = ref [] in
   let ops = ref [] in
   let guarded = ref false in
@@ -189,18 +221,19 @@ let analyse_body ~locals ~unit_id (vb : Typedtree.value_binding) =
             let line = loc_line e.exp_loc in
             match p with
             | Path.Pident id -> (
-              match
-                Hashtbl.find_opt locals (unit_id ^ "#" ^ Ident.unique_name id)
-              with
+              match Hashtbl.find_opt locals (stamp_key ~unit_id id) with
               | Some target -> refs := (target, line) :: !refs
               | None -> ())
             | _ ->
-              let op_path = op_path_of p in
+              let comps = path_components ~modules ~unit_id p [] in
+              let op_path = op_path_of comps in
               ops := { op_path; op_line = line } :: !ops;
               (match op_path with
               | ("Mutex" | "Atomic") :: _ -> guarded := true
               | _ -> ());
-              refs := (ref_id_of p, line) :: !refs)
+              refs := (ref_id_of comps, line) :: !refs)
+          | Texp_letmodule (Some id, _, _, me, _) ->
+            record_alias ~modules ~unit_id id me
           | _ -> ());
           Tast_iterator.default_iterator.expr self e);
     }
@@ -211,13 +244,14 @@ let analyse_body ~locals ~unit_id (vb : Typedtree.value_binding) =
 (* Toplevel mutable allocation: an alloc_idents application evaluated
    at module-init time (never inside a function body — per-call state
    is not shared). *)
-let alloc_of (vb : Typedtree.value_binding) =
+let alloc_of ~modules ~unit_id (vb : Typedtree.value_binding) =
   let found = ref None in
   let rec visit (e : Typedtree.expression) =
     match e.exp_desc with
     | Texp_function _ -> ()
     | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
-      (match List.assoc_opt (op_path_of p) alloc_idents with
+      let op_path = op_path_of (path_components ~modules ~unit_id p []) in
+      (match List.assoc_opt op_path alloc_idents with
       | Some name when !found = None -> found := Some name
       | _ -> ());
       List.iter (fun (_, a) -> Option.iter visit a) args
@@ -255,6 +289,7 @@ let build ?(config = Config.default) ~cmt_root () =
   in
   let bindings_by_unit = ref [] in
   let units_seen = Hashtbl.create 64 in
+  let modules = Hashtbl.create 256 in
   List.iter
     (fun cmt_path ->
       match Cmt_format.read_cmt cmt_path with
@@ -280,7 +315,8 @@ let build ?(config = Config.default) ~cmt_root () =
             Hashtbl.add units_seen unit_id ();
             let file = Config.normalize source in
             let acc = ref [] in
-            collect_structure ~modpath:unit_id ~acc str;
+            collect_structure ~modules ~unit_id ~comps:[ cmt.cmt_modname ] ~acc
+              str;
             bindings_by_unit :=
               (unit_id, file, List.rev !acc) :: !bindings_by_unit
           end
@@ -302,9 +338,7 @@ let build ?(config = Config.default) ~cmt_root () =
           let line = loc_line b.b_vb.Typedtree.vb_loc in
           let plain = b.b_modpath ^ "." ^ b.b_name in
           let stamps =
-            List.map
-              (fun id -> unit_id ^ "#" ^ Ident.unique_name id)
-              (pat_idents b.b_vb.Typedtree.vb_pat)
+            List.map (stamp_key ~unit_id) (pat_idents b.b_vb.Typedtree.vb_pat)
           in
           (match Hashtbl.find_opt taken plain with
           | Some (prev_line, prev_stamps) ->
@@ -334,7 +368,9 @@ let build ?(config = Config.default) ~cmt_root () =
   let nodes =
     List.map
       (fun (id, line, unit_id, file, b) ->
-        let refs, ops, guarded = analyse_body ~locals ~unit_id b.b_vb in
+        let refs, ops, guarded =
+          analyse_body ~locals ~modules ~unit_id b.b_vb
+        in
         {
           id;
           unit_id;
@@ -343,7 +379,7 @@ let build ?(config = Config.default) ~cmt_root () =
           line;
           refs;
           ops;
-          alloc = alloc_of b.b_vb;
+          alloc = alloc_of ~modules ~unit_id b.b_vb;
           guarded;
         })
       named

@@ -2,7 +2,9 @@
 
     One node per module-level value binding, identified by its wrapped
     display path (["Serve.Reactor.process"]); edges are body mentions —
-    resolved [Path.t]s for cross-module references, ident stamps for
+    resolved [Path.t]s for cross-module references (a path through a
+    local [module M = ...] / [let module M = ... in] alias or a nested
+    structure is rewritten onto the module it names), ident stamps for
     same-unit siblings.  "Mentions" over-approximates "calls" on
     purpose: a function passed to [List.iter] is reached just as surely
     as one applied directly, and the deep analyses want the loud side

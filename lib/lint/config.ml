@@ -29,7 +29,8 @@ type t = {
          defined here against all its cross-module access sites. *)
   output_prefixes : string list;
       (* print_*/Printf.printf/prerr_* are errors here: stdout belongs to
-         the serve codec and the renderers, diagnostics to Obs.Sink. *)
+         the serve codec and the renderers; libraries return strings or
+         write to a caller-owned channel. *)
   mli_prefixes : string list; (* Every .ml here must ship a .mli ... *)
   mli_exempt : string list; (* ... except under these prefixes. *)
   skip_dirs : string list;

@@ -51,10 +51,6 @@ let suppressible_rules =
   ]
   @ deep_only_rules
 
-let all_rules =
-  suppressible_rules
-  @ [ "syntax"; "bad_suppression"; "unused_suppression"; "deep_load" ]
-
 let severity_to_string = function Error -> "error" | Warning -> "warning"
 
 let compare_finding a b =

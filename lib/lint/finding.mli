@@ -43,11 +43,6 @@ val deep_only_rules : string list
 val suppressible_rules : string list
 (** Rule ids a [\[@lint.allow\]] annotation may name. *)
 
-val all_rules : string list
-(** Every rule id the tool can emit (suppressible rules plus the meta
-    rules [syntax], [bad_suppression], [unused_suppression], and
-    [deep_load]). *)
-
 val severity_to_string : severity -> string
 
 val compare_finding : t -> t -> int

@@ -15,8 +15,8 @@
        Pool propagation contract forwards the lowest-chunk exception;
        swallowing breaks it silently).
    R4  output — print_*/Printf.printf/prerr_* in libraries: stdout
-       belongs to the serve codec and the renderers, diagnostics to
-       Obs.Sink.
+       belongs to the serve codec and the renderers; a library returns
+       strings or writes to a channel its caller owns.
    R5  missing_mli lives in Driver (it needs the file set, not an AST).
 
    Suppressions: [@lint.allow rule "justification"] on an expression,
@@ -219,7 +219,7 @@ let scan ~(config : Config.t) ~path ~source =
         when not clock_ok ->
         add ~loc ~rule:"nondet_clock" ~severity:Finding.Error
           "wall-clock read outside Obs.Monotonic; route timing through \
-           Obs.Monotonic.now_ns/now_s so readings stay monotonic and \
+           Obs.Monotonic.now_ns so readings stay monotonic and \
            mockable"
       | [ "Hashtbl"; (("iter" | "fold") as fn) ] ->
         let severity =
@@ -235,7 +235,8 @@ let scan ~(config : Config.t) ~path ~source =
         add ~loc ~rule:"output" ~severity:Finding.Error
           (Printf.sprintf
              "%s in a library: stdout belongs to the serve codec and the \
-              renderers, diagnostics to Obs.Sink"
+              renderers; return strings (or write to a caller-owned \
+              channel) and let binaries own the process streams"
              f)
       | [ ("Printf" | "Format"); (("printf" | "eprintf") as fn) ]
         when in_output ->

@@ -31,24 +31,7 @@ let parse contents =
       with Invalid_argument msg -> Error msg
     end
 
-let render path =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "time,price\n";
-  let times = (path : Stochastic.Path.t).Stochastic.Path.times in
-  let values = path.Stochastic.Path.values in
-  Array.iteri
-    (fun i t -> Buffer.add_string buf (Printf.sprintf "%.8g,%.8g\n" t values.(i)))
-    times;
-  Buffer.contents buf
-
 let load filename =
   match In_channel.with_open_text filename In_channel.input_all with
   | contents -> parse contents
-  | exception Sys_error msg -> Error msg
-
-let save filename path =
-  match Out_channel.with_open_text filename (fun oc ->
-      Out_channel.output_string oc (render path))
-  with
-  | () -> Ok ()
   | exception Sys_error msg -> Error msg

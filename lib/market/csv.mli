@@ -9,10 +9,5 @@ val parse : string -> (Stochastic.Path.t, string) result
     non-numeric header line is skipped).  Errors carry the offending
     line number. *)
 
-val render : Stochastic.Path.t -> string
-(** ["time,price\n..."] — inverse of {!parse}. *)
-
 val load : string -> (Stochastic.Path.t, string) result
 (** Reads and parses a file. *)
-
-val save : string -> Stochastic.Path.t -> (unit, string) result

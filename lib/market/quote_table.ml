@@ -5,7 +5,6 @@ type t = {
   sr : Interp.Bilinear.t;
   mus : float array;
   sigmas : float array;
-  gaps : int;
 }
 
 type quote = { p_star : float; sr : float }
@@ -47,19 +46,11 @@ let build ?mus ?sigmas (base : Swap.Params.t) =
           ratio.(i).(j) <- best.Swap.Success.p_star /. p.Swap.Params.p0;
           sr.(i).(j) <- best.Swap.Success.sr
         | None -> ()));
-  let gaps =
-    let n = ref 0 in
-    Array.iter
-      (Array.iter (fun v -> if Float.is_nan v then incr n))
-      ratio;
-    !n
-  in
   {
     ratio = Interp.Bilinear.create ~xs:mus ~ys:sigmas ~values:ratio;
     sr = Interp.Bilinear.create ~xs:mus ~ys:sigmas ~values:sr;
     mus;
     sigmas;
-    gaps;
   }
 
 let in_grid t ~mu ~sigma =
@@ -83,4 +74,3 @@ let lookup t ~mu ~sigma ~spot =
 
 let quote t ~mu ~sigma ~spot = Result.to_option (lookup t ~mu ~sigma ~spot)
 let nodes t = (Array.length t.mus, Array.length t.sigmas)
-let gaps t = t.gaps

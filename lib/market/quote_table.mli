@@ -26,9 +26,9 @@ val build :
     base parameters; [p0] is factored out by quoting the {e ratio}
     [p_star / p0], so one table serves every spot level).  Defaults:
     mus from -0.01 to 0.01 (9 nodes), sigmas from 0.02 to 0.16 (8
-    nodes).  Infeasible nodes are recorded as gaps.  Nodes are solved in
-    parallel on {!Numerics.Pool}; the table is identical at any jobs
-    count. *)
+    nodes).  Infeasible nodes are left as gaps: quotes next to one
+    return [Error Infeasible_neighbor].  Nodes are solved in parallel on
+    {!Numerics.Pool}; the table is identical at any jobs count. *)
 
 val lookup :
   t -> mu:float -> sigma:float -> spot:float -> (quote, reason) result
@@ -42,6 +42,3 @@ val quote : t -> mu:float -> sigma:float -> spot:float -> quote option
 val nodes : t -> int * int
 (** Grid dimensions (mus, sigmas). *)
 
-val gaps : t -> int
-(** Number of infeasible grid nodes (recorded during {!build}); quotes
-    next to a gap return [Error Infeasible_neighbor]. *)

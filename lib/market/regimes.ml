@@ -75,31 +75,3 @@ let state_at states ~dt ~t =
   let i = int_of_float (ceil (t /. dt)) - 1 in
   let i = max 0 (min (Array.length states - 1) i) in
   states.(i)
-
-let classify (path : Path.t) ~window ~threshold =
-  if window < 2 then invalid_arg "Regimes.classify: window must be >= 2";
-  let rets = Path.log_returns path in
-  let times = path.Path.times in
-  let n = Array.length rets in
-  let states = Array.make (n + 1) Calm in
-  for i = 0 to n do
-    let hi = min (i - 1) (n - 1) in
-    let lo = max 0 (hi - window + 1) in
-    if hi - lo + 1 >= 2 then begin
-      let slice = Array.sub rets lo (hi - lo + 1) in
-      let mean_dt =
-        (times.(hi + 1) -. times.(lo)) /. float_of_int (hi - lo + 1)
-      in
-      let vol = Stats.stddev slice /. sqrt mean_dt in
-      states.(i) <- (if vol > threshold then Turbulent else Calm)
-    end
-    else states.(i) <- (if i > 0 then states.(i - 1) else Calm)
-  done;
-  (* The first entries have no history: inherit the first informed
-     classification. *)
-  let first_informed = min window n in
-  if first_informed <= n then
-    for i = 0 to first_informed - 1 do
-      states.(i) <- states.(first_informed)
-    done;
-  states

@@ -42,10 +42,3 @@ val sample :
 
 val state_at : state array -> dt:float -> t:float -> state
 (** State governing time [t] in a path produced by {!sample}. *)
-
-val classify :
-  Stochastic.Path.t -> window:int -> threshold:float -> state array
-(** Observable proxy: rolling realised volatility over [window] samples
-    against [threshold]; the first [window] entries inherit the first
-    classification.  Useful to test how well a trader can detect the
-    regime without seeing the latent state. *)

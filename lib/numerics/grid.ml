@@ -3,18 +3,6 @@ let linspace ~lo ~hi ~n =
   Array.init n (fun i ->
       lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1)))
 
-let logspace ~lo ~hi ~n =
-  if lo <= 0. || hi <= lo then
-    invalid_arg "Grid.logspace: requires 0 < lo < hi";
-  let la = log lo and lb = log hi in
-  Array.init n (fun i ->
-      exp (la +. ((lb -. la) *. float_of_int i /. float_of_int (n - 1))))
-
-let midpoints xs =
-  let n = Array.length xs in
-  if n < 2 then [||]
-  else Array.init (n - 1) (fun i -> 0.5 *. (xs.(i) +. xs.(i + 1)))
-
 let arange ~lo ~hi ~step =
   if step <= 0. then invalid_arg "Grid.arange: requires step > 0";
   let n = int_of_float (ceil ((hi -. lo) /. step)) in

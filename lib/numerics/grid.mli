@@ -4,13 +4,6 @@ val linspace : lo:float -> hi:float -> n:int -> float array
 (** [n] points from [lo] to [hi] inclusive.  @raise Invalid_argument if
     [n < 2]. *)
 
-val logspace : lo:float -> hi:float -> n:int -> float array
-(** [n] logarithmically spaced points from [lo] to [hi] inclusive;
-    requires [0 < lo < hi]. *)
-
-val midpoints : float array -> float array
-(** Midpoints of consecutive entries (length [n - 1]). *)
-
 val arange : lo:float -> hi:float -> step:float -> float array
 (** Points [lo, lo+step, ...] strictly below [hi].
     @raise Invalid_argument if [step <= 0.]. *)

@@ -1,59 +1,3 @@
-let simpson ?(n = 256) f ~a ~b =
-  if n <= 0 || n mod 2 <> 0 then
-    invalid_arg "Integrate.simpson: n must be a positive even integer";
-  let h = (b -. a) /. float_of_int n in
-  let sum = ref (f a +. f b) in
-  for i = 1 to n - 1 do
-    let x = a +. (float_of_int i *. h) in
-    let w = if i mod 2 = 1 then 4. else 2. in
-    sum := !sum +. (w *. f x)
-  done;
-  !sum *. h /. 3.
-
-let trapezoid ?(n = 256) f ~a ~b =
-  if n <= 0 then invalid_arg "Integrate.trapezoid: n must be positive";
-  let h = (b -. a) /. float_of_int n in
-  let sum = ref (0.5 *. (f a +. f b)) in
-  for i = 1 to n - 1 do
-    sum := !sum +. f (a +. (float_of_int i *. h))
-  done;
-  !sum *. h
-
-(* Adaptive Simpson with the classic 1/15 Richardson criterion. *)
-let adaptive_simpson ?(tol = 1e-10) ?(max_depth = 50) f ~a ~b =
-  let simpson_step a fa b fb fm = (b -. a) /. 6. *. (fa +. (4. *. fm) +. fb) in
-  let rec go a fa b fb m fm whole tol depth =
-    let lm = 0.5 *. (a +. m) and rm = 0.5 *. (m +. b) in
-    let flm = f lm and frm = f rm in
-    let left = simpson_step a fa m fm flm in
-    let right = simpson_step m fm b fb frm in
-    let delta = left +. right -. whole in
-    if depth <= 0 || abs_float delta <= 15. *. tol then
-      left +. right +. (delta /. 15.)
-    else
-      go a fa m fm lm flm left (tol /. 2.) (depth - 1)
-      +. go m fm b fb rm frm right (tol /. 2.) (depth - 1)
-  in
-  (* Seed with a few fixed panels so that narrow interior features cannot
-     be missed by an accidentally small first-level error estimate. *)
-  let panels = 8 in
-  let h = (b -. a) /. float_of_int panels in
-  let total = ref 0. in
-  for i = 0 to panels - 1 do
-    let a' = a +. (float_of_int i *. h) in
-    let b' = a' +. h in
-    let fa' = f a' and fb' = f b' in
-    let m = 0.5 *. (a' +. b') in
-    let fm = f m in
-    total :=
-      !total
-      +. go a' fa' b' fb' m fm
-           (simpson_step a' fa' b' fb' fm)
-           (tol /. float_of_int panels)
-           max_depth
-  done;
-  !total
-
 (* Gauss-Legendre nodes on [-1, 1] by Newton iteration on P_n, using the
    standard three-term recurrence; symmetric, so only half are solved. *)
 let gl_table : (int, (float * float) array) Hashtbl.t = Hashtbl.create 8
@@ -118,11 +62,3 @@ let gauss_legendre ?(n = 64) f ~a ~b =
   let sum = ref 0. in
   Array.iter (fun (x, w) -> sum := !sum +. (w *. f (mid +. (c *. x)))) nodes;
   c *. !sum
-
-let semi_infinite ?(n = 128) f ~a =
-  (* x = a + t/(1-t), dx = dt/(1-t)^2, t in [0,1). *)
-  let g t =
-    let u = 1. -. t in
-    if u <= 0. then 0. else f (a +. (t /. u)) /. (u *. u)
-  in
-  gauss_legendre ~n g ~a:0. ~b:1.

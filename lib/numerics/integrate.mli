@@ -1,16 +1,5 @@
 (** One-dimensional numerical quadrature. *)
 
-val simpson : ?n:int -> (float -> float) -> a:float -> b:float -> float
-(** Composite Simpson rule with [n] (even, default 256) subintervals.
-    @raise Invalid_argument if [n] is not a positive even integer. *)
-
-val adaptive_simpson :
-  ?tol:float -> ?max_depth:int -> (float -> float) -> a:float -> b:float ->
-  float
-(** Adaptive Simpson quadrature with Richardson error control.
-    [tol] is the absolute error target (default [1e-10]);
-    [max_depth] bounds the recursion (default 50). *)
-
 val gauss_legendre : ?n:int -> (float -> float) -> a:float -> b:float -> float
 (** Gauss–Legendre quadrature with [n] nodes (default 64).  Nodes and
     weights are computed by Newton iteration on Legendre polynomials and
@@ -19,12 +8,3 @@ val gauss_legendre : ?n:int -> (float -> float) -> a:float -> b:float -> float
 val gauss_legendre_nodes : int -> (float * float) array
 (** [gauss_legendre_nodes n] returns the [(node, weight)] pairs on
     [[-1, 1]] (memoised). *)
-
-val semi_infinite :
-  ?n:int -> (float -> float) -> a:float -> float
-(** Integral over [[a, +infinity)] via the substitution
-    [x = a + t / (1 - t)], [t] in [[0, 1)], using Gauss–Legendre with [n]
-    nodes (default 128).  The integrand must decay at infinity. *)
-
-val trapezoid : ?n:int -> (float -> float) -> a:float -> b:float -> float
-(** Composite trapezoid rule with [n] subintervals (default 256). *)

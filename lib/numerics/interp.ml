@@ -18,78 +18,6 @@ let interval_index xs x =
     !lo
   end
 
-module Cubic_spline = struct
-  type t = {
-    xs : float array;
-    ys : float array;
-    second : float array;  (** Second derivatives at the knots. *)
-  }
-
-  (* Natural spline: tridiagonal solve for second derivatives (the
-     classic Numerical Recipes formulation). *)
-  let create ~xs ~ys =
-    let n = Array.length xs in
-    if n < 3 then invalid_arg "Cubic_spline.create: needs >= 3 knots";
-    if Array.length ys <> n then
-      invalid_arg "Cubic_spline.create: length mismatch";
-    check_increasing "Cubic_spline.create" xs;
-    let second = Array.make n 0. in
-    let u = Array.make n 0. in
-    for i = 1 to n - 2 do
-      let sig_ = (xs.(i) -. xs.(i - 1)) /. (xs.(i + 1) -. xs.(i - 1)) in
-      let p = (sig_ *. second.(i - 1)) +. 2. in
-      second.(i) <- (sig_ -. 1.) /. p;
-      let d =
-        ((ys.(i + 1) -. ys.(i)) /. (xs.(i + 1) -. xs.(i)))
-        -. ((ys.(i) -. ys.(i - 1)) /. (xs.(i) -. xs.(i - 1)))
-      in
-      u.(i) <-
-        ((6. *. d /. (xs.(i + 1) -. xs.(i - 1))) -. (sig_ *. u.(i - 1))) /. p
-    done;
-    for i = n - 2 downto 1 do
-      second.(i) <- (second.(i) *. second.(i + 1)) +. u.(i)
-    done;
-    second.(0) <- 0.;
-    second.(n - 1) <- 0.;
-    { xs; ys; second }
-
-  let eval t x =
-    let i = interval_index t.xs x in
-    let h = t.xs.(i + 1) -. t.xs.(i) in
-    if x < t.xs.(0) then
-      (* Linear extrapolation with the boundary slope. *)
-      let slope =
-        ((t.ys.(1) -. t.ys.(0)) /. h) -. (h *. t.second.(1) /. 6.)
-      in
-      t.ys.(0) +. (slope *. (x -. t.xs.(0)))
-    else if x > t.xs.(Array.length t.xs - 1) then begin
-      let n = Array.length t.xs in
-      let h = t.xs.(n - 1) -. t.xs.(n - 2) in
-      let slope =
-        ((t.ys.(n - 1) -. t.ys.(n - 2)) /. h) +. (h *. t.second.(n - 2) /. 6.)
-      in
-      t.ys.(n - 1) +. (slope *. (x -. t.xs.(n - 1)))
-    end
-    else begin
-      let a = (t.xs.(i + 1) -. x) /. h in
-      let b = (x -. t.xs.(i)) /. h in
-      (a *. t.ys.(i))
-      +. (b *. t.ys.(i + 1))
-      +. (((a *. a *. a) -. a) *. t.second.(i) *. h *. h /. 6.)
-      +. (((b *. b *. b) -. b) *. t.second.(i + 1) *. h *. h /. 6.)
-    end
-
-  let eval_deriv t x =
-    let i = interval_index t.xs x in
-    let h = t.xs.(i + 1) -. t.xs.(i) in
-    let x = max t.xs.(0) (min t.xs.(Array.length t.xs - 1) x) in
-    let a = (t.xs.(i + 1) -. x) /. h in
-    let b = (x -. t.xs.(i)) /. h in
-    ((t.ys.(i + 1) -. t.ys.(i)) /. h)
-    -. ((3. *. a *. a -. 1.) *. h *. t.second.(i) /. 6.)
-    +. ((3. *. b *. b -. 1.) *. h *. t.second.(i + 1) /. 6.)
-end
-
 module Bilinear = struct
   type t = { xs : float array; ys : float array; values : float array array }
 

@@ -1,22 +1,6 @@
-(** Interpolation: natural cubic splines in 1-D and bilinear lookup on
-    rectangular grids.  Used to precompute expensive model surfaces
-    (e.g. SR-optimal quotes over calibrated parameters) once and query
-    them cheaply. *)
-
-module Cubic_spline : sig
-  type t
-
-  val create : xs:float array -> ys:float array -> t
-  (** Natural cubic spline through the knots.
-      @raise Invalid_argument if fewer than 3 knots or [xs] is not
-      strictly increasing. *)
-
-  val eval : t -> float -> float
-  (** Piecewise-cubic value; linear extrapolation outside the knots. *)
-
-  val eval_deriv : t -> float -> float
-  (** First derivative of the interpolant. *)
-end
+(** Interpolation: bilinear lookup on rectangular grids.  Used to
+    precompute expensive model surfaces (e.g. SR-optimal quotes over
+    calibrated parameters) once and query them cheaply. *)
 
 module Bilinear : sig
   type t

@@ -10,29 +10,7 @@ let pdf { mu; sigma } x =
     let z = (log x -. mu) /. sigma in
     exp (-0.5 *. z *. z) /. (x *. sigma *. Special.sqrt_2pi)
 
-let cdf { mu; sigma } x =
-  if x <= 0. then 0. else Normal.cdf ~mean:mu ~stddev:sigma (log x)
-
 let sf { mu; sigma } x =
   if x <= 0. then 1. else Normal.sf ~mean:mu ~stddev:sigma (log x)
 
-let quantile { mu; sigma } p = exp (Normal.quantile ~mean:mu ~stddev:sigma p)
 let mean { mu; sigma } = exp (mu +. (0.5 *. sigma *. sigma))
-
-let variance { mu; sigma } =
-  let s2 = sigma *. sigma in
-  (exp s2 -. 1.) *. exp ((2. *. mu) +. s2)
-
-let median { mu; sigma = _ } = exp mu
-
-let partial_expectation_above ({ mu; sigma } as d) k =
-  if k <= 0. then mean d
-  else
-    let d1 = (mu +. (sigma *. sigma) -. log k) /. sigma in
-    mean d *. Normal.cdf d1
-
-let partial_expectation_below ({ mu; sigma } as d) k =
-  if k <= 0. then 0.
-  else
-    let d1 = (mu +. (sigma *. sigma) -. log k) /. sigma in
-    mean d *. Normal.sf d1

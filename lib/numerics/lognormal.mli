@@ -13,28 +13,8 @@ val create : mu:float -> sigma:float -> t
 val pdf : t -> float -> float
 (** Density at [x]; [0.] for [x <= 0.]. *)
 
-val cdf : t -> float -> float
-(** Cumulative distribution function; [0.] for [x <= 0.]. *)
-
 val sf : t -> float -> float
 (** Survival function [1 - cdf], cancellation-free. *)
 
-val quantile : t -> float -> float
-(** Inverse CDF for [p] in (0, 1). *)
-
 val mean : t -> float
 (** [exp (mu + sigma^2 / 2)]. *)
-
-val variance : t -> float
-
-val median : t -> float
-
-val partial_expectation_above : t -> float -> float
-(** [partial_expectation_above d k = E[X 1_{X > k}]
-    = mean d * Phi ((mu + sigma^2 - ln k) / sigma)] for [k > 0];
-    equals [mean d] for [k <= 0.].  This is the Black–Scholes style
-    closed form used for the time-[t2] utilities. *)
-
-val partial_expectation_below : t -> float -> float
-(** [E[X 1_{X <= k}] = mean d - partial_expectation_above d k],
-    computed without cancellation. *)

@@ -1,16 +1,6 @@
 let check_stddev stddev =
   if stddev <= 0. then invalid_arg "Normal: requires stddev > 0"
 
-let pdf ?(mean = 0.) ?(stddev = 1.) x =
-  check_stddev stddev;
-  let z = (x -. mean) /. stddev in
-  exp (-0.5 *. z *. z) /. (stddev *. Special.sqrt_2pi)
-
-let log_pdf ?(mean = 0.) ?(stddev = 1.) x =
-  check_stddev stddev;
-  let z = (x -. mean) /. stddev in
-  (-0.5 *. z *. z) -. log (stddev *. Special.sqrt_2pi)
-
 let cdf ?(mean = 0.) ?(stddev = 1.) x =
   check_stddev stddev;
   let z = (x -. mean) /. stddev in
@@ -20,8 +10,3 @@ let sf ?(mean = 0.) ?(stddev = 1.) x =
   check_stddev stddev;
   let z = (x -. mean) /. stddev in
   0.5 *. Special.erfc (z /. Special.sqrt2)
-
-let quantile ?(mean = 0.) ?(stddev = 1.) p =
-  check_stddev stddev;
-  if p <= 0. || p >= 1. then invalid_arg "Normal.quantile: requires 0 < p < 1";
-  mean -. (stddev *. Special.sqrt2 *. Special.erfc_inv (2. *. p))

@@ -1,19 +1,8 @@
 (** Standard and general normal (Gaussian) distribution. *)
 
-val pdf : ?mean:float -> ?stddev:float -> float -> float
-(** [pdf ?mean ?stddev x] — density at [x]. Defaults: [mean = 0.],
-    [stddev = 1.].  @raise Invalid_argument if [stddev <= 0.]. *)
-
 val cdf : ?mean:float -> ?stddev:float -> float -> float
 (** Cumulative distribution function, computed via {!Special.erfc} so both
     tails keep full relative accuracy. *)
 
 val sf : ?mean:float -> ?stddev:float -> float -> float
 (** Survival function [1 - cdf], computed without cancellation. *)
-
-val quantile : ?mean:float -> ?stddev:float -> float -> float
-(** [quantile p] — inverse CDF for [p] in (0, 1).
-    @raise Invalid_argument if [p] is outside (0, 1). *)
-
-val log_pdf : ?mean:float -> ?stddev:float -> float -> float
-(** Logarithm of the density. *)

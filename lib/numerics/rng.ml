@@ -55,10 +55,6 @@ let of_stream ?(seed = 0x5eed) ~stream () =
           (mix64 (Int64.of_int seed))
           (Int64.mul (Int64.of_int stream) golden_gamma)))
 
-(* The cached deviate is part of the state: a copy taken between the
-   two deviates of a pair yields the second one too. *)
-let copy = Bytes.copy
-
 let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
@@ -80,17 +76,12 @@ let[@inline] next t =
   result
 
 let bits64 t = next t
-let split t = expand (next t)
 
 (* Top 53 bits -> float in [0, 1). *)
 let[@inline] unit_float t =
   Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1.0p-53
 
 let uniform t = unit_float t
-
-let uniform_range t ~lo ~hi =
-  if hi <= lo then invalid_arg "Rng.uniform_range: requires lo < hi";
-  lo +. ((hi -. lo) *. unit_float t)
 
 let int_below t n =
   if n <= 0 then invalid_arg "Rng.int_below: requires n > 0";

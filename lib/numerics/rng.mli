@@ -20,22 +20,11 @@ val of_stream : ?seed:int -> stream:int -> unit -> t
     to give every fixed-size Monte-Carlo chunk its own generator so that
     parallel runs are bit-identical for any jobs count. *)
 
-val copy : t -> t
-(** Independent copy of the current state, including a cached second
-    polar deviate: the copy's next {!normal} equals the original's. *)
-
-val split : t -> t
-(** [split t] draws from [t] to seed a statistically independent child
-    generator; useful to give each simulation stream its own RNG. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
 val uniform : t -> float
 (** Uniform float in [[0, 1)] with 53 random bits. *)
-
-val uniform_range : t -> lo:float -> hi:float -> float
-(** Uniform in [[lo, hi)]. @raise Invalid_argument if [hi <= lo]. *)
 
 val int_below : t -> int -> int
 (** Uniform integer in [[0, n)] (unbiased, rejection sampling).

@@ -1,21 +1,3 @@
-let bisect ?(tol = 1e-12) ?(max_iter = 200) f ~a ~b =
-  let fa = f a and fb = f b in
-  if fa = 0. then a
-  else if fb = 0. then b
-  else if fa *. fb > 0. then
-    invalid_arg "Root.bisect: endpoints do not bracket a root"
-  else
-    let rec go a fa b i =
-      let m = 0.5 *. (a +. b) in
-      if b -. a < tol || i >= max_iter then m
-      else
-        let fm = f m in
-        if fm = 0. then m
-        else if fa *. fm < 0. then go a fa m (i + 1)
-        else go m fm b (i + 1)
-    in
-    if a <= b then go a fa b 0 else go b fb a 0
-
 (* Brent's method, following the classic Brent (1973) formulation;
    [fa] and [fb] are f at the bracket ends. *)
 let brent_with ~tol ~max_iter f a fa b fb =
@@ -78,19 +60,6 @@ let brent_with ~tol ~max_iter f a fa b fb =
 
 let brent ?(tol = 1e-13) ?(max_iter = 200) f ~a ~b =
   brent_with ~tol ~max_iter f a (f a) b (f b)
-
-let newton ?(tol = 1e-13) ?(max_iter = 100) ~f ~df x0 =
-  let rec go x i =
-    if i >= max_iter then failwith "Root.newton: did not converge"
-    else
-      let fx = f x in
-      let dfx = df x in
-      if dfx = 0. then failwith "Root.newton: zero derivative"
-      else
-        let x' = x -. (fx /. dfx) in
-        if abs_float (x' -. x) < tol then x' else go x' (i + 1)
-  in
-  go x0 0
 
 (* Certified adaptive log scan.  In u = ln x the domain is cut into
    [coarse] cells.  A cell whose end values share a sign is root-free

@@ -1,24 +1,12 @@
 (** Scalar root finding. *)
 
-val bisect :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> a:float -> b:float ->
-  float
-(** [bisect f ~a ~b] finds a root of [f] in [[a, b]] by bisection.
-    @raise Invalid_argument if [f a] and [f b] have the same (nonzero)
-    sign.  [tol] is the bracket-width target (default [1e-12]). *)
-
 val brent :
   ?tol:float -> ?max_iter:int -> (float -> float) -> a:float -> b:float ->
   float
-(** Brent's method (inverse quadratic interpolation + secant + bisection).
-    Same bracketing precondition as {!bisect}; typically far fewer
-    function evaluations. *)
-
-val newton :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> df:(float -> float) ->
-  float -> float
-(** [newton ~f ~df x0] runs Newton–Raphson from [x0].  @raise Failure if it does not converge
-    within [max_iter] (default 100) iterations. *)
+(** Brent's method (inverse quadratic interpolation + secant + bisection)
+    for a root of [f] in [[a, b]].
+    @raise Invalid_argument if [f a] and [f b] have the same (nonzero)
+    sign. *)
 
 val roots_log : (float -> float) -> a:float -> b:float -> float list
 (** Every sign-change root of [f] in [[a, b]], [0 < a < b], in

@@ -18,20 +18,9 @@ val log_gamma : float -> float
     [x > 0].  Lanczos approximation (g = 7, 9 coefficients).
     @raise Invalid_argument if [x <= 0.]. *)
 
-val erf : float -> float
-(** Error function, [1 - erfc x]: absolute error a few ulp of 1. *)
-
 val erfc : float -> float
 (** Complementary error function, from a 28-term Chebyshev series in
     [t = 2 / (2 + |x|)] (Numerical Recipes' form, fitted in-repo).
     Relative error below 7e-15 for [|x| <= 6]; beyond, the rounding of
     [-x^2] in the exponent adds up to [x^2] ulp.  No [1 - erf]
     cancellation, and no allocation beyond the boxed result. *)
-
-val erfc_inv : float -> float
-(** [erfc_inv y] solves [erfc x = y] for [y] in (0, 2).
-    Initial rational estimate refined by two Halley steps.
-    @raise Invalid_argument if [y <= 0.] or [y >= 2.]. *)
-
-val erf_inv : float -> float
-(** [erf_inv y] solves [erf x = y] for [y] in (-1, 1). *)

@@ -36,27 +36,7 @@ let summarize xs =
     max = !mx;
   }
 
-let mean xs = (summarize xs).mean
-let variance xs = (summarize xs).variance
 let stddev xs = (summarize xs).stddev
-
-let standard_error xs =
-  let s = summarize xs in
-  s.stddev /. sqrt (float_of_int s.n)
-
-let quantile xs p =
-  check_nonempty "Stats.quantile" xs;
-  if p < 0. || p > 1. then invalid_arg "Stats.quantile: p outside [0, 1]";
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
-  let n = Array.length sorted in
-  if n = 1 then sorted.(0)
-  else
-    let h = p *. float_of_int (n - 1) in
-    let lo = int_of_float (floor h) in
-    let hi = min (lo + 1) (n - 1) in
-    let frac = h -. float_of_int lo in
-    sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
 
 let wilson_interval ~successes ~trials ~z =
   if trials <= 0 then invalid_arg "Stats.wilson_interval: trials <= 0";
@@ -71,21 +51,3 @@ let wilson_interval ~successes ~trials ~z =
     z /. denom *. sqrt ((p *. (1. -. p) /. n) +. (z2 /. (4. *. n *. n)))
   in
   (max 0. (centre -. half), min 1. (centre +. half))
-
-let mean_confidence_interval xs ~z =
-  let s = summarize xs in
-  let half = z *. s.stddev /. sqrt (float_of_int s.n) in
-  (s.mean -. half, s.mean +. half)
-
-let histogram xs ~bins ~lo ~hi =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins <= 0";
-  if hi <= lo then invalid_arg "Stats.histogram: requires lo < hi";
-  let counts = Array.make bins 0 in
-  let width = (hi -. lo) /. float_of_int bins in
-  Array.iter
-    (fun x ->
-      let i = int_of_float (floor ((x -. lo) /. width)) in
-      let i = if i < 0 then 0 else if i >= bins then bins - 1 else i in
-      counts.(i) <- counts.(i) + 1)
-    xs;
-  counts

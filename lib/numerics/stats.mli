@@ -9,25 +9,10 @@ type summary = {
   max : float;
 }
 
-val mean : float array -> float
-(** @raise Invalid_argument on an empty array. *)
-
-val variance : float array -> float
-(** Unbiased sample variance (0. for fewer than two samples). *)
-
 val stddev : float array -> float
-
-val standard_error : float array -> float
-(** [stddev / sqrt n]. *)
 
 val summarize : float array -> summary
 (** Single-pass Welford summary.  @raise Invalid_argument on empty. *)
-
-val quantile : float array -> float -> float
-(** [quantile xs p] for [p] in [[0, 1]]: linear interpolation between
-    order statistics (type-7).  The input need not be sorted (a sorted
-    copy is made).  @raise Invalid_argument on empty or [p] outside
-    [[0, 1]]. *)
 
 val wilson_interval : successes:int -> trials:int -> z:float -> float * float
 (** Wilson score interval for a binomial proportion — the right interval
@@ -35,10 +20,3 @@ val wilson_interval : successes:int -> trials:int -> z:float -> float * float
     [z] is the normal critical value (1.96 for 95%).
     @raise Invalid_argument if [trials <= 0] or [successes] is outside
     [[0, trials]]. *)
-
-val mean_confidence_interval : float array -> z:float -> float * float
-(** Normal-approximation CI for a sample mean. *)
-
-val histogram : float array -> bins:int -> lo:float -> hi:float -> int array
-(** Counts per equal-width bin; values outside [[lo, hi)] are clamped to
-    the edge bins.  @raise Invalid_argument if [bins <= 0] or [hi <= lo]. *)

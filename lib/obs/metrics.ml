@@ -20,8 +20,8 @@ let shard () = (Domain.self () :> int) land (shards - 1)
      cells; snapshots sum every cell, so which domain bumped which \
      cell is unobservable in any exported value"]
 
-type counter = { c_name : string; cells : int Atomic.t array }
-type gauge = { g_name : string; g_cell : float Atomic.t }
+type counter = { cells : int Atomic.t array }
+type gauge = { g_cell : float Atomic.t }
 
 (* --- histograms -----------------------------------------------------------
 
@@ -70,7 +70,6 @@ let estimate_s i =
 let slot_n = n_buckets
 
 type histogram = {
-  h_name : string;
   all : int array list Atomic.t; (* every shard ever claimed *)
   mine : int array Domain.DLS.key; (* this domain's, claimed on first use *)
   (* The trailing window, reader side only, under [win_lock]: the view
@@ -113,13 +112,13 @@ let register name make unwrap kind =
 
 let counter name =
   register name
-    (fun () -> Counter { c_name = name; cells = atomic_array shards })
+    (fun () -> Counter { cells = atomic_array shards })
     (function Counter c -> Some c | _ -> None)
     "counter"
 
 let gauge name =
   register name
-    (fun () -> Gauge { g_name = name; g_cell = Atomic.make 0. })
+    (fun () -> Gauge { g_cell = Atomic.make 0. })
     (function Gauge g -> Some g | _ -> None)
     "gauge"
 
@@ -149,7 +148,7 @@ let histogram name =
         s
       in
       Histogram
-        { h_name = name; all; mine = Domain.DLS.new_key claim;
+        { all; mine = Domain.DLS.new_key claim;
           win_lock = Mutex.create (); older = [||]; newer = [||]; newer_ns = 0 })
     (function Histogram h -> Some h | _ -> None)
     "histogram"
@@ -182,9 +181,7 @@ let observe_ns h ns =
 (* --- reads -------------------------------------------------------------- *)
 
 let counter_value c = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c.cells
-let counter_name c = c.c_name
 let gauge_value g = Atomic.get g.g_cell
-let gauge_name g = g.g_name
 let reset_counter c = Array.iter (fun a -> Atomic.set a 0) c.cells
 
 type hist_snapshot = {
@@ -206,7 +203,6 @@ let hist_value (h : histogram) =
   done;
   { count = !count; sum = sum_s shards; buckets = !buckets }
 
-let hist_name h = h.h_name
 let hist_shards h = List.length (Atomic.get h.all)
 
 type hist_view = {
@@ -294,26 +290,6 @@ let snapshot () =
 [@@lint.allow hashtbl_order
   "the registry fold runs under registry_mutex and every section is \
    sorted by name before it escapes this function"]
-
-let reset () =
-  Mutex.lock registry_mutex;
-  Hashtbl.iter
-    (fun _ m ->
-      match m with
-      | Counter c -> Array.iter (fun a -> Atomic.set a 0) c.cells
-      | Gauge g -> Atomic.set g.g_cell 0.
-      | Histogram h ->
-        List.iter (fun s -> Array.fill s 0 (Array.length s) 0) (Atomic.get h.all);
-        Mutex.lock h.win_lock;
-        h.older <- [||];
-        h.newer <- [||];
-        h.newer_ns <- 0;
-        Mutex.unlock h.win_lock)
-    registry;
-  Mutex.unlock registry_mutex
-[@@lint.allow hashtbl_order
-  "zeroing every cell is order-insensitive; the walk runs under \
-   registry_mutex"]
 
 (* --- exporters ---------------------------------------------------------- *)
 

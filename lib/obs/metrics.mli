@@ -56,9 +56,7 @@ val observe_ns : histogram -> int -> unit
 (** {1 Reads} *)
 
 val counter_value : counter -> int
-val counter_name : counter -> string
 val gauge_value : gauge -> float
-val gauge_name : gauge -> string
 
 val reset_counter : counter -> unit
 (** Zero one counter (e.g. [Swap.Cutoff.clear_caches]). *)
@@ -71,7 +69,6 @@ type hist_snapshot = {
 }
 
 val hist_value : histogram -> hist_snapshot
-val hist_name : histogram -> string
 
 val hist_shards : histogram -> int
 (** Shards allocated: at most the peak number of recording domains. *)
@@ -111,9 +108,6 @@ type snapshot = {
 val snapshot : unit -> snapshot
 (** A consistent-enough point-in-time view of the whole registry
     (counters may be mid-update; each cell read is atomic). *)
-
-val reset : unit -> unit
-(** Zero every registered metric (tests); registrations survive. *)
 
 (** {1 Exporters} *)
 

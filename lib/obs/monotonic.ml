@@ -17,7 +17,5 @@ let now_ns () = Monotonic_clock.now ()
    63 bits of nanoseconds since boot overflows after ~146 years. *)
 let now_int_ns () = Int64.to_int (Monotonic_clock.now ())
 
-let now_s () = Int64.to_float (now_ns ()) /. 1e9
-
 let elapsed_s ~since_ns =
   Int64.to_float (Int64.sub (now_ns ()) since_ns) /. 1e9

@@ -14,8 +14,5 @@ val now_int_ns : unit -> int
     is what per-request telemetry stamps want.  63 bits of boot-relative
     nanoseconds overflow after ~146 years. *)
 
-val now_s : unit -> float
-(** [now_ns] in seconds. *)
-
 val elapsed_s : since_ns:int64 -> float
 (** Seconds elapsed since a previous {!now_ns} reading ([>= 0.]). *)

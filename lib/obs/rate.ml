@@ -1,7 +1,7 @@
 (* Windowed event-rate meter: a ring of per-second counting slots over
    the Monotonic clock.
 
-   [observe] stamps the current second into its ring slot and bumps the
+   [observe_at] stamps the given second into its ring slot and bumps the
    slot counter; [per_second] sums the slots whose stamps fall inside
    the requested trailing window.  Slot reset on second rollover is a
    benign race (two domains entering a fresh second may both zero the
@@ -39,8 +39,6 @@ let observe_at t ~now_ns =
   end;
   Atomic.incr t.counts.(slot);
   Atomic.incr t.total
-
-let observe t = observe_at t ~now_ns:(Monotonic.now_int_ns ())
 
 let total t = Atomic.get t.total
 

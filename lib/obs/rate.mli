@@ -1,7 +1,7 @@
 (** Windowed event-rate meter (events/s over a trailing window).
 
     A ring of per-second counting slots on the {!Monotonic} clock.
-    [observe] is wait-free apart from a benign slot-reset race on
+    [observe_at] is wait-free apart from a benign slot-reset race on
     second rollover (a rare lost increment in the windowed view); the
     cumulative {!total} stays exact. *)
 
@@ -11,9 +11,6 @@ val create : ?window_s:int -> unit -> t
 (** [create ()] meters rates over up to [window_s] (default 64,
     rounded up to a power of two) trailing seconds.
     @raise Invalid_argument when [window_s < 1]. *)
-
-val observe : t -> unit
-(** Count one event at the current monotonic time. *)
 
 val observe_at : t -> now_ns:int -> unit
 (** Count one event at an explicit timestamp as tagged-[int]

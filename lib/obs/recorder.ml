@@ -46,13 +46,6 @@ let create ?(capacity = 512) () =
 
 let capacity t = t.per_stripe * stripes
 
-let push t v =
-  let seq = Atomic.fetch_and_add t.seq 1 in
-  let stripe = seq land (stripes - 1)
-  and i = (seq lsr 3) land (t.per_stripe - 1) in
-  t.seqs.(stripe).(i) <- seq;
-  t.vals.(stripe).(i) <- Some v
-
 (* In-place variant for mutable records: instead of storing the
    caller's allocation (which the ring then retains across minor
    collections, promoting every record pushed at steady state), the

@@ -21,10 +21,6 @@ val create : ?capacity:int -> unit -> 'a t
 val capacity : 'a t -> int
 (** Actual bound after rounding. *)
 
-val push : 'a t -> 'a -> unit
-(** Record one value, overwriting the push [capacity] sequence numbers
-    older. *)
-
 val push_copy :
   'a t -> blank:(unit -> 'a) -> copy:('a -> 'a -> unit) -> 'a -> unit
 (** [push_copy t ~blank ~copy v] records [v] by overwriting the slot's

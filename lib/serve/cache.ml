@@ -139,17 +139,6 @@ let length t =
     0 t.shards
 
 let capacity t = t.shard_capacity * Array.length t.shards
-let shards t = Array.length t.shards
-
-let clear t =
-  Array.iter
-    (fun s ->
-      Mutex.lock s.mutex;
-      Atomic.set s.published Smap.empty;
-      s.population <- 0;
-      Queue.clear s.order;
-      Mutex.unlock s.mutex)
-    t.shards
 
 let stats t =
   {

@@ -39,9 +39,6 @@ val length : t -> int
 val capacity : t -> int
 (** Total entry budget ([shard_capacity * shards]). *)
 
-val shards : t -> int
-val clear : t -> unit
-
 type stats = { hits : int; misses : int; evictions : int }
 
 val stats : t -> stats

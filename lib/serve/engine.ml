@@ -32,7 +32,6 @@ type stats = {
 }
 
 type t = {
-  base : Swap.Params.t;
   table : Market.Quote_table.t;
   universe : Swapgraph.Router.t;
   cache : Cache.t;
@@ -286,7 +285,6 @@ let inject_crash t ~id = Atomic.set t.crash_id (Some id)
 let create ?(cache_shards = 8) ?(cache_capacity = 1024) ?(max_sweep_n = 4096)
     ?mus ?sigmas ?table ?universe ?(base = Swap.Params.defaults) () =
   {
-    base;
     (* Warm build: one full solve per grid node, fanned out on the
        shared pool, so the first quote request is already
        microseconds.  A caller holding a prebuilt table (bench legs
@@ -311,10 +309,6 @@ let create ?(cache_shards = 8) ?(cache_capacity = 1024) ?(max_sweep_n = 4096)
     n_errors = Atomic.make 0;
     n_internal = Atomic.make 0;
   }
-
-let quote_table t = t.table
-let base_params t = t.base
-let route_universe t = t.universe
 
 let stats t =
   {

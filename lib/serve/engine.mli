@@ -72,12 +72,6 @@ val inject_crash : t -> id:string -> unit
     any evaluation crash.  Re-arming replaces the pending id.  Costs
     one [Atomic.get] per request. *)
 
-val quote_table : t -> Market.Quote_table.t
-val base_params : t -> Swap.Params.t
-
-val route_universe : t -> Swapgraph.Router.t
-(** The swap graph behind the [route] kind (configured or default). *)
-
 type stats = {
   requests : int;  (** Decoded requests. *)
   parse_errors : int;

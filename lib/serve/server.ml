@@ -106,7 +106,6 @@ let listen engine ~path ?(backlog = 16) ?shards () =
     closed = false;
   }
 
-let path t = t.path
 let reactor_shards t = Reactor.shards t.reactor
 
 let shutdown t =

@@ -43,8 +43,6 @@ val listen : Engine.t -> path:string -> ?backlog:int -> ?shards:int -> unit -> t
     @raise Invalid_argument when [shards < 1], before anything is
     bound (no socket file is left at [path]). *)
 
-val path : t -> string
-
 val reactor_shards : t -> int
 (** Event-loop domains serving this socket. *)
 

@@ -21,18 +21,4 @@ let transition t ~p0 ~tau =
   let mu, sigma = moments t ~p0 ~tau in
   Lognormal.create ~mu ~sigma
 
-let expectation t ~p0 ~tau = Lognormal.mean (transition t ~p0 ~tau)
-let cdf t ~x ~p0 ~tau = Lognormal.cdf (transition t ~p0 ~tau) x
-let sf t ~x ~p0 ~tau = Lognormal.sf (transition t ~p0 ~tau) x
-let pdf t ~x ~p0 ~tau = Lognormal.pdf (transition t ~p0 ~tau) x
-
-let sample rng t ~p0 ~tau =
-  let mu, sigma = moments t ~p0 ~tau in
-  Rng.lognormal rng ~mu ~sigma
-
-let stationary t =
-  Lognormal.create ~mu:t.theta
-    ~sigma:(t.sigma /. sqrt (2. *. t.kappa))
-
 let half_life t = log 2. /. t.kappa
-let equivalent_short_run_sigma t = t.sigma

@@ -22,20 +22,5 @@ val create : kappa:float -> theta_price:float -> sigma:float -> t
 val transition : t -> p0:float -> tau:float -> Numerics.Lognormal.t
 (** Exact conditional law of [P_{t+tau}] given [P_t = p0]. *)
 
-val expectation : t -> p0:float -> tau:float -> float
-val cdf : t -> x:float -> p0:float -> tau:float -> float
-val sf : t -> x:float -> p0:float -> tau:float -> float
-val pdf : t -> x:float -> p0:float -> tau:float -> float
-
-val sample : Numerics.Rng.t -> t -> p0:float -> tau:float -> float
-(** Exact draw (no discretisation error). *)
-
-val stationary : t -> Numerics.Lognormal.t
-(** The [tau -> infinity] limit law. *)
-
 val half_life : t -> float
 (** Time for a log-price deviation to halve: [ln 2 / kappa]. *)
-
-val equivalent_short_run_sigma : t -> float
-(** The instantaneous log volatility — comparable to a GBM's [sigma]
-    over horizons much shorter than the half life. *)

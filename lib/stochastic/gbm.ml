@@ -67,12 +67,6 @@ let sf t ~x ~p0 ~tau =
   check_args ~p0 ~tau;
   leg_sf (leg t ~tau) ~k:x ~p0
 
-let quantile t ~p ~p0 ~tau = Lognormal.quantile (transition t ~p0 ~tau) p
-
-let partial_expectation_above t ~k ~p0 ~tau =
-  check_args ~p0 ~tau;
-  leg_pe_above (leg t ~tau) ~k ~p0
-
 let partial_expectation_below t ~k ~p0 ~tau =
   check_args ~p0 ~tau;
   leg_pe_below (leg t ~tau) ~k ~p0

@@ -30,13 +30,9 @@ val cdf : t -> x:float -> p0:float -> tau:float -> float
 val sf : t -> x:float -> p0:float -> tau:float -> float
 (** [1 - cdf], cancellation-free. *)
 
-val quantile : t -> p:float -> p0:float -> tau:float -> float
-
-val partial_expectation_above : t -> k:float -> p0:float -> tau:float -> float
-(** [E[P_{t+tau} 1_{P_{t+tau} > k} | P_t = p0]] — closed form used by the
-    time-[t2] utilities. *)
-
 val partial_expectation_below : t -> k:float -> p0:float -> tau:float -> float
+(** [E[P_{t+tau} 1_{P_{t+tau} <= k} | P_t = p0]]; the time-[t2]
+    utilities use the staged {!leg_pe_below} / {!leg_pe_above}. *)
 
 (** {2 Staged transitions}
 

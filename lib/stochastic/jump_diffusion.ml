@@ -41,20 +41,3 @@ let expectation t ~p0 ~tau =
     *. (exp (t.jump_mean +. (0.5 *. t.jump_stddev *. t.jump_stddev)) -. 1.)
   in
   p0 *. exp ((t.gbm.Gbm.mu +. jump_drift) *. tau)
-
-let sample_path rng t ~p0 ~times =
-  if p0 <= 0. then invalid_arg "Jump_diffusion.sample_path: requires p0 > 0";
-  let n = Array.length times in
-  let out = Array.make n p0 in
-  let prev_t = ref 0. and prev_p = ref p0 in
-  for i = 0 to n - 1 do
-    let dt = times.(i) -. !prev_t in
-    if dt <= 0. then
-      invalid_arg
-        "Jump_diffusion.sample_path: times must be strictly increasing (> 0)";
-    let p = sample rng t ~p0:!prev_p ~tau:dt in
-    out.(i) <- p;
-    prev_t := times.(i);
-    prev_p := p
-  done;
-  out

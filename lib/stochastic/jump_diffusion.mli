@@ -25,6 +25,3 @@ val sample : Numerics.Rng.t -> t -> p0:float -> tau:float -> float
 
 val expectation : t -> p0:float -> tau:float -> float
 (** [p0 exp ((mu + lambda (exp (jump_mean + jump_stddev^2/2) - 1)) tau)]. *)
-
-val sample_path :
-  Numerics.Rng.t -> t -> p0:float -> times:float array -> float array

@@ -33,8 +33,6 @@ let price t ~level ~index =
 let level_prices t ~level =
   Array.init (level + 1) (fun index -> price t ~level ~index)
 
-let prob_up t = t.p_up
-
 let log_choose n k =
   Numerics.Special.log_gamma (float_of_int (n + 1))
   -. Numerics.Special.log_gamma (float_of_int (k + 1))
@@ -48,17 +46,3 @@ let node_probability t ~level ~index =
       (log_choose level index
       +. (float_of_int index *. log t.p_up)
       +. (float_of_int (level - index) *. log (1. -. t.p_up)))
-
-let expectation_at t ~level =
-  let prices = level_prices t ~level in
-  let acc = ref 0. in
-  Array.iteri
-    (fun index p -> acc := !acc +. (node_probability t ~level ~index *. p))
-    prices;
-  !acc
-
-let expected_value t ~level ~index ~values =
-  check_node t ~level ~index;
-  if Array.length values <> level + 2 then
-    invalid_arg "Lattice.expected_value: values must cover the next level";
-  (t.p_up *. values.(index + 1)) +. ((1. -. t.p_up) *. values.(index))

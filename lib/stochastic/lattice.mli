@@ -31,17 +31,5 @@ val price : t -> level:int -> index:int -> float
 val level_prices : t -> level:int -> float array
 (** All [level + 1] node prices, increasing in index. *)
 
-val prob_up : t -> float
-
 val node_probability : t -> level:int -> index:int -> float
 (** Unconditional probability of reaching the node (binomial). *)
-
-val expectation_at : t -> level:int -> float
-(** Lattice expectation of the price at [level]; converges to
-    [p0 exp (mu t)] as [steps] grows. *)
-
-val expected_value :
-  t -> level:int -> index:int -> values:float array -> float
-(** One-step conditional expectation: [values] are indexed by the
-    [level + 1] nodes of the {e next} level; returns
-    [p_up * values.(index+1) + (1 - p_up) * values.(index)]. *)

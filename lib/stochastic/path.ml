@@ -15,8 +15,6 @@ let create ~times ~values =
   Obs.Metrics.incr m_created;
   { times; values }
 
-let length p = Array.length p.times
-
 (* Binary search for the largest index with times.(i) <= t. *)
 let index_before p t =
   let n = Array.length p.times in
@@ -30,24 +28,6 @@ let index_before p t =
   !lo
 
 let at p t = p.values.(index_before p t)
-
-let at_linear p t =
-  let n = Array.length p.times in
-  if t <= p.times.(0) then p.values.(0)
-  else if t >= p.times.(n - 1) then p.values.(n - 1)
-  else
-    let i = index_before p t in
-    let t0 = p.times.(i) and t1 = p.times.(i + 1) in
-    let v0 = p.values.(i) and v1 = p.values.(i + 1) in
-    v0 +. ((v1 -. v0) *. (t -. t0) /. (t1 -. t0))
-
-let map_values f p = { p with values = Array.map f p.values }
-
-let last p =
-  let n = Array.length p.times in
-  (p.times.(n - 1), p.values.(n - 1))
-
-let first p = (p.times.(0), p.values.(0))
 
 let log_returns p =
   let n = Array.length p.values in

@@ -6,22 +6,10 @@ val create : times:float array -> values:float array -> t
 (** @raise Invalid_argument if lengths differ, arrays are empty, or
     [times] is not strictly increasing. *)
 
-val length : t -> int
-
 val at : t -> float -> float
 (** [at p t] — value at time [t] by previous-tick (right-continuous step)
     interpolation: the value of the latest sample time [<= t].
     @raise Invalid_argument if [t] precedes the first sample. *)
-
-val at_linear : t -> float -> float
-(** Linear interpolation; clamps beyond the last sample. *)
-
-val map_values : (float -> float) -> t -> t
-
-val last : t -> float * float
-(** Final [(time, value)]. *)
-
-val first : t -> float * float
 
 val log_returns : t -> float array
 (** Log returns between consecutive samples (length [n - 1]).

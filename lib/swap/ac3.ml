@@ -42,24 +42,6 @@ let feasible_band ?quad_nodes (p : Params.t) =
   Intervals.hull
     (Cutoff.p_star_region p (fun p_star -> a_t1_net ?quad_nodes p ~p_star))
 
-let rational_policy (p : Params.t) ~p_star =
-  let band = bob_band p ~p_star in
-  let feasible = feasible_band p in
-  {
-    Agent.name = "rational (AC3)";
-    alice_t1 =
-      (fun ~p_star ->
-        match feasible with
-        | Some (lo, hi) when lo < p_star && p_star < hi -> Agent.Cont
-        | _ -> Agent.Stop);
-    bob_t2 =
-      (fun ~p_t2 ->
-        if Intervals.contains band p_t2 then Agent.Cont else Agent.Stop);
-    (* No agent moves exist at t3/t4 in this protocol. *)
-    alice_t3 = (fun ~p_t3:_ -> Agent.Cont);
-    bob_t4 = Agent.Cont;
-  }
-
 let alice = "alice"
 let bob = "bob"
 let witness = "witness"

@@ -34,10 +34,6 @@ val bob_band : Params.t -> p_star:float -> Intervals.t
 (** Bob's [t2] continuation region knowing Alice cannot defect
     ([k3 = 0] in the Eq. 21 machinery). *)
 
-val rational_policy : Params.t -> p_star:float -> Agent.t
-(** Equilibrium policy of the AC3 game (only [alice_t1] and [bob_t2]
-    are meaningful; the protocol has no [t3]/[t4] agent moves). *)
-
 val success_rate : ?quad_nodes:int -> Params.t -> p_star:float -> float
 (** P(success | initiated) — the transition mass of {!bob_band}. *)
 

@@ -36,8 +36,6 @@ let escrow_a = "ac3wn:a"
 let escrow_b = "ac3wn:b"
 let decision_cell = "wn:decision"
 
-let success_rate ?quad_nodes p ~p_star = Ac3.success_rate ?quad_nodes p ~p_star
-
 let happy_path_hours ?tau_witness (p : Params.t) =
   let tau_w = Option.value ~default:p.Params.tau_a tau_witness in
   let tl = Timeline.ideal p in

@@ -45,10 +45,6 @@ val run :
     expiries are stretched by [tau_witness] relative to {!Ac3} to leave
     room for the decision to confirm. *)
 
-val success_rate : ?quad_nodes:int -> Params.t -> p_star:float -> float
-(** Identical to {!Ac3.success_rate} — the strategic structure does not
-    change, only the settlement plumbing. *)
-
 val happy_path_hours : ?tau_witness:float -> Params.t -> float
 (** Time until the last settlement confirms — AC3TW's plus [tau_w]. *)
 

@@ -8,8 +8,6 @@ type t = {
   bob_t4 : decision;
 }
 
-let decision_to_string = function Cont -> "cont" | Stop -> "stop"
-
 type retry = {
   max_attempts : int;
   backoff : float;
@@ -25,12 +23,6 @@ let make_retry ?(backoff = 0.5) ?(backoff_factor = 2.) max_attempts =
   if backoff_factor < 1. then
     invalid_arg "Agent.make_retry: backoff_factor < 1";
   { max_attempts; backoff; backoff_factor }
-
-let retry_to_string r =
-  if r.max_attempts <= 1 then "no-retry"
-  else
-    Printf.sprintf "retry(max=%d, backoff=%g, factor=%g)" r.max_attempts
-      r.backoff r.backoff_factor
 
 let rational (p : Params.t) ~p_star =
   let k3 = Cutoff.p_t3_low p ~p_star in

@@ -34,8 +34,6 @@ val myopic : Params.t -> p_star:float -> t
     least his Token_b ([p_t2 <= p_star]); Alice initiates iff the trade
     is not currently losing ([p0 >= p_star]). *)
 
-val decision_to_string : decision -> string
-
 (** {2 Retry policy}
 
     How an agent reacts when an action it submitted has not confirmed
@@ -61,5 +59,3 @@ val make_retry : ?backoff:float -> ?backoff_factor:float -> int -> retry
 (** [make_retry n] allows [n] total attempts.
     @raise Invalid_argument if [n < 1], [backoff < 0] or
     [backoff_factor < 1]. *)
-
-val retry_to_string : retry -> string

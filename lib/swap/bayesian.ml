@@ -15,13 +15,6 @@ let belief pairs =
     alphas = Array.of_list (List.map snd pairs);
   }
 
-let point_belief alpha = belief [ (1., alpha) ]
-
-let mean_alpha b =
-  let acc = ref 0. in
-  Array.iteri (fun i w -> acc := !acc +. (w *. b.alphas.(i))) b.weights;
-  !acc
-
 let mix b f =
   let acc = ref 0. in
   Array.iteri (fun i w -> acc := !acc +. (w *. f b.alphas.(i))) b.weights;

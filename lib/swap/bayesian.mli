@@ -23,12 +23,6 @@ val belief : (float * float) list -> belief
     @raise Invalid_argument on empty lists, nonpositive weights or
     [alpha <= -1]. *)
 
-val point_belief : float -> belief
-(** Degenerate belief — recovers the complete-information game
-    (tested). *)
-
-val mean_alpha : belief -> float
-
 (* --- Bob uncertain about Alice ------------------------------------------ *)
 
 val b_t2_cont_mixed :

@@ -59,8 +59,6 @@ let b_t2_cont ({ params = p; q_alice; q_bob; _ } as t) ~p_star =
     +. (Gbm.leg_cdf leg ~k:kc ~p0:p_t2 *. alice_forfeits))
     *. disc
 
-let b_t2_stop ~p_t2 = Utility.b_t2_stop ~p_t2
-
 (* Alice's t2 value when Bob withdraws: her Token_a refund (Eq. 22)
    plus both deposits, released to her at t3 and credited at t3 + tau_a
    -- horizon tau_b + tau_a from t2 (the 2Q term of Eq. 36). *)
@@ -130,9 +128,3 @@ let success_rate ?quad_nodes t ~p_star =
     let leg = Gbm.leg (Params.gbm t.params) ~tau:t.params.tau_b in
     Utility.integrate_law ?quad_nodes (law_t2 t) set ~f:(fun x ->
         Gbm.leg_sf leg ~k:kc ~p0:x)
-
-let success_curve ?quad_nodes t ~p_stars =
-  Array.map
-    (fun p_star ->
-      { Success.p_star; sr = success_rate ?quad_nodes t ~p_star })
-    p_stars

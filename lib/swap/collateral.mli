@@ -35,9 +35,6 @@ val a_t2_cont : t -> p_star:float -> p_t2:float -> float
 val b_t2_cont : t -> p_star:float -> p_t2:float -> float
 (** Eq. 35 (Bob's line). *)
 
-val b_t2_stop : p_t2:float -> float
-(** Eq. 23 — Bob keeps Token_b and forfeits his deposit. *)
-
 val a_t2_on_bob_stop : t -> p_star:float -> float
 (** Alice's [t2] value when Bob withdraws: refund plus both deposits,
     credited at [t3 + tau_a] (the [2Q] term of Eq. 36). *)
@@ -69,6 +66,3 @@ val initiation_set : ?rule:rule -> ?quad_nodes:int -> t -> Intervals.t
 
 val success_rate : ?quad_nodes:int -> t -> p_star:float -> float
 (** Eq. 40. *)
-
-val success_curve :
-  ?quad_nodes:int -> t -> p_stars:float array -> Success.point array

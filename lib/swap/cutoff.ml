@@ -78,8 +78,6 @@ let memo c key compute =
 let cache_stats () =
   (Obs.Metrics.counter_value m_hits, Obs.Metrics.counter_value m_misses)
 
-let cache_evictions () = Obs.Metrics.counter_value m_evictions
-
 let cache_sizes () =
   Mutex.lock cache_mutex;
   let sizes = (Hashtbl.length t3_cache.tbl, Hashtbl.length band_cache.tbl) in

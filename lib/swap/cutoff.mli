@@ -52,15 +52,10 @@ val cache_stats : unit -> int * int
     of re-running the region solver; the cache is mutex-protected and safe
     under the domain pool.  Counts freeze while metrics are disabled. *)
 
-val cache_evictions : unit -> int
-(** Entries evicted by the second-chance policy (counter
-    [cutoff.cache.evictions]).  Eviction is per-entry: a full cache
-    drops its least-recently-referenced entry, never the whole table. *)
-
 val cache_sizes : unit -> int * int
 (** Current [(t3, band)] cache populations; each is bounded by the
     capacity (512). *)
 
 val clear_caches : unit -> unit
-(** Drop every memoized cutoff and reset {!cache_stats} /
-    {!cache_evictions} (tests). *)
+(** Drop every memoized cutoff and reset {!cache_stats} and the
+    [cutoff.cache.evictions] counter (tests). *)

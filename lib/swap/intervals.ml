@@ -27,9 +27,6 @@ let rec contains t x =
   | [] -> false
   | { lo; hi } :: rest -> (lo < x && x < hi) || contains rest x
 
-let total_length t =
-  List.fold_left (fun acc { lo; hi } -> acc +. (hi -. lo)) 0. t
-
 let of_sign_changes ~f ~roots ~domain_lo ~domain_hi =
   let roots = List.sort_uniq compare roots in
   let boundaries = (domain_lo :: roots) @ [ domain_hi ] in

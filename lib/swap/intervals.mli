@@ -16,8 +16,6 @@ val of_list : interval list -> t
 val intervals : t -> interval list
 val is_empty : t -> bool
 val contains : t -> float -> bool
-val total_length : t -> float
-(** [infinity] when unbounded. *)
 
 val of_sign_changes :
   f:(float -> float) -> roots:float list -> domain_lo:float ->

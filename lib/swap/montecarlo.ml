@@ -23,12 +23,6 @@ let gbm_sampler (p : Params.t) : sampler = Gbm.sampler (Params.gbm p)
 let jump_sampler jd : sampler =
  fun ~tau rng ~p0 -> Jump_diffusion.sample rng jd ~p0 ~tau
 
-let outcome_to_string = function
-  | Success -> "success"
-  | Abort_t1 -> "abort@t1"
-  | Abort_t2 -> "abort@t2"
-  | Abort_t3 -> "abort@t3"
-
 (* A trial writes each agent's realised utility, assessed at t1, into a
    float-only record: (1 + alpha S) * receipt value *
    e^{-r * (receipt time - t1)}, plus any deposit flows.  Only the
@@ -221,45 +215,6 @@ let run ?(trials = 20_000) ?(seed = 0x51ab) ?jobs ?sampler (p : Params.t)
   let trials = effective_trials trials in
   let sampler = Option.value ~default:(gbm_sampler p) sampler in
   run_tallied ?jobs ~trials ~seed (swap_trial p ~p_star ~policy ~sampler)
-
-let utility_samples ?(trials = 20_000) ?(seed = 0x51ab) ?jobs ?sampler
-    (p : Params.t) ~p_star ~policy =
-  let trials = effective_trials trials in
-  let sampler = Option.value ~default:(gbm_sampler p) sampler in
-  let trial = swap_trial p ~p_star ~policy ~sampler in
-  Obs.Metrics.incr m_runs;
-  Obs.Metrics.add m_trials trials;
-  (* Each chunk fills preallocated buffers in one pass (no reversed
-     intermediate lists); chunk buffers are concatenated in order. *)
-  let parts =
-    Obs.Trace.with_span "mc.utility_samples" @@ fun _ ->
-    Numerics.Pool.map_chunks ?jobs ~chunk_size:chunk_trials ~n:trials
-      (fun ~chunk ~lo ~hi ->
-        let rng = Rng.of_stream ~seed ~stream:chunk () in
-        let cap = hi - lo in
-        let ua = Array.make cap 0. and ub = Array.make cap 0. in
-        let count = ref 0 in
-        let u = { ua = 0.; ub = 0. } in
-        for _ = lo to hi - 1 do
-          match trial rng u with
-          | Abort_t1 -> ()
-          | Success | Abort_t2 | Abort_t3 ->
-            ua.(!count) <- u.ua;
-            ub.(!count) <- u.ub;
-            incr count
-        done;
-        (!count, ua, ub))
-  in
-  let n = Array.fold_left (fun acc (c, _, _) -> acc + c) 0 parts in
-  let ua = Array.make n 0. and ub = Array.make n 0. in
-  let pos = ref 0 in
-  Array.iter
-    (fun (c, ca, cb) ->
-      Array.blit ca 0 ua !pos c;
-      Array.blit cb 0 ub !pos c;
-      pos := !pos + c)
-    parts;
-  (ua, ub)
 
 (* Collateral game: same path logic, but deposits flow per the Oracle
    rules and decisions use the Section IV thresholds.  Hoisted as in

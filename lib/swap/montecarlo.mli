@@ -48,15 +48,6 @@ val run :
     {e bit-identical for any [jobs] count} (default: the pool's global
     setting). *)
 
-val utility_samples :
-  ?trials:int -> ?seed:int -> ?jobs:int -> ?sampler:sampler -> Params.t ->
-  p_star:float -> policy:Agent.t -> float array * float array
-(** Realised [(alice, bob)] utilities (discounted to [t1]) for every
-    {e initiated} trial — the raw material for risk views beyond the
-    mean (dispersion, tail quantiles).  Same seed-stable chunking as
-    {!run}: at equal [seed] both functions simulate the same trials in
-    the same order, for any [jobs]. *)
-
 val run_collateral :
   ?trials:int -> ?seed:int -> ?jobs:int -> ?sampler:sampler -> Collateral.t ->
   p_star:float -> result
@@ -65,11 +56,9 @@ val run_collateral :
     Seed-stable parallel execution as in {!run}. *)
 
 val set_trials_override : int option -> unit
-(** Process-wide override of the trial count: when [Some n], {!run},
-    {!run_collateral} and {!utility_samples} simulate [n] trials
+(** Process-wide override of the trial count: when [Some n], {!run}
+    and {!run_collateral} simulate [n] trials
     regardless of their [?trials] argument — wired to the CLI's
     [experiment --trials] so simulation-heavy experiments can be scaled
     up or down without recompiling; [None] (the default) restores the
     per-call counts.  @raise Invalid_argument on [Some n] with [n < 1]. *)
-
-val outcome_to_string : outcome -> string

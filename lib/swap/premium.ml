@@ -5,12 +5,5 @@ let create params ~w =
   Collateral.create params ~q_alice:w ~q_bob:0.
 
 let as_collateral t = t
-let p_t3_low t ~p_star = Collateral.p_t3_low t ~p_star
 let success_rate ?quad_nodes t ~p_star =
   Collateral.success_rate ?quad_nodes t ~p_star
-
-let success_curve ?quad_nodes t ~p_stars =
-  Collateral.success_curve ?quad_nodes t ~p_stars
-
-let initiation_set ?rule ?quad_nodes t =
-  Collateral.initiation_set ?rule ?quad_nodes t

@@ -15,13 +15,4 @@ val create : Params.t -> w:float -> t
 
 val as_collateral : t -> Collateral.t
 
-val p_t3_low : t -> p_star:float -> float
-(** Alice's [t3] cutoff, lowered by the at-stake premium. *)
-
 val success_rate : ?quad_nodes:int -> t -> p_star:float -> float
-
-val success_curve :
-  ?quad_nodes:int -> t -> p_stars:float array -> Success.point array
-
-val initiation_set :
-  ?rule:Collateral.rule -> ?quad_nodes:int -> t -> Intervals.t

@@ -520,6 +520,3 @@ let run ?(q = 0.) ?(policy = Agent.honest) ?price ?(reveal_delay = 0.)
               ~secret_observed_at_t4:(observed <> None)
         end
     end
-
-let run_on_path ?q ?policy ?seed (p : Params.t) ~p_star ~path =
-  run ?q ?policy ?seed p ~p_star ~price:(fun t -> Stochastic.Path.at path t)

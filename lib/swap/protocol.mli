@@ -130,10 +130,4 @@ val run :
       default 0): margin on every chain_a / chain_b leg that absorbs
       fault-injected latency. *)
 
-val run_on_path :
-  ?q:float -> ?policy:Agent.t -> ?seed:int -> Params.t -> p_star:float ->
-  path:Stochastic.Path.t -> result
-(** Like {!run} with prices read from a sampled path
-    (previous-tick interpolation). *)
-
 val outcome_to_string : outcome -> string

@@ -12,10 +12,6 @@ type result = {
   ended : ended;
 }
 
-let stance_to_string = function
-  | Faithful -> "faithful"
-  | Opportunist -> "opportunist"
-
 (* An opportunist still values completion a little (fees saved, venue
    ratings) but far less than a relationship-minded trader. *)
 let alpha_of (p : Params.t) = function

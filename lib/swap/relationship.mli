@@ -38,5 +38,3 @@ val mean_totals :
   float * float * float
 (** Averages over many relationships: (alice mean total, bob mean
     total, mean rounds completed). *)
-
-val stance_to_string : stance -> string

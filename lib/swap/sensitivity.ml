@@ -85,10 +85,3 @@ let sweep ?quad_nodes ?(n = 41) variants =
       in
       { variant; feasible; curve; best })
     variants
-
-let monotone_in_alpha ?quad_nodes (p : Params.t) ~alphas ~p_star =
-  Array.map
-    (fun alpha ->
-      let p = Params.with_alpha_alice (Params.with_alpha_bob p alpha) alpha in
-      (alpha, Success.analytic ?quad_nodes p ~p_star))
-    alphas

@@ -20,9 +20,3 @@ val fig6_panels : ?base:Params.t -> unit -> (string * variant list) list
 val sweep : ?quad_nodes:int -> ?n:int -> variant list -> sweep_result list
 (** Evaluates each variant's feasible band and SR curve ([n] grid
     points, default 41). *)
-
-val monotone_in_alpha :
-  ?quad_nodes:int -> Params.t -> alphas:float array -> p_star:float ->
-  (float * float) array
-(** [(alpha, SR)] with both agents' premia set to [alpha] — the paper's
-    "higher alpha leads to higher SR" claim, used by tests. *)

@@ -39,8 +39,3 @@ let success_rate ?quad_nodes t ~p_star =
   let band = p_t2_band t ~p_star in
   if Intervals.is_empty band then 0.
   else Success.analytic_given ?quad_nodes p ~k3 ~band
-
-let success_curve ?quad_nodes t ~p_stars =
-  Array.map
-    (fun p_star -> { Success.p_star; sr = success_rate ?quad_nodes t ~p_star })
-    p_stars

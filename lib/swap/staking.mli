@@ -34,6 +34,3 @@ val b_t2_cont : t -> p_star:float -> p_t2:float -> float
 val p_t2_band : t -> p_star:float -> Intervals.t
 
 val success_rate : ?quad_nodes:int -> t -> p_star:float -> float
-
-val success_curve :
-  ?quad_nodes:int -> t -> p_stars:float array -> Success.point array

@@ -25,7 +25,6 @@ type t = {
 let n t = t.n
 let leader t = t.leader
 let arcs t = t.arcs
-let arc_count t = Array.length t.arcs
 let depth t v = t.depths.(v)
 let depths t = Array.copy t.depths
 let max_depth t = t.max_depth
@@ -126,19 +125,6 @@ let make_exn ?leader ~n pairs =
   match make ?leader ~n pairs with
   | Ok g -> g
   | Error msg -> invalid_arg ("Swapgraph.Graph.make: " ^ msg)
-
-let equal a b =
-  a.n = b.n && a.leader = b.leader && a.arcs = b.arcs
-
-let signature t =
-  let b = Buffer.create 64 in
-  Buffer.add_string b (Printf.sprintf "n=%d;leader=%d;" t.n t.leader);
-  Array.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "%d>%d" a.src a.dst))
-    t.arcs;
-  Buffer.contents b
 
 (* Vertices in canonical decision order: by leader distance, then
    index.  The leader comes first (depth 0); execution and the game

@@ -28,8 +28,6 @@ val arcs : t -> arc array
 (** Canonical arc order; indices into this array identify arcs
     everywhere (timelocks, chains, contracts). *)
 
-val arc_count : t -> int
-
 val depth : t -> int -> int
 (** BFS distance from the leader along forward arcs. *)
 
@@ -45,9 +43,3 @@ val in_arcs : t -> int -> int list
 val decision_order : t -> int array
 (** All vertices sorted by (leader distance, index) — the order in
     which parties act during the lock phase; the leader is first. *)
-
-val equal : t -> t -> bool
-
-val signature : t -> string
-(** Canonical one-line description (["n=4;leader=0;0>1,1>2,..."]);
-    equal graphs have equal signatures. *)

@@ -11,13 +11,6 @@ let family_to_string = function
   | Bridge -> "bridge"
   | Random -> "random"
 
-let family_of_string = function
-  | "cycle" -> Some Cycle
-  | "star" -> Some Star
-  | "bridge" -> Some Bridge
-  | "random" -> Some Random
-  | _ -> None
-
 let all_families = [ Cycle; Star; Bridge; Random ]
 
 let cycle n =

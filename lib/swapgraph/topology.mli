@@ -6,7 +6,6 @@
 type family = Cycle | Star | Bridge | Random
 
 val family_to_string : family -> string
-val family_of_string : string -> family option
 val all_families : family list
 
 val cycle : int -> Graph.t

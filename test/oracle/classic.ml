@@ -1,3 +1,22 @@
+(* Classic extensive-form games with known subgame-perfect equilibria:
+   the fixtures the generic backward-induction solver (Gametree.Solve)
+   is checked against.
+
+   - [centipede ~rounds ~pot0 ~growth]: Rosenthal's centipede.  At each
+     round the mover either takes (2/3 of the pot, opponent 1/3) or
+     passes, multiplying the pot by [growth > 1]; after the final pass
+     the pot is split evenly.  SPE: player 0 takes immediately.
+   - [ultimatum ~levels]: player 0 offers [k] in [0..levels] of a pie
+     of size [levels]; player 1 accepts or rejects (both get 0).
+     Accept is listed first, so ties resolve to acceptance and the SPE
+     offer is 0.
+   - [entry_deterrence]: the entrant (player 0) enters or stays out;
+     the incumbent accommodates or fights.  SPE: enter, accommodate.
+   - [coin_then_choice]: a fair coin before a decision, where player 0
+     should pick the risky arm (expected 1.5) over the safe 1.0. *)
+
+open Gametree
+
 let centipede ~rounds ~pot0 ~growth =
   if rounds < 1 then invalid_arg "Classic.centipede: requires rounds >= 1";
   if growth <= 1. then invalid_arg "Classic.centipede: requires growth > 1";

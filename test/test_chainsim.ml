@@ -1,6 +1,6 @@
 (* Tests for the blockchain simulator: SHA-256, heaps, secrets,
-   ledgers, HTLC semantics, chain timing, mempool visibility, the
-   discrete-event loop and the collateral Oracle. *)
+   ledgers, HTLC semantics, chain timing, mempool visibility and the
+   collateral Oracle. *)
 
 open Chainsim
 
@@ -8,6 +8,8 @@ let check_float ?(tol = 1e-9) msg expected actual =
   Alcotest.check (Alcotest.float tol) msg expected actual
 
 (* --- SHA-256 (FIPS 180-4 test vectors) --------------------------------- *)
+
+let hex msg = Sha256.hex_of_bytes (Sha256.digest msg)
 
 let test_sha256_vectors () =
   let cases =
@@ -26,7 +28,7 @@ let test_sha256_vectors () =
     (fun (msg, expected) ->
       Alcotest.(check string)
         (Printf.sprintf "sha256(%S)" msg)
-        expected (Sha256.hex_digest msg))
+        expected (hex msg))
     cases
 
 let test_sha256_long_input () =
@@ -35,34 +37,37 @@ let test_sha256_long_input () =
   Alcotest.(check string)
     "sha256(a^1e6)"
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Sha256.hex_digest msg)
+    (hex msg)
 
 let test_sha256_block_boundaries () =
   (* Inputs spanning the 55/56/64-byte padding boundaries must differ
      and be deterministic. *)
   let digests =
-    List.map (fun n -> Sha256.hex_digest (String.make n 'x')) [ 54; 55; 56; 63; 64; 65 ]
+    List.map (fun n -> hex (String.make n 'x')) [ 54; 55; 56; 63; 64; 65 ]
   in
   let uniq = List.sort_uniq compare digests in
   Alcotest.(check int) "all distinct" (List.length digests) (List.length uniq)
 
 (* --- Heap ------------------------------------------------------------------ *)
 
+(* Pop until empty: the order the chain's event queue runs in. *)
+let drain h =
+  let rec go acc = match Heap.pop h with Some x -> go (x :: acc) | None -> List.rev acc in
+  go []
+
 let test_heap_sorts () =
   let h = Heap.create ~cmp:compare in
   List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 0 ];
-  Alcotest.(check (list int)) "sorted drain" [ 0; 1; 1; 3; 4; 5; 9 ]
-    (Heap.to_sorted_list h);
-  Alcotest.(check int) "length unchanged" 7 (Heap.length h);
   Alcotest.(check (option int)) "peek" (Some 0) (Heap.peek h);
-  Alcotest.(check (option int)) "pop" (Some 0) (Heap.pop h);
-  Alcotest.(check int) "length after pop" 6 (Heap.length h)
+  Alcotest.(check (option int)) "peek does not pop" (Some 0) (Heap.peek h);
+  Alcotest.(check (list int)) "sorted drain" [ 0; 1; 1; 3; 4; 5; 9 ] (drain h);
+  Alcotest.(check (option int)) "drained" None (Heap.peek h)
 
 let test_heap_empty () =
   let h = Heap.create ~cmp:compare in
-  Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
+  Alcotest.(check (option int)) "peek empty" None (Heap.peek h);
   Alcotest.(check (option int)) "pop empty" None (Heap.pop h);
-  Alcotest.(check (list int)) "drain empty" [] (Heap.to_sorted_list h)
+  Alcotest.(check (list int)) "drain empty" [] (drain h)
 
 (* --- Secrets ----------------------------------------------------------------- *)
 
@@ -402,7 +407,12 @@ let test_fees_forgiven_when_broke () =
 
 let test_fees_zero_by_default () =
   let c = fresh_chain () in
-  check_float "assumption 2 default" 0. (Chain.fee_per_tx c);
+  Chain.mint c ~account:"a" ~amount:5.;
+  ignore (Chain.submit c ~at:0. (Tx.Transfer { from_ = "a"; to_ = "b"; amount = 3. }));
+  ignore (Chain.advance c ~until:5.);
+  check_float "assumption 2 default" 2. (Chain.balance c ~account:"a");
+  check_float "no fee collected" 0.
+    (Chain.balance c ~account:Chain.miner_account);
   match Chain.set_fee_per_tx c (-1.) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative fee must be rejected"
@@ -776,68 +786,6 @@ let test_explorer_render_mentions_chain () =
   Alcotest.(check bool) "has header" true
     (String.length text > 0 && String.sub text 0 10 = "chain test")
 
-(* --- Sim -------------------------------------------------------------------- *)
-
-let test_sim_ordering () =
-  let sim = Sim.create () in
-  let order = ref [] in
-  Sim.schedule sim ~at:2. ~name:"b" (fun _ -> order := "b" :: !order);
-  Sim.schedule sim ~at:1. ~name:"a" (fun _ -> order := "a" :: !order);
-  Sim.schedule sim ~at:2. ~name:"c" (fun _ -> order := "c" :: !order);
-  Sim.run sim;
-  Alcotest.(check (list string)) "time then FIFO" [ "a"; "b"; "c" ]
-    (List.rev !order);
-  Alcotest.(check int) "executed" 3 (Sim.executed_count sim)
-
-let test_sim_cascading () =
-  let sim = Sim.create () in
-  let hits = ref 0 in
-  Sim.schedule sim ~at:1. ~name:"seed" (fun sim ->
-      incr hits;
-      Sim.schedule sim ~at:2. ~name:"child" (fun _ -> incr hits));
-  Sim.run sim;
-  Alcotest.(check int) "events cascade" 2 !hits
-
-let test_sim_rejects_past () =
-  let sim = Sim.create () in
-  Sim.schedule sim ~at:5. ~name:"x" (fun sim ->
-      match Sim.schedule sim ~at:1. ~name:"past" (fun _ -> ()) with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "expected rejection");
-  Sim.run sim
-
-let test_sim_run_until () =
-  let sim = Sim.create () in
-  let hits = ref 0 in
-  Sim.schedule sim ~at:1. ~name:"early" (fun _ -> incr hits);
-  Sim.schedule sim ~at:10. ~name:"late" (fun _ -> incr hits);
-  Sim.run_until sim 5.;
-  Alcotest.(check int) "only early ran" 1 !hits;
-  Sim.run sim;
-  Alcotest.(check int) "rest ran" 2 !hits
-
-let test_sim_trace_toggle () =
-  let sim = Sim.create ~trace:false () in
-  Sim.schedule sim ~at:1. ~name:"x" (fun _ -> ());
-  Sim.run sim;
-  Alcotest.(check (list (pair (float 0.) string))) "no trace recorded" []
-    (Sim.trace sim);
-  Alcotest.(check int) "still counted" 1 (Sim.executed_count sim)
-
-let test_sim_deep_cascade_stack_safe () =
-  (* A chain of 200k events, each scheduling the next: the recursive
-     run loop this replaced would blow the stack here. *)
-  let sim = Sim.create ~trace:false () in
-  let hits = ref 0 in
-  let rec step i s =
-    incr hits;
-    if i < 200_000 then
-      Sim.schedule s ~at:(float_of_int (i + 1)) ~name:"c" (step (i + 1))
-  in
-  Sim.schedule sim ~at:0. ~name:"c" (step 0);
-  Sim.run sim;
-  Alcotest.(check int) "all executed" 200_001 !hits
-
 (* --- Oracle ---------------------------------------------------------------------- *)
 
 let test_oracle_flow () =
@@ -906,7 +854,7 @@ let qcheck_tests =
       (fun xs ->
         let h = Heap.create ~cmp:compare in
         List.iter (Heap.push h) xs;
-        Heap.to_sorted_list h = List.sort compare xs);
+        drain h = List.sort compare xs);
     Test.make ~name:"sha256 deterministic and 32 bytes" ~count:200
       string
       (fun s ->
@@ -1142,17 +1090,6 @@ let () =
             test_explorer_balances_sorted_nonzero;
           Alcotest.test_case "render header" `Quick
             test_explorer_render_mentions_chain;
-        ] );
-      ( "sim",
-        [
-          Alcotest.test_case "event ordering" `Quick test_sim_ordering;
-          Alcotest.test_case "cascading events" `Quick test_sim_cascading;
-          Alcotest.test_case "rejects past scheduling" `Quick
-            test_sim_rejects_past;
-          Alcotest.test_case "run_until" `Quick test_sim_run_until;
-          Alcotest.test_case "trace toggle" `Quick test_sim_trace_toggle;
-          Alcotest.test_case "deep cascade stack-safe" `Quick
-            test_sim_deep_cascade_stack_safe;
         ] );
       ( "oracle",
         [

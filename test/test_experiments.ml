@@ -16,7 +16,9 @@ let test_registry_complete () =
       "stablecoin"; "negotiation"; "security"; "multihop"; "uncertainty";
       "attribution"; "scorecard"; "presets" ]
   in
-  let names = Experiments.Registry.names () in
+  let names =
+    List.map (fun e -> e.Experiments.Registry.name) Experiments.Registry.all
+  in
   List.iter
     (fun e ->
       if not (List.mem e names) then Alcotest.failf "missing experiment %s" e)

@@ -295,7 +295,7 @@ let test_engagement_matches_initiation_set () =
 (* --- Bayesian (incomplete information) ------------------------------------------------ *)
 
 let test_bayesian_point_belief_is_complete_info () =
-  let b = Swap.Bayesian.point_belief 0.3 in
+  let b = Swap.Bayesian.belief [ (1., 0.3) ] in
   check_float ~tol:1e-9 "band matches"
     (Swap.Utility.b_t2_cont p ~p_star:2.
        ~k3:(Swap.Cutoff.p_t3_low p ~p_star:2.)
@@ -378,7 +378,10 @@ let test_bayesian_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "zero weight rejected");
   let b = Swap.Bayesian.belief [ (2., 0.2); (2., 0.4) ] in
-  check_float ~tol:1e-12 "weights normalised" 0.3 (Swap.Bayesian.mean_alpha b)
+  check_float ~tol:1e-12 "weights normalised" 0.5 b.Swap.Bayesian.weights.(0);
+  check_float ~tol:1e-12 "mean alpha" 0.3
+    ((b.Swap.Bayesian.weights.(0) *. b.Swap.Bayesian.alphas.(0))
+    +. (b.Swap.Bayesian.weights.(1) *. b.Swap.Bayesian.alphas.(1)))
 
 (* --- Griefing ------------------------------------------------------------------------- *)
 

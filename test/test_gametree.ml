@@ -1,11 +1,28 @@
 (* Tests for the extensive-form game substrate: construction,
-   validation, and the backward-induction solver on games with known
-   subgame-perfect equilibria. *)
+   validation, and the backward-induction solver on the classic games
+   with known subgame-perfect equilibria (test/oracle/classic.ml). *)
 
 open Gametree
 
 let check_float ?(tol = 1e-9) msg expected actual =
   Alcotest.check (Alcotest.float tol) msg expected actual
+
+(* The line of play a solved tree prescribes: the chosen action at each
+   decision, the most probable branch at each chance node (first on
+   ties). *)
+let rec spe_path = function
+  | Solve.S_terminal _ -> []
+  | Solve.S_decision { chosen; branches; _ } ->
+    chosen :: spe_path (List.assoc chosen branches)
+  | Solve.S_chance { branches; _ } ->
+    let _, best =
+      List.fold_left
+        (fun ((bp, _) as acc) ((p, _) as cand) -> if p > bp then cand else acc)
+        (List.hd branches) (List.tl branches)
+    in
+    spe_path best
+
+let payoff s player = (Solve.value s).(player)
 
 (* --- construction and validation ------------------------------------- *)
 
@@ -27,10 +44,10 @@ let test_decision_validation () =
       ignore (Game.decision ~player:0 []))
 
 let test_size_depth () =
-  let g = Classic.entry_deterrence in
+  let g = Oracle.Classic.entry_deterrence in
   Alcotest.(check int) "size" 5 (Game.size g);
-  Alcotest.(check int) "depth" 2 (Game.depth g);
-  Alcotest.(check int) "players" 2 (Game.n_players g)
+  Alcotest.(check bool) "two-player payoffs validate" true
+    (Game.validate g = Ok ())
 
 let test_validate_ok () =
   List.iter
@@ -39,10 +56,10 @@ let test_validate_ok () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "expected valid game: %s" e)
     [
-      Classic.entry_deterrence;
-      Classic.coin_then_choice;
-      Classic.centipede ~rounds:6 ~pot0:3. ~growth:1.25;
-      Classic.ultimatum ~levels:5;
+      Oracle.Classic.entry_deterrence;
+      Oracle.Classic.coin_then_choice;
+      Oracle.Classic.centipede ~rounds:6 ~pot0:3. ~growth:1.25;
+      Oracle.Classic.ultimatum ~levels:5;
     ]
 
 let test_validate_catches_bad_player () =
@@ -54,34 +71,34 @@ let test_validate_catches_bad_player () =
 (* --- solver on classic games ------------------------------------------- *)
 
 let test_entry_deterrence () =
-  let s = Solve.solve Classic.entry_deterrence in
+  let s = Solve.solve Oracle.Classic.entry_deterrence in
   Alcotest.(check (list string))
-    "SPE path" [ "enter"; "accommodate" ] (Solve.principal_actions s);
-  check_float "entrant value" 2. (Solve.expected_payoff s ~player:0);
-  check_float "incumbent value" 1. (Solve.expected_payoff s ~player:1)
+    "SPE path" [ "enter"; "accommodate" ] (spe_path s);
+  check_float "entrant value" 2. (payoff s 0);
+  check_float "incumbent value" 1. (payoff s 1)
 
 let test_centipede_takes_immediately () =
   (* With growth < 4/3 the unique SPE is to take at round 1. *)
-  let g = Classic.centipede ~rounds:8 ~pot0:3. ~growth:1.25 in
+  let g = Oracle.Classic.centipede ~rounds:8 ~pot0:3. ~growth:1.25 in
   let s = Solve.solve g in
-  (match Solve.principal_actions s with
+  (match spe_path s with
   | "take" :: _ -> ()
   | other -> Alcotest.failf "expected immediate take, got %s" (String.concat "," other));
-  check_float "mover gets 2/3 pot" 2. (Solve.expected_payoff s ~player:0)
+  check_float "mover gets 2/3 pot" 2. (payoff s 0)
 
 let test_ultimatum_minimal_offer () =
-  let s = Solve.solve (Classic.ultimatum ~levels:10) in
-  (match Solve.principal_actions s with
+  let s = Solve.solve (Oracle.Classic.ultimatum ~levels:10) in
+  (match spe_path s with
   | [ "offer0"; "accept" ] -> ()
   | other -> Alcotest.failf "unexpected SPE path: %s" (String.concat "," other));
-  check_float "proposer takes the pie" 10. (Solve.expected_payoff s ~player:0)
+  check_float "proposer takes the pie" 10. (payoff s 0)
 
 let test_chance_expectation () =
-  let s = Solve.solve Classic.coin_then_choice in
-  (match Solve.principal_actions s with
+  let s = Solve.solve Oracle.Classic.coin_then_choice in
+  (match spe_path s with
   | "risky" :: _ -> ()
   | other -> Alcotest.failf "expected risky, got %s" (String.concat "," other));
-  check_float "value is the expectation" 1.5 (Solve.expected_payoff s ~player:0)
+  check_float "value is the expectation" 1.5 (payoff s 0)
 
 let test_tie_breaks_to_first_action () =
   let g =
@@ -120,13 +137,29 @@ let test_outcome_probability_respects_decisions () =
   let s = Solve.solve g in
   check_float "P(bad) = 0" 0. (Solve.outcome_probability s (String.equal "bad"))
 
+(* One play through a solved tree: the chosen action at each decision,
+   a branch drawn by its probability at each chance node; the label of
+   the terminal reached. *)
+let rec playout rng = function
+  | Solve.S_terminal { label; _ } -> label
+  | Solve.S_decision { chosen; branches; _ } ->
+    playout rng (List.assoc chosen branches)
+  | Solve.S_chance { branches; _ } ->
+    let u = Numerics.Rng.uniform rng in
+    let rec pick acc = function
+      | [ (_, child) ] -> child
+      | (p, child) :: rest -> if u < acc +. p then child else pick (acc +. p) rest
+      | [] -> Alcotest.fail "empty chance node"
+    in
+    playout rng (pick 0. branches)
+
 let test_playout_frequencies () =
-  let s = Solve.solve Classic.coin_then_choice in
+  let s = Solve.solve Oracle.Classic.coin_then_choice in
   let rng = Numerics.Rng.create ~seed:9 () in
   let n = 50_000 in
   let heads = ref 0 in
   for _ = 1 to n do
-    if Solve.sample_playout rng s = "heads" then incr heads
+    if playout rng s = "heads" then incr heads
   done;
   let freq = float_of_int !heads /. float_of_int n in
   check_float ~tol:0.01 "playouts match outcome_probability"
@@ -134,12 +167,13 @@ let test_playout_frequencies () =
     freq
 
 let test_strategy_extraction () =
-  let s = Solve.solve Classic.entry_deterrence in
-  let strat = Solve.strategy s in
-  Alcotest.(check (list (pair string string)))
-    "strategy pairs"
-    [ ("entry", "enter"); ("response", "accommodate") ]
-    strat
+  match Solve.solve Oracle.Classic.entry_deterrence with
+  | Solve.S_decision { node_label = "entry"; chosen = "enter"; branches; _ } -> (
+    match List.assoc "enter" branches with
+    | Solve.S_decision { node_label = "response"; chosen; _ } ->
+      Alcotest.(check string) "incumbent accommodates" "accommodate" chosen
+    | _ -> Alcotest.fail "expected the incumbent's decision after entry")
+  | _ -> Alcotest.fail "expected the entrant to enter"
 
 (* --- normal-form games ----------------------------------------------------- *)
 
@@ -167,37 +201,17 @@ let stag_hunt =
 let test_nf_prisoners_dilemma () =
   Alcotest.(check (list (pair int int)))
     "defect/defect" [ (1, 1) ]
-    (Normal_form.pure_nash prisoners_dilemma);
-  Alcotest.(check bool) "defect dominant for row" true
-    (Normal_form.is_dominant prisoners_dilemma ~player:`Row 1);
-  Alcotest.(check bool) "cooperate not dominant" false
-    (Normal_form.is_dominant prisoners_dilemma ~player:`Row 0);
-  let rows, cols = Normal_form.iterated_dominance prisoners_dilemma in
-  Alcotest.(check (pair (list int) (list int)))
-    "dominance solves it" ([ 1 ], [ 1 ]) (rows, cols)
+    (Normal_form.pure_nash prisoners_dilemma)
 
 let test_nf_matching_pennies () =
   Alcotest.(check (list (pair int int)))
     "no pure equilibrium" []
-    (Normal_form.pure_nash matching_pennies);
-  match Normal_form.mixed_nash_2x2 matching_pennies with
-  | Some { Normal_form.row_p; col_p } ->
-    check_float ~tol:1e-12 "row mixes 1/2" 0.5 row_p;
-    check_float ~tol:1e-12 "col mixes 1/2" 0.5 col_p
-  | None -> Alcotest.fail "mixed equilibrium expected"
+    (Normal_form.pure_nash matching_pennies)
 
 let test_nf_stag_hunt_coordination () =
   Alcotest.(check (list (pair int int)))
     "two pure equilibria" [ (0, 0); (1, 1) ]
     (Normal_form.pure_nash stag_hunt)
-
-let test_nf_expected_payoffs () =
-  let r, c =
-    Normal_form.expected_payoffs prisoners_dilemma ~row_p:[| 0.5; 0.5 |]
-      ~col_p:[| 0.5; 0.5 |]
-  in
-  check_float ~tol:1e-12 "row expectation" 2.25 r;
-  check_float ~tol:1e-12 "col expectation" 2.25 c
 
 let test_nf_validation () =
   match
@@ -216,8 +230,7 @@ let rec random_game rng depth =
   if depth = 0 || Rng.uniform rng < 0.3 then
     Game.terminal
       ~label:(if Rng.uniform rng < 0.5 then "even" else "odd")
-      [| Rng.uniform_range rng ~lo:(-10.) ~hi:10.;
-         Rng.uniform_range rng ~lo:(-10.) ~hi:10. |]
+      [| -10. +. (20. *. Rng.uniform rng); -10. +. (20. *. Rng.uniform rng) |]
   else if Rng.uniform rng < 0.4 then begin
     let n = 2 + Rng.int_below rng 3 in
     let raw = Array.init n (fun _ -> 0.1 +. Rng.uniform rng) in
@@ -320,8 +333,6 @@ let () =
             test_nf_matching_pennies;
           Alcotest.test_case "stag hunt coordination" `Quick
             test_nf_stag_hunt_coordination;
-          Alcotest.test_case "expected payoffs" `Quick
-            test_nf_expected_payoffs;
           Alcotest.test_case "validation" `Quick test_nf_validation;
         ] );
       ("properties", props);

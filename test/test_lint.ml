@@ -11,7 +11,11 @@
    the compiled half of bench/lint_fixture: cross-module taint,
    hot-path blocking, and cross-unit lock findings with their chains
    pinned, the justified deep suppression counted, and byte-identical
-   findings across repeated runs. *)
+   findings across repeated runs.
+
+   Over the whole build tree, the call graph is the dead-code check:
+   every lib/ binding must be reachable from an entry point, or be
+   listed in [unreached_allowlist] with the reason it stays. *)
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -389,6 +393,25 @@ let test_callgraph_structure () =
   let ids = List.map (fun (n : Lint.Callgraph.node) -> n.id) graph.nodes in
   check_bool "nodes sorted by id" true (List.sort compare ids = ids)
 
+(* Calls made through a module alias ([module M = Obs.Metrics],
+   [module P = Obs.Json_parse]) resolve to the aliased module's
+   bindings. *)
+let test_callgraph_aliases () =
+  let graph = Lint.Callgraph.build ~cmt_root:"../lib" () in
+  List.iter
+    (fun (src, dst) ->
+      match Lint.Callgraph.find graph src with
+      | None -> Alcotest.failf "expected %s in the call graph" src
+      | Some n ->
+        check_bool (src ^ " -> " ^ dst) true
+          (List.exists
+             (fun ((m : Lint.Callgraph.node), _) -> m.id = dst)
+             (Lint.Callgraph.succs graph n)))
+    [
+      ("Serve.Telemetry.view", "Obs.Metrics.hist_view");
+      ("Serve.Request.decode", "Obs.Json_parse.parse");
+    ]
+
 let test_repo_deep_lints_clean () =
   (* The real gate is @lint-deep over the whole tree; this pins the
      library half: the taint, hot-path, and lock analyses all run and
@@ -404,7 +427,7 @@ let test_repo_deep_lints_clean () =
     result.findings;
   check_int "no unsuppressed findings in lib/ under --deep" 0
     (List.length result.findings);
-  check_int "still exactly the two syntactic suppressions" 2
+  check_int "still exactly the one syntactic suppression" 1
     result.suppressed;
   match result.deep with
   | None -> Alcotest.fail "deep summary missing"
@@ -415,8 +438,8 @@ let test_repo_deep_lints_clean () =
 let test_repo_lints_clean () =
   (* The real gate is the @lint alias over the whole tree; this pins the
      library half from inside the test sandbox: zero unsuppressed
-     findings, and the two justified metrics-registry suppressions
-     accounted for. *)
+     findings, and the justified metrics-registry suppression accounted
+     for. *)
   (* Under [dune runtest] the cwd is [_build/default/test] and the
      (source_tree ../lib) dep puts the sources one level up; a direct
      [dune exec] from the repo root sees [lib] instead. *)
@@ -430,8 +453,102 @@ let test_repo_lints_clean () =
     (List.length result.Lint.Driver.findings);
   check_bool "a real tree was scanned" true
     (result.Lint.Driver.files_scanned > 100);
-  check_int "exactly the two justified suppressions" 2
+  check_int "exactly the one justified suppression" 1
     result.Lint.Driver.suppressed
+
+(* --- dead code: reachability over the whole build tree -------------------- *)
+
+(* The entry points: every binding of the executables, the bench
+   drivers, the benchmark and the examples, and every toplevel
+   initializer in lib/ ([let () = ...], e.g. Numerics.Pool's
+   [at_exit]), which runs whenever its unit is linked.  Tests are not
+   entry points: code only a test reaches is dead. *)
+let is_entry_point (n : Lint.Callgraph.node) =
+  Lint.Config.in_any [ "bin/"; "bench/"; "perfbench/"; "examples/" ] n.file
+  || Lint.Config.in_any [ "lib/" ] n.file
+     && String.starts_with ~prefix:"_init_L" n.name
+
+(* The lib/ bindings no entry point reaches, each with the reason it
+   stays: a seam through which a test reads or sets live state, or an
+   oracle a test checks live code against.  A binding that only its
+   own test uses is deleted with that test instead. *)
+let unreached_allowlist =
+  [
+    ( "Chainsim.Chain.set_fee_per_tx",
+      "seam: production keeps Assumption 2's zero fee; the fee tests set \
+       one to drive the live fee charging in Chain.advance" );
+    ( "Gametree.Game.validate",
+      "oracle: test_protocol checks the live Lattice_game trees with it" );
+    ( "Lint.Driver.check_source",
+      "seam: lints an in-memory source through the same Rules.scan and \
+       Rules.apply that Driver.run applies to files" );
+    ("Lint.Rules.check", "seam: the scan-and-apply step check_source calls");
+    ("Numerics.Pool.stats", "seam: reads the pool's live task and chunk counters");
+    ( "Obs.Metrics.hist_shards",
+      "seam: reads how many per-domain shards a live histogram holds" );
+    ( "Obs.Metrics.relative_error",
+      "oracle: the 1/64 bound test_obs checks live histogram quantiles \
+       against" );
+    ( "Obs.Metrics.set_enabled",
+      "seam: turns the live registry off to show that results are \
+       bit-identical with metrics on and off" );
+    ("Obs.Trace.clear", "seam: empties the live span ring between tests");
+    ( "Obs.Trace.set_capacity",
+      "seam: shrinks the live span ring so a test can overflow it and \
+       read the drop count" );
+    ( "Serve.Chaos.corrupt_script",
+      "seam: applies the live fault plan's fates to a script for the \
+       pipe-transport chaos test" );
+    ( "Serve.Chaos.expected_pipe_responses",
+      "seam: counts the script lines that survive those fates" );
+    ( "Serve.Chaos.pipe_fate",
+      "seam: maps one live Chaos.fate onto a pipe line for the two above" );
+    ( "Stochastic.Jump_diffusion.expectation",
+      "oracle: the closed-form mean test_stochastic checks the live \
+       Jump_diffusion.sample against" );
+    ( "Swap.Cutoff.cache_sizes",
+      "seam: reads the live memo caches' sizes (the eviction bound)" );
+    ( "Swap.Relationship.run",
+      "seam: one seeded relationship of the simulation mean_totals \
+       averages; tests read how it ended" );
+    ( "Swap.Utility.b_t3_stop",
+      "oracle: Eq. 17, the integrand test_swap's quadrature checks the \
+       live Eq. 21 closed form against" );
+  ]
+
+(* Under [dune runtest] the cwd is [_build/default/test]; the
+   (alias_rec ../check) dep has put the cmts of every directory
+   under "..". *)
+let test_unreached_allowlist () =
+  let graph = Lint.Callgraph.build ~cmt_root:".." () in
+  check_int "no unreadable cmts" 0 (List.length graph.load_notes);
+  let reached =
+    Lint.Reach.reachable graph (List.filter is_entry_point graph.nodes)
+  in
+  let unreached =
+    List.filter_map
+      (fun (n : Lint.Callgraph.node) ->
+        if Lint.Config.in_any [ "lib/" ] n.file && not (Hashtbl.mem reached n.id)
+        then Some n.id
+        else None)
+      graph.nodes
+  in
+  let allowed = List.map fst unreached_allowlist in
+  let missing = List.filter (fun id -> not (List.mem id allowed)) unreached in
+  let stale = List.filter (fun id -> not (List.mem id unreached)) allowed in
+  List.iter
+    (fun id ->
+      Printf.eprintf
+        "unreached from every entry point (delete it, or allowlist it with \
+         a reason): %s\n"
+        id)
+    missing;
+  List.iter
+    (fun id -> Printf.eprintf "allowlisted but reached (drop the entry): %s\n" id)
+    stale;
+  check_int "every unreached lib/ binding is allowlisted" 0
+    (List.length missing);
+  check_int "every allowlist entry is still unreached" 0 (List.length stale)
 
 let () =
   Alcotest.run "lint"
@@ -464,6 +581,8 @@ let () =
             test_deep_only_suppression_dormant;
           Alcotest.test_case "call graph structure" `Quick
             test_callgraph_structure;
+          Alcotest.test_case "call graph resolves module aliases" `Quick
+            test_callgraph_aliases;
         ] );
       ( "integration",
         [
@@ -471,5 +590,7 @@ let () =
             test_repo_lints_clean;
           Alcotest.test_case "repo lib/ lints clean under --deep" `Quick
             test_repo_deep_lints_clean;
+          Alcotest.test_case "every lib/ binding reached or allowlisted"
+            `Quick test_unreached_allowlist;
         ] );
     ]

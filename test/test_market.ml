@@ -1,6 +1,5 @@
 (* Tests for the market-data substrate: CSV, GBM calibration,
-   regime-switching generation/classification, and the walk-forward
-   backtest. *)
+   regime-switching generation, and the walk-forward backtest. *)
 
 open Stochastic
 
@@ -9,20 +8,10 @@ let check_float ?(tol = 1e-9) msg expected actual =
 
 (* --- CSV -------------------------------------------------------------- *)
 
-let test_csv_roundtrip () =
-  let path =
-    Path.create ~times:[| 1.; 2.5; 4. |] ~values:[| 2.; 2.2; 1.9 |]
-  in
-  match Market.Csv.parse (Market.Csv.render path) with
-  | Error e -> Alcotest.failf "roundtrip failed: %s" e
-  | Ok parsed ->
-    check_float "time" 2.5 parsed.Path.times.(1);
-    check_float "value" 1.9 parsed.Path.values.(2)
-
 let test_csv_tolerates_noise () =
   let contents = "time,price\n# comment\n\n1.0, 2.0\n2.0,2.1\n" in
   match Market.Csv.parse contents with
-  | Ok p -> Alcotest.(check int) "rows" 2 (Path.length p)
+  | Ok p -> Alcotest.(check int) "rows" 2 (Array.length p.Path.times)
   | Error e -> Alcotest.failf "parse failed: %s" e
 
 let test_csv_rejects_garbage () =
@@ -37,13 +26,9 @@ let test_csv_rejects_garbage () =
   | Ok _ -> Alcotest.fail "expected ordering error"
 
 let test_csv_file_io () =
-  let path =
-    Path.create ~times:[| 1.; 2. |] ~values:[| 3.; 4. |]
-  in
   let file = Filename.temp_file "swap_test" ".csv" in
-  (match Market.Csv.save file path with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "save failed: %s" e);
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc "time,price\n1,3\n2,4\n");
   (match Market.Csv.load file with
   | Ok p -> check_float "loaded" 4. p.Path.values.(1)
   | Error e -> Alcotest.failf "load failed: %s" e);
@@ -136,7 +121,7 @@ let test_regime_sample_shapes () =
     Market.Regimes.sample rng Market.Regimes.default_spec ~p0:2. ~dt:1.
       ~steps:500
   in
-  Alcotest.(check int) "path length" 500 (Path.length path);
+  Alcotest.(check int) "path length" 500 (Array.length path.Path.times);
   Alcotest.(check int) "state per sample" 500 (Array.length states);
   Array.iter (fun v -> if v <= 0. then Alcotest.fail "nonpositive price")
     path.Path.values
@@ -176,23 +161,6 @@ let test_regime_vols_differ () =
   check_float ~tol:0.01 "calm vol" spec.Market.Regimes.sigma_calm (sd !calm);
   check_float ~tol:0.03 "turbulent vol" spec.Market.Regimes.sigma_turbulent
     (sd !turb)
-
-let test_regime_classification_tracks_truth () =
-  let rng = Numerics.Rng.create ~seed:14 () in
-  let spec = Market.Regimes.default_spec in
-  let path, states = Market.Regimes.sample rng spec ~p0:2. ~dt:1. ~steps:20_000 in
-  let detected =
-    Market.Regimes.classify path ~window:24
-      ~threshold:(0.5 *. (spec.Market.Regimes.sigma_calm +. spec.Market.Regimes.sigma_turbulent))
-  in
-  (* Compare detection against truth; rolling windows lag, so just
-     require clearly-better-than-chance agreement. *)
-  let agree = ref 0 in
-  Array.iteri
-    (fun i s -> if s = detected.(i) then incr agree)
-    states;
-  let rate = float_of_int !agree /. float_of_int (Array.length states) in
-  if rate < 0.8 then Alcotest.failf "detection agreement only %.2f" rate
 
 let test_regime_validation () =
   let bad =
@@ -313,7 +281,6 @@ let () =
     [
       ( "csv",
         [
-          Alcotest.test_case "roundtrip" `Quick test_csv_roundtrip;
           Alcotest.test_case "headers and comments" `Quick
             test_csv_tolerates_noise;
           Alcotest.test_case "rejects garbage" `Quick test_csv_rejects_garbage;
@@ -337,8 +304,6 @@ let () =
             test_regime_stationary_share;
           Alcotest.test_case "per-regime volatilities" `Slow
             test_regime_vols_differ;
-          Alcotest.test_case "classification tracks truth" `Slow
-            test_regime_classification_tracks_truth;
           Alcotest.test_case "validation" `Quick test_regime_validation;
         ] );
       ( "quote_table",

@@ -119,16 +119,6 @@ let test_mc_collateral_jobs_invariant () =
   in
   check_same_result "collateral" (run 1) (run 4)
 
-let test_utility_samples_jobs_invariant () =
-  let policy = Swap.Agent.rational p ~p_star:2. in
-  let samples jobs =
-    Swap.Montecarlo.utility_samples ~trials:4_096 ~seed:0x51ab ~jobs p
-      ~p_star:2. ~policy
-  in
-  let ua1, ub1 = samples 1 and ua4, ub4 = samples 4 in
-  Alcotest.(check bool) "alice samples identical" true (ua1 = ua4);
-  Alcotest.(check bool) "bob samples identical" true (ub1 = ub4)
-
 let test_trials_override () =
   let policy = Swap.Agent.rational p ~p_star:2. in
   Swap.Montecarlo.set_trials_override (Some 512);
@@ -167,8 +157,6 @@ let () =
             test_mc_run_jobs_invariant;
           Alcotest.test_case "run_collateral: jobs=1 == jobs=4" `Quick
             test_mc_collateral_jobs_invariant;
-          Alcotest.test_case "utility_samples: jobs=1 == jobs=4" `Quick
-            test_utility_samples_jobs_invariant;
           Alcotest.test_case "experiment-wide trials override" `Quick
             test_trials_override;
         ] );

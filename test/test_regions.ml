@@ -295,7 +295,7 @@ let test_fig7_grid () =
 let random_params rng =
   (* One draw per binding, in order: record fields are evaluated in an
      unspecified order. *)
-  let u lo hi = Numerics.Rng.uniform_range rng ~lo ~hi in
+  let u lo hi = lo +. ((hi -. lo) *. Numerics.Rng.uniform rng) in
   let agent () =
     let alpha = u 0.02 0.8 in
     { Params.alpha; r = u 0.002 0.03 }
@@ -317,7 +317,7 @@ let test_seeded_vectors () =
   let rng = Numerics.Rng.create ~seed:20260417 () in
   for i = 0 to 199 do
     let p = random_params rng in
-    let u lo hi = Numerics.Rng.uniform_range rng ~lo ~hi in
+    let u lo hi = lo +. ((hi -. lo) *. Numerics.Rng.uniform rng) in
     let ratio = u 0.6 1.6 in
     let q = u 0. 1. *. p.p0 in
     let fee = u 0. 0.05 *. p.p0 in

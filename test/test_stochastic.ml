@@ -1,5 +1,5 @@
 (* Tests for the stochastic-process substrate: GBM transition law,
-   Wiener sampling, SDE schemes, lattices, jump diffusion, paths. *)
+   lattices, jump diffusion, exponential OU, paths. *)
 
 open Numerics
 open Stochastic
@@ -17,7 +17,7 @@ let test_gbm_expectation () =
     (Gbm.expectation gbm ~p0:2. ~tau:4.);
   (* And by quadrature over the transition pdf. *)
   let by_quadrature =
-    Integrate.semi_infinite ~n:600
+    Oracle.Quad.semi_infinite ~n:600
       (fun x -> x *. Gbm.pdf gbm ~x ~p0:2. ~tau:4.)
       ~a:0.
   in
@@ -47,14 +47,6 @@ let test_gbm_cdf_pdf_consistency () =
   in
   check_float ~tol:1e-6 "cdf' = pdf" (Gbm.pdf gbm ~x ~p0:2. ~tau:4.) deriv
 
-let test_gbm_quantile () =
-  List.iter
-    (fun p ->
-      let x = Gbm.quantile gbm ~p ~p0:2. ~tau:4. in
-      check_float ~tol:1e-9 (Printf.sprintf "cdf(quantile %g)" p) p
-        (Gbm.cdf gbm ~x ~p0:2. ~tau:4.))
-    [ 0.01; 0.3; 0.5; 0.9; 0.999 ]
-
 let test_gbm_sample_moments () =
   let rng = Rng.create ~seed:101 () in
   let n = 200_000 in
@@ -71,13 +63,13 @@ let test_gbm_sample_moments () =
 
 let test_gbm_partial_expectations () =
   let k = 2.1 in
-  let above = Gbm.partial_expectation_above gbm ~k ~p0:2. ~tau:4. in
+  let above = Gbm.leg_pe_above (Gbm.leg gbm ~tau:4.) ~k ~p0:2. in
   let below = Gbm.partial_expectation_below gbm ~k ~p0:2. ~tau:4. in
   check_float ~tol:1e-10 "above+below=mean"
     (Gbm.expectation gbm ~p0:2. ~tau:4.)
     (above +. below);
   let above_quad =
-    Integrate.semi_infinite ~n:600
+    Oracle.Quad.semi_infinite ~n:600
       (fun x -> x *. Gbm.pdf gbm ~x ~p0:2. ~tau:4.)
       ~a:k
   in
@@ -97,64 +89,6 @@ let test_gbm_invalid () =
   Alcotest.check_raises "p0 <= 0" (Invalid_argument "Gbm: requires p0 > 0")
     (fun () -> ignore (Gbm.expectation gbm ~p0:0. ~tau:1.))
 
-(* --- Wiener -------------------------------------------------------------- *)
-
-let test_wiener_increment_stats () =
-  let rng = Rng.create ~seed:77 () in
-  let xs = Array.init 100_000 (fun _ -> Wiener.increment rng ~dt:0.25) in
-  let s = Stats.summarize xs in
-  check_float ~tol:5e-3 "mean 0" 0. s.Stats.mean;
-  check_float ~tol:5e-3 "sd sqrt dt" 0.5 s.Stats.stddev
-
-let test_wiener_path_monotone_check () =
-  let rng = Rng.create ~seed:78 () in
-  Alcotest.check_raises "non-increasing times"
-    (Invalid_argument "Wiener.sample_path: times must be strictly increasing")
-    (fun () -> ignore (Wiener.sample_path rng ~times:[| 1.; 1. |]))
-
-let test_wiener_bridge () =
-  let rng = Rng.create ~seed:79 () in
-  let n = 50_000 in
-  let xs =
-    Array.init n (fun _ ->
-        Wiener.bridge rng ~t0:0. ~w0:0. ~t1:4. ~w1:2. ~t:1.)
-  in
-  let s = Stats.summarize xs in
-  (* mean = w0 + (t-t0)/(t1-t0) (w1-w0) = 0.5; var = 1*3/4 = 0.75 *)
-  check_float ~tol:2e-2 "bridge mean" 0.5 s.Stats.mean;
-  check_float ~tol:2e-2 "bridge var" 0.75 s.Stats.variance
-
-(* --- SDE schemes ---------------------------------------------------------- *)
-
-let test_euler_matches_gbm_weakly () =
-  let rng = Rng.create ~seed:91 () in
-  let coeffs = Sde.gbm_coeffs ~mu:0.002 ~sigma:0.1 in
-  let n = 40_000 in
-  let xs =
-    Array.init n (fun _ ->
-        Sde.terminal rng coeffs ~x0:2. ~t0:0. ~t1:4. ~steps:64)
-  in
-  let s = Stats.summarize xs in
-  check_float ~tol:8e-3 "euler mean" (2. *. exp (0.002 *. 4.)) s.Stats.mean
-
-let test_milstein_positive_paths () =
-  let rng = Rng.create ~seed:92 () in
-  let coeffs = Sde.gbm_coeffs ~mu:0.002 ~sigma:0.1 in
-  let path =
-    Sde.milstein rng coeffs
-      ~diffusion_dx:(fun _t _x -> 0.1)
-      ~x0:2. ~t0:0. ~t1:4. ~steps:256
-  in
-  Alcotest.(check int) "length" 257 (Array.length path);
-  check_float ~tol:1e-12 "starts at x0" 2. path.(0)
-
-let test_sde_invalid () =
-  let rng = Rng.create ~seed:93 () in
-  let coeffs = Sde.gbm_coeffs ~mu:0. ~sigma:1. in
-  Alcotest.check_raises "steps <= 0"
-    (Invalid_argument "Sde: requires steps > 0") (fun () ->
-      ignore (Sde.euler_maruyama rng coeffs ~x0:1. ~t0:0. ~t1:1. ~steps:0))
-
 (* --- Lattice --------------------------------------------------------------- *)
 
 let test_lattice_probabilities () =
@@ -165,12 +99,20 @@ let test_lattice_probabilities () =
   done;
   check_float ~tol:1e-9 "node probabilities sum to 1" 1. !total
 
+(* The lattice expectation of the price at [level]. *)
+let lattice_mean lat ~level =
+  let acc = ref 0. in
+  Array.iteri
+    (fun index p -> acc := !acc +. (Lattice.node_probability lat ~level ~index *. p))
+    (Lattice.level_prices lat ~level);
+  !acc
+
 let test_lattice_expectation_converges () =
   let exact = Gbm.expectation gbm ~p0:2. ~tau:4. in
   List.iter
     (fun steps ->
       let lat = Lattice.create gbm ~p0:2. ~horizon:4. ~steps in
-      let approx = Lattice.expectation_at lat ~level:steps in
+      let approx = lattice_mean lat ~level:steps in
       if abs_float (approx -. exact) > 0.005 then
         Alcotest.failf "lattice(%d) expectation %g vs %g" steps approx exact)
     [ 20; 80 ]
@@ -185,8 +127,7 @@ let test_lattice_prices_monotone () =
 
 let test_lattice_expected_value () =
   let lat = Lattice.create gbm ~p0:2. ~horizon:1. ~steps:1 in
-  let next = Lattice.level_prices lat ~level:1 in
-  let ev = Lattice.expected_value lat ~level:0 ~index:0 ~values:next in
+  let ev = lattice_mean lat ~level:1 in
   check_float ~tol:1e-9 "one-step expectation" (2. *. exp (0.002 *. 1.)) ev
 
 let test_lattice_distribution_cdf () =
@@ -236,29 +177,33 @@ let ou = Exp_ou.create ~kappa:0.1 ~theta_price:2. ~sigma:0.1
 let test_exp_ou_transition_moments () =
   let rng = Rng.create ~seed:303 () in
   let n = 100_000 in
-  let xs = Array.init n (fun _ -> Exp_ou.sample rng ou ~p0:3. ~tau:5.) in
+  let law = Exp_ou.transition ou ~p0:3. ~tau:5. in
+  let xs =
+    Array.init n (fun _ ->
+        Rng.lognormal rng ~mu:law.Lognormal.mu ~sigma:law.Lognormal.sigma)
+  in
   let s = Stats.summarize xs in
-  check_float ~tol:0.01 "MC mean matches analytic"
-    (Exp_ou.expectation ou ~p0:3. ~tau:5.)
+  check_float ~tol:0.01 "MC mean matches analytic" (Lognormal.mean law)
     s.Stats.mean;
   (* Log mean reverts toward the peg. *)
-  let log_mean = Stats.mean (Array.map log xs) in
+  let log_mean = (Stats.summarize (Array.map log xs)).Stats.mean in
   let expected_log = log 2. +. ((log 3. -. log 2.) *. exp (-0.1 *. 5.)) in
   check_float ~tol:5e-3 "log mean reverts" expected_log log_mean
 
 let test_exp_ou_pulls_toward_peg () =
   (* From above the peg the expectation falls; from below it rises. *)
-  if Exp_ou.expectation ou ~p0:3. ~tau:10. >= 3. then
+  let expectation ~p0 = Lognormal.mean (Exp_ou.transition ou ~p0 ~tau:10.) in
+  if expectation ~p0:3. >= 3. then
     Alcotest.fail "must revert downward from above";
-  if Exp_ou.expectation ou ~p0:1. ~tau:10. <= 1. then
+  if expectation ~p0:1. <= 1. then
     Alcotest.fail "must revert upward from below"
 
 let test_exp_ou_stationary_limit () =
-  let stat = Exp_ou.stationary ou in
+  (* The tau -> infinity law: log price ~ N(ln theta_price,
+     sigma^2 / (2 kappa)). *)
   let far = Exp_ou.transition ou ~p0:17. ~tau:500. in
-  check_float ~tol:1e-6 "mu converges" stat.Numerics.Lognormal.mu
-    far.Numerics.Lognormal.mu;
-  check_float ~tol:1e-6 "sigma converges" stat.Numerics.Lognormal.sigma
+  check_float ~tol:1e-6 "mu converges" (log 2.) far.Numerics.Lognormal.mu;
+  check_float ~tol:1e-6 "sigma converges" (0.1 /. sqrt 0.2)
     far.Numerics.Lognormal.sigma
 
 let test_exp_ou_short_horizon_is_gbm_like () =
@@ -303,11 +248,6 @@ let test_path_at () =
     (Invalid_argument "Path.at: time precedes first sample") (fun () ->
       ignore (Path.at p 0.5))
 
-let test_path_linear () =
-  let p = demo_path () in
-  check_float ~tol:1e-12 "interpolated" 11. (Path.at_linear p 1.5);
-  check_float ~tol:1e-12 "clamped" 10. (Path.at_linear p 0.)
-
 let test_path_log_returns () =
   let p = demo_path () in
   let rets = Path.log_returns p in
@@ -339,7 +279,7 @@ let qcheck_tests =
     Test.make ~name:"gbm partial expectations consistent" ~count:200
       (float_range 0.05 20.)
       (fun k ->
-        let above = Gbm.partial_expectation_above gbm ~k ~p0:2. ~tau:4. in
+        let above = Gbm.leg_pe_above (Gbm.leg gbm ~tau:4.) ~k ~p0:2. in
         let below = Gbm.partial_expectation_below gbm ~k ~p0:2. ~tau:4. in
         abs_float (above +. below -. Gbm.expectation gbm ~p0:2. ~tau:4.) < 1e-9);
     Test.make ~name:"lattice up-prob in (0,1) across sigmas" ~count:100
@@ -347,7 +287,8 @@ let qcheck_tests =
       (fun (sigma, steps) ->
         let g = Gbm.create ~mu:0.002 ~sigma in
         let lat = Lattice.create g ~p0:2. ~horizon:4. ~steps in
-        Lattice.prob_up lat > 0. && Lattice.prob_up lat < 1.);
+        let p_up = Lattice.node_probability lat ~level:1 ~index:1 in
+        p_up > 0. && p_up < 1.);
     Test.make ~name:"gbm samples positive" ~count:300
       (int_range 0 10_000)
       (fun seed ->
@@ -366,27 +307,11 @@ let () =
           Alcotest.test_case "cdf at median" `Quick test_gbm_cdf_median;
           Alcotest.test_case "cdf/pdf consistency" `Quick
             test_gbm_cdf_pdf_consistency;
-          Alcotest.test_case "quantile" `Quick test_gbm_quantile;
           Alcotest.test_case "sample moments" `Slow test_gbm_sample_moments;
           Alcotest.test_case "partial expectations" `Quick
             test_gbm_partial_expectations;
           Alcotest.test_case "sample path" `Quick test_gbm_path;
           Alcotest.test_case "invalid arguments" `Quick test_gbm_invalid;
-        ] );
-      ( "wiener",
-        [
-          Alcotest.test_case "increment stats" `Slow test_wiener_increment_stats;
-          Alcotest.test_case "path validation" `Quick
-            test_wiener_path_monotone_check;
-          Alcotest.test_case "brownian bridge" `Slow test_wiener_bridge;
-        ] );
-      ( "sde",
-        [
-          Alcotest.test_case "euler weak convergence" `Slow
-            test_euler_matches_gbm_weakly;
-          Alcotest.test_case "milstein basics" `Quick
-            test_milstein_positive_paths;
-          Alcotest.test_case "invalid arguments" `Quick test_sde_invalid;
         ] );
       ( "lattice",
         [
@@ -423,7 +348,6 @@ let () =
       ( "path",
         [
           Alcotest.test_case "previous-tick lookup" `Quick test_path_at;
-          Alcotest.test_case "linear interpolation" `Quick test_path_linear;
           Alcotest.test_case "log returns" `Quick test_path_log_returns;
           Alcotest.test_case "validation" `Quick test_path_invalid;
           Alcotest.test_case "realized volatility" `Slow

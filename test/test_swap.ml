@@ -143,7 +143,7 @@ let test_a_t2_cont_vs_quadrature () =
   List.iter
     (fun p_t2 ->
       let integral =
-        Integrate.semi_infinite ~n:800
+        Oracle.Quad.semi_infinite ~n:800
           (fun x ->
             Gbm.pdf gbm ~x ~p0:p_t2 ~tau:p.Swap.Params.tau_b
             *. Swap.Utility.a_t3_cont p ~p_t3:x)
@@ -294,10 +294,13 @@ let test_sr_bounds_and_interior_max () =
     Alcotest.failf "SR not peaked in the interior: %g %g %g" v_lo v_mid v_hi
 
 let test_sr_increases_with_alpha () =
-  let srs =
-    Swap.Sensitivity.monotone_in_alpha p ~alphas:[| 0.15; 0.3; 0.5 |] ~p_star:2.
+  (* Both agents' premia set to alpha. *)
+  let sr alpha =
+    let p = Swap.Params.with_alpha_alice (Swap.Params.with_alpha_bob p alpha) alpha in
+    Swap.Success.analytic p ~p_star:2.
   in
-  if not (snd srs.(0) < snd srs.(1) && snd srs.(1) < snd srs.(2)) then
+  let srs = Array.map sr [| 0.15; 0.3; 0.5 |] in
+  if not (srs.(0) < srs.(1) && srs.(1) < srs.(2)) then
     Alcotest.fail "SR must increase with alpha"
 
 let test_sr_decreases_with_volatility () =

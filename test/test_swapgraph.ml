@@ -6,7 +6,6 @@
 
 open Swapgraph
 
-let check_str = Alcotest.(check string)
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -17,28 +16,28 @@ let p = Swap.Params.defaults
 
 (* --- topology generators --------------------------------------------- *)
 
+(* Everything that identifies a graph: parties, leader and arcs. *)
+let shape g = (Graph.n g, Graph.leader g, Graph.arcs g)
+
 let test_topology_determinism () =
   List.iter
     (fun seed ->
       let a = Topology.generate Topology.Random ~n:7 ~seed in
       let b = Topology.generate Topology.Random ~n:7 ~seed in
-      check_bool "same seed, same graph" true (Graph.equal a b);
-      check_str "same seed, same signature" (Graph.signature a)
-        (Graph.signature b))
+      check_bool "same seed, same graph" true (shape a = shape b))
     [ 0; 1; 42; 0x9af ];
-  let sigs =
+  let shapes =
     List.map
-      (fun seed ->
-        Graph.signature (Topology.generate Topology.Random ~n:7 ~seed))
+      (fun seed -> shape (Topology.generate Topology.Random ~n:7 ~seed))
       [ 0; 1; 2; 3; 4; 5; 6; 7 ]
   in
-  let distinct = List.sort_uniq compare sigs in
+  let distinct = List.sort_uniq compare shapes in
   check_bool "different seeds explore different graphs" true
     (List.length distinct > 1);
   (* Structured families ignore the seed entirely. *)
-  check_str "cycle ignores seed"
-    (Graph.signature (Topology.generate Topology.Cycle ~n:5 ~seed:1))
-    (Graph.signature (Topology.generate Topology.Cycle ~n:5 ~seed:99))
+  check_bool "cycle ignores seed" true
+    (shape (Topology.generate Topology.Cycle ~n:5 ~seed:1)
+    = shape (Topology.generate Topology.Cycle ~n:5 ~seed:99))
 
 let test_topology_well_formed () =
   let cases =
@@ -78,12 +77,12 @@ let test_topology_well_formed () =
 
 let test_topology_shapes () =
   let c = Topology.cycle 5 in
-  check_int "cycle: one arc per party" 5 (Graph.arc_count c);
+  check_int "cycle: one arc per party" 5 (Array.length (Graph.arcs c));
   Array.iteri
     (fun v d -> check_int (Printf.sprintf "cycle: depth of %d" v) v d)
     (Graph.depths c);
   let s = Topology.star 6 in
-  check_int "star: two arcs per spoke" 10 (Graph.arc_count s);
+  check_int "star: two arcs per spoke" 10 (Array.length (Graph.arcs s));
   for v = 1 to 5 do
     check_int (Printf.sprintf "star: spoke %d at depth 1" v) 1
       (Graph.depth s v)
@@ -213,7 +212,7 @@ let test_sweep_jobs_invariance () =
           a.Sweep.spec.Sweep.size a.Sweep.spec.Sweep.topo_seed
       in
       check_bool (tag ^ ": same graph") true
-        (Graph.equal a.Sweep.graph b.Sweep.graph);
+        (shape a.Sweep.graph = shape b.Sweep.graph);
       check_float (tag ^ ": sr") a.Sweep.sr b.Sweep.sr;
       check_float (tag ^ ": exposure") a.Sweep.max_exposure_hours
         b.Sweep.max_exposure_hours;
