@@ -261,13 +261,15 @@ let validate_reactor json_file bin_file =
    one over htlc-serve/b1.  Pins the stats document shape (telemetry
    switches, rate window, per-kind x codec latency quantiles, stage
    breakdown, recorder and trace health), that both codecs produced
-   traffic, that quantiles are ordered, and that the second response
-   observed strictly more finished requests than the first (the first
-   stats request itself).  RECORDER is the flight-recorder dump: a
-   header line whose counts must be internally consistent, then one
-   request record per held slot — ascending seq, known kinds/codecs,
-   every record sampled (rate 1), every record carrying a total
-   duration. *)
+   traffic, that quantiles are ordered, that each response's three
+   finished-request counts agree (rate.total, stages.total.count and
+   recorder.pushed: the smoke resets telemetry before any traffic), and
+   that the second response observed strictly more finished requests
+   than the first (the first stats request itself).  RECORDER is the
+   flight-recorder dump: a header line whose counts must be internally
+   consistent, then one request record per held slot — ascending seq,
+   known kinds/codecs, every record sampled (rate 1), every record
+   carrying a total duration. *)
 
 let known_kinds =
   [
@@ -326,6 +328,8 @@ let validate_stats_line lineno line ~id =
   let total = num "rate" rate "total" in
   if total < 1. then bad "stats line %d: rate.total must be >= 1" lineno;
   if num "rate" rate "rps" < 0. then bad "stats line %d: negative rps" lineno;
+  if num "rate" rate "window_s" <= 0. then
+    bad "stats line %d: rate.window_s must be > 0" lineno;
   let latency = as_obj (path "latency") (sect "latency") in
   if latency = [] then bad "stats line %d: latency section is empty" lineno;
   List.iter
@@ -371,6 +375,12 @@ let validate_stats_line lineno line ~id =
     bad "stats line %d: recorder.recorded outside [1, capacity]" lineno;
   if num "recorder" recorder "dropped" <> pushed -. recorded then
     bad "stats line %d: recorder.dropped must equal pushed - recorded" lineno;
+  let stage_total = num "stages.total" (List.assoc "total" stages) "count" in
+  if total <> stage_total || total <> pushed then
+    bad
+      "stats line %d: rate.total %g, stages.total.count %g and \
+       recorder.pushed %g must be equal"
+      lineno total stage_total pushed;
   let trace = sect "trace" in
   if num "trace" trace "spans" < 1. then
     bad "stats line %d: 1-in-1 sampling must have buffered spans" lineno;

@@ -741,11 +741,10 @@ let serve_cmd =
       Serve.Engine.create ~cache_shards ~cache_capacity ~max_sweep_n:max_sweep
         ~mus ~sigmas ~base:params ()
     in
-    match socket with
+    (match socket with
     | None ->
       (* Pipe mode: synchronous, deterministic — the serve-smoke path. *)
-      let served = Serve.Server.serve_pipe engine stdin stdout in
-      Printf.eprintf "served %d requests\n" served
+      ignore (Serve.Server.serve_pipe engine stdin stdout)
     | Some path ->
       let server = Serve.Server.listen engine ~path ?shards () in
       let stop_requested = Atomic.make false in
@@ -758,16 +757,16 @@ let serve_cmd =
       while not (Atomic.get stop_requested) do
         Unix.sleepf 0.1
       done;
-      Serve.Server.shutdown server;
-      let s = Serve.Engine.stats engine in
-      Printf.eprintf
-        "served %d requests (%d ok, %d errors, %d parse errors, %d internal \
-         errors; cache %d/%d/%d hit/miss/evict)\n"
-        s.Serve.Engine.requests s.Serve.Engine.ok s.Serve.Engine.errors
-        s.Serve.Engine.parse_errors s.Serve.Engine.internal_errors
-        s.Serve.Engine.cache.Serve.Cache.hits
-        s.Serve.Engine.cache.Serve.Cache.misses
-        s.Serve.Engine.cache.Serve.Cache.evictions
+      Serve.Server.shutdown server);
+    let s = Serve.Engine.stats engine in
+    Printf.eprintf
+      "served %d requests (%d ok, %d errors, %d parse errors, %d internal \
+       errors; cache %d/%d/%d hit/miss/evict)\n"
+      s.Serve.Engine.requests s.Serve.Engine.ok s.Serve.Engine.errors
+      s.Serve.Engine.parse_errors s.Serve.Engine.internal_errors
+      s.Serve.Engine.cache.Serve.Cache.hits
+      s.Serve.Engine.cache.Serve.Cache.misses
+      s.Serve.Engine.cache.Serve.Cache.evictions
   in
   Cmd.v
     (Cmd.info "serve"

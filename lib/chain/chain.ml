@@ -1,7 +1,7 @@
 type payout = { amount : float; to_ : string }
 
 type event =
-  | Confirmed of { payload : Tx.payload; fee_forgiven : float }
+  | Confirmed of Tx.payload
   | Htlc_expired of { contract_id : string; refund : payout option }
   | Escrow_expired of { contract_id : string; refund : payout option }
   | Contract_payout of { from_ : string; to_ : string; amount : float }
@@ -37,7 +37,6 @@ type t = {
   mempool_delay : float;
   faults : Faults.t;
   fault_seed : int;
-  mutable fee_per_tx : float;
   ledger : Ledger.t;
   htlcs : (string, Htlc.t) Hashtbl.t;
   escrows : (string, Escrow.t) Hashtbl.t;
@@ -49,8 +48,6 @@ type t = {
   mutable clock : float;
   mutable fstats : fault_stats;
 }
-
-let miner_account = "miner"
 
 (* Receipt text is built by concatenation: [g] prints a float as "%g"
    does, without the format interpreter. *)
@@ -80,7 +77,6 @@ let create ?(faults = Faults.none) ?(fault_seed = 0) ~name ~token ~tau
     mempool_delay;
     faults;
     fault_seed;
-    fee_per_tx = 0.;
     ledger = Ledger.create ();
     htlcs = Hashtbl.create 8;
     escrows = Hashtbl.create 8;
@@ -101,9 +97,6 @@ let token t = t.token
 let tau t = t.tau
 let mempool_delay t = t.mempool_delay
 
-let set_fee_per_tx t fee =
-  if fee < 0. then invalid_arg "Chain.set_fee_per_tx: negative fee";
-  t.fee_per_tx <- fee
 let mint t ~account ~amount = Ledger.mint t.ledger account amount
 let balance t ~account = Ledger.balance t.ledger account
 let escrow_account ~contract_id = "escrow:" ^ contract_id
@@ -156,8 +149,8 @@ let submit t ~at payload =
     push_event t ~at:(at +. t.tau +. extra) (Confirm tx));
   id
 
-(* Queued like an auto-refund, not submitted: no fate draw and no fee,
-   but [push_event] still applies halt windows. *)
+(* Queued like an auto-refund, not submitted: no fate draw, but
+   [push_event] still applies halt windows. *)
 let schedule_payout t ~at ~from_ ~to_ ~amount =
   check_not_past t "schedule_payout" ~at;
   if amount < 0. then invalid_arg "Chain.schedule_payout: negative amount";
@@ -174,34 +167,6 @@ let transfer_result t ~from_ ~to_ ~amount =
     Ok ()
   with Ledger.Insufficient_funds { have; need; _ } ->
     Error ("insufficient funds: have " ^ g have ^ ", need " ^ g need)
-
-(* The account footing a transaction's fee. *)
-let fee_payer t (payload : Tx.payload) =
-  match payload with
-  | Tx.Transfer { from_; _ } -> Some from_
-  | Tx.Htlc_lock { sender; _ } -> Some sender
-  | Tx.Htlc_claim { contract_id; _ } ->
-    Option.map (fun (h : Htlc.t) -> h.Htlc.recipient)
-      (Hashtbl.find_opt t.htlcs contract_id)
-  | Tx.Htlc_refund { contract_id } ->
-    Option.map (fun (h : Htlc.t) -> h.Htlc.sender)
-      (Hashtbl.find_opt t.htlcs contract_id)
-  | Tx.Escrow_lock { owner; _ } -> Some owner
-  | Tx.Escrow_decide { by; _ } -> Some by
-
-(* Best-effort fee collection: fees never fail a valid transaction.
-   Returns the forgiven remainder so receipts can record it. *)
-let collect_fee t payload =
-  if t.fee_per_tx > 0. then
-    match fee_payer t payload with
-    | None -> 0.
-    | Some payer ->
-      let payable = min t.fee_per_tx (Ledger.balance t.ledger payer) in
-      if payable > 0. then
-        Ledger.transfer t.ledger ~from_:payer ~to_:miner_account
-          ~amount:payable;
-      t.fee_per_tx -. payable
-  else 0.
 
 (* Execute a confirmed transaction at its confirmation time [now]. *)
 let execute_tx t now (tx : Tx.t) =
@@ -293,14 +258,7 @@ let execute_tx t now (tx : Tx.t) =
             ~to_ ~amount:contract.Escrow.amount;
           Ok ()))
   in
-  (* Fees are charged after the effect and only on executed
-     transactions, so they can never fail an otherwise-valid one.
-     Unpayable remainders are forgiven but audited on the receipt. *)
-  let fee_forgiven =
-    if Result.is_ok result then collect_fee t tx.payload else 0.
-  in
-  record t ~time:now ~tx_id:(Some tx.Tx.id)
-    ~event:(Confirmed { payload = tx.payload; fee_forgiven })
+  record t ~time:now ~tx_id:(Some tx.Tx.id) ~event:(Confirmed tx.payload)
     ~result
 
 let execute_escrow_timeout t now ~contract_id =
@@ -399,11 +357,7 @@ let describe r =
     | None, Error _ -> kind ^ contract_id
   in
   match r.event with
-  | Confirmed { payload; fee_forgiven } ->
-    let text = Tx.payload_to_string payload in
-    if fee_forgiven > 1e-12 then
-      String.concat "" [ text; " [fee forgiven: "; g fee_forgiven; "]" ]
-    else text
+  | Confirmed payload -> Tx.payload_to_string payload
   | Htlc_expired { contract_id; refund } ->
     expiry "auto-refund " contract_id refund
   | Escrow_expired { contract_id; refund } ->

@@ -21,11 +21,9 @@ type payout = { amount : float; to_ : string }
 (** What a receipt records: the facts its text is rendered from by
     {!describe}. *)
 type event =
-  | Confirmed of { payload : Tx.payload; fee_forgiven : float }
+  | Confirmed of Tx.payload
       (** A transaction reached its confirmation time and was executed
-          or refused (see [result]).  [fee_forgiven] is the part of the
-          fee its payer could not cover (see {!set_fee_per_tx}); 0 when
-          the fee was paid, there was none, or the transaction failed. *)
+          or refused (see [result]). *)
   | Htlc_expired of { contract_id : string; refund : payout option }
       (** An HTLC's time lock ran out.  [refund] is what returned to
           the sender; [None] when nothing moved: a no-op on a contract
@@ -45,9 +43,9 @@ type receipt = {
 val describe : receipt -> string
 (** The receipt's one-line text, e.g. ["htlc-lock c1: 4 from alice to
     bob, expires 10"], ["auto-refund c2: 4 returned to alice"],
-    ["auto-refund c1 (noop)"], or ["transfer 2 from a to b [fee
-    forgiven: 1]"]; amounts print as [Format "%g"] would.  Built on
-    each call: executing an event records only the {!event}. *)
+    or ["auto-refund c1 (noop)"]; amounts print as [Format "%g"]
+    would.  Built on each call: executing an event records only the
+    {!event}. *)
 
 type fault_stats = {
   dropped : int;  (** Transactions censored (never confirm). *)
@@ -67,25 +65,10 @@ val create :
   unit ->
   t
 (** @raise Invalid_argument unless [0 <= mempool_delay < tau] (Eq. 3)
-    and [tau > 0].  Transaction fees default to 0, matching the paper's
-    Assumption 2; see {!set_fee_per_tx}.  [faults] (default
+    and [tau > 0].  Transactions carry no fee (the paper's Assumption
+    2).  [faults] (default
     {!Faults.none}) perturbs confirmations per its schedule,
     deterministically in [fault_seed] (default 0). *)
-
-val miner_account : string
-(** Account accumulating transaction fees. *)
-
-val set_fee_per_tx : t -> float -> unit
-(** Configure a flat per-transaction fee, charged at confirmation —
-    after the transaction's effect, and only on successfully executed
-    transactions — to the initiating account (sender / claimer /
-    owner / arbiter) and credited to {!miner_account}.  When the
-    initiator cannot pay the full fee the remainder is forgiven, so
-    fees never make an otherwise-valid transaction fail; the forgiven
-    amount is recorded on the receipt ([fee_forgiven], rendered by
-    {!describe} as [... \[fee forgiven: x\]]) so fee experiments can
-    audit it.
-    @raise Invalid_argument on negative fees. *)
 
 val name : t -> string
 val token : t -> string
@@ -115,8 +98,8 @@ val schedule_payout :
 (** A contract's own transfer out of an account it controls (the
     collateral {!Oracle}'s vault), decided at [at] and credited at
     [at + tau] like an HTLC auto-refund: it is no transaction, so the
-    fault layer can neither drop, delay nor reorg it and no fee is
-    charged; a halt window defers it.  Its receipt is a
+    fault layer can neither drop, delay nor reorg it; a halt window
+    defers it.  Its receipt is a
     [Contract_payout], failed if [from_] cannot cover [amount].
     @raise Invalid_argument if [at] is before the chain clock or
     [amount < 0.]. *)

@@ -74,10 +74,13 @@ type histogram = {
   mine : int array Domain.DLS.key; (* this domain's, claimed on first use *)
   (* The trailing window, reader side only, under [win_lock]: the view
      is the current counts minus [older]; a re-base moves [newer] into
-     [older] and the current counts into [newer].  [||] stands for all
-     zeros, so a histogram never read windowed allocates no bases. *)
+     [older] and the current counts into [newer], each base with the
+     time it was taken.  [||] stands for the all-zero counts of
+     registration time, so a histogram never read windowed allocates
+     no bases. *)
   win_lock : Mutex.t;
   mutable older : int array;
+  mutable older_ns : int; (* when [older] was taken: the window's start *)
   mutable newer : int array;
   mutable newer_ns : int;
 }
@@ -147,9 +150,10 @@ let histogram name =
         Domain.at_exit (fun () -> push free s);
         s
       in
+      let now_ns = Monotonic.now_int_ns () in
       Histogram
-        { all; mine = Domain.DLS.new_key claim;
-          win_lock = Mutex.create (); older = [||]; newer = [||]; newer_ns = 0 })
+        { all; mine = Domain.DLS.new_key claim; win_lock = Mutex.create ();
+          older = [||]; older_ns = now_ns; newer = [||]; newer_ns = now_ns })
     (function Histogram h -> Some h | _ -> None)
     "histogram"
 
@@ -209,6 +213,7 @@ type hist_view = {
   v_count : int;
   v_sum : float;
   v_window : int;
+  v_window_s : float;
   v_quantiles : float array;
 }
 
@@ -217,6 +222,7 @@ type hist_view = {
 let shift h shards ~now_ns =
   let spare = if h.older == [||] then Array.make (n_buckets + 1) 0 else h.older in
   h.older <- h.newer;
+  h.older_ns <- h.newer_ns;
   for i = 0 to n_buckets do
     spare.(i) <- merged shards i
   done;
@@ -226,12 +232,14 @@ let shift h shards ~now_ns =
 let base a i = if a == [||] then 0 else a.(i)
 
 (* Quantile [q] of a window of [n] samples is the bucket holding its
-   [ceil (q n)]-th smallest sample (nearest rank). *)
+   [ceil (q n)]-th smallest sample (nearest rank).  The first read with
+   samples takes the first real base. *)
 let hist_view h ~now_ns qs =
   Mutex.lock h.win_lock;
   let shards = Atomic.get h.all in
   let count = merged shards slot_n in
-  if count > 0 && now_ns - h.newer_ns >= 10_000_000_000 then shift h shards ~now_ns;
+  if count > 0 && (h.newer == [||] || now_ns - h.newer_ns >= 10_000_000_000)
+  then shift h shards ~now_ns;
   let n = count - base h.older slot_n in
   let nq = Array.length qs in
   let rank q = max 1 (int_of_float (Float.ceil (q *. float_of_int n))) in
@@ -250,15 +258,20 @@ let hist_view h ~now_ns qs =
   (* A record racing this read may have bumped [slot_n] before its
      bucket became visible here, leaving the top ranks unreached. *)
   if n > 0 then Array.fill out !k (nq - !k) (estimate_s !last);
+  let window_s = float_of_int (now_ns - h.older_ns) /. 1e9 in
   Mutex.unlock h.win_lock;
-  { v_count = count; v_sum = sum_s shards; v_window = n; v_quantiles = out }
+  { v_count = count; v_sum = sum_s shards; v_window = n; v_window_s = window_s;
+    v_quantiles = out }
 
 (* Two shifts leave [older] at the current counts: an empty window.
-   With nothing recorded yet the window is empty already. *)
+   With nothing recorded yet the counts are all zero already. *)
 let rebase h ~now_ns =
   Mutex.lock h.win_lock;
   let shards = Atomic.get h.all in
-  if shards == [] then h.newer_ns <- now_ns
+  if shards == [] then begin
+    h.older_ns <- now_ns;
+    h.newer_ns <- now_ns
+  end
   else (shift h shards ~now_ns; shift h shards ~now_ns);
   Mutex.unlock h.win_lock
 

@@ -81,6 +81,7 @@ type hist_view = {
   v_count : int;  (** samples ever recorded *)
   v_sum : float;  (** their sum, seconds *)
   v_window : int;  (** samples in the trailing window *)
+  v_window_s : float;  (** seconds the trailing window spans *)
   v_quantiles : float array;
       (** seconds; one per requested quantile, [nan] when the window
           is empty *)
@@ -93,8 +94,9 @@ val hist_view : histogram -> now_ns:int -> float array -> hist_view
     reader-side state starting at the older of two bases; a read whose
     newer base is 10 s old or more re-bases (newer to older, current
     counts to newer).  Read every 10 s, it spans the last 10–20 s; the
-    first read covers everything.  [now_ns] is a
-    {!Monotonic.now_int_ns} reading. *)
+    first read covers everything since registration (or the last
+    {!rebase}), and [v_window_s] is [now_ns] minus the time the older
+    base was taken.  [now_ns] is a {!Monotonic.now_int_ns} reading. *)
 
 val rebase : histogram -> now_ns:int -> unit
 (** Empty the trailing window as of [now_ns]. *)

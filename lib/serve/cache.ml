@@ -16,11 +16,8 @@
    recently-hit keys survive a burst of new traffic instead of the
    shard being dropped wholesale.
 
-   Stats are tracked twice on purpose: per-instance atomics (exact
-   counts for this cache — the bench report and Engine.stats read
-   these) and the shared Obs.Metrics registry (the process-wide
-   observability view; several caches with the same prefix share those
-   counters). *)
+   Hits, misses and evictions are per-instance atomics, exact for this
+   cache; Engine.stats and the health body read them. *)
 
 module Smap = Map.Make (String)
 
@@ -41,13 +38,9 @@ type t = {
   hits : int Atomic.t;
   misses : int Atomic.t;
   evictions : int Atomic.t;
-  m_hits : Obs.Metrics.counter;
-  m_misses : Obs.Metrics.counter;
-  m_evictions : Obs.Metrics.counter;
 }
 
-let create ?(shards = 8) ?(capacity = 1024) ?(metrics_prefix = "serve.cache")
-    () =
+let create ?(shards = 8) ?(capacity = 1024) () =
   if shards < 1 then invalid_arg "Cache.create: shards must be >= 1";
   if capacity < shards then
     invalid_arg "Cache.create: capacity must be >= shards";
@@ -64,9 +57,6 @@ let create ?(shards = 8) ?(capacity = 1024) ?(metrics_prefix = "serve.cache")
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     evictions = Atomic.make 0;
-    m_hits = Obs.Metrics.counter (metrics_prefix ^ ".hits");
-    m_misses = Obs.Metrics.counter (metrics_prefix ^ ".misses");
-    m_evictions = Obs.Metrics.counter (metrics_prefix ^ ".evictions");
   }
 
 let shard_of t key =
@@ -81,11 +71,9 @@ let find t key =
        harmless. *)
     Atomic.set e.referenced true;
     Atomic.incr t.hits;
-    Obs.Metrics.incr t.m_hits;
     Some e.value
   | None ->
     Atomic.incr t.misses;
-    Obs.Metrics.incr t.m_misses;
     None
 
 (* Called with the shard mutex held: clock sweep until one unreferenced
@@ -112,7 +100,6 @@ let evict_one t s map =
           map := Smap.remove key !map;
           s.population <- s.population - 1;
           Atomic.incr t.evictions;
-          Obs.Metrics.incr t.m_evictions;
           evicted := true
         end)
   done;

@@ -16,12 +16,8 @@
 
 type t
 
-val create :
-  ?shards:int -> ?capacity:int -> ?metrics_prefix:string -> unit -> t
-(** Defaults: 8 shards, 1024 entries total, counters registered as
-    [<metrics_prefix>.hits/.misses/.evictions] (default
-    ["serve.cache"]).  Per-instance stats stay exact even when several
-    caches share a prefix.
+val create : ?shards:int -> ?capacity:int -> unit -> t
+(** Defaults: 8 shards, 1024 entries total.
     @raise Invalid_argument when [shards < 1] or [capacity < shards]. *)
 
 val find : t -> string -> string option
@@ -42,4 +38,5 @@ val capacity : t -> int
 type stats = { hits : int; misses : int; evictions : int }
 
 val stats : t -> stats
-(** Exact per-instance counts (independent of the shared registry). *)
+(** Exact per-instance counts, held only here: nothing copies them into
+    the [Obs.Metrics] registry. *)

@@ -39,41 +39,15 @@ type t = {
   (* The id [inject_crash] armed; the first request carrying it takes
      it back out and crashes. *)
   crash_id : string option Atomic.t;
-  (* Exact per-engine counts; the shared Obs registry mirrors them. *)
+  (* Exact per-engine counts: [stats], the [health] body and the serve
+     CLI's exit line read them.  Per-request counts and latencies live
+     in the transport's Telemetry clock, not here. *)
   n_requests : int Atomic.t;
   n_parse_errors : int Atomic.t;
   n_ok : int Atomic.t;
   n_errors : int Atomic.t;
   n_internal : int Atomic.t;
 }
-
-(* --- shared observability ------------------------------------------------ *)
-
-let m_requests = Obs.Metrics.counter "serve.requests"
-let m_parse_errors = Obs.Metrics.counter "serve.parse_errors"
-let m_ok = Obs.Metrics.counter "serve.ok"
-let m_errors = Obs.Metrics.counter "serve.errors"
-let m_internal = Obs.Metrics.counter "serve.internal_errors"
-let m_latency = Obs.Metrics.histogram "serve.handle_latency_s"
-
-(* Resolved once: [Obs.Metrics.counter] walks the registry under its
-   mutex, which is too much for a per-request label lookup. *)
-let m_req_cutoffs = Obs.Metrics.counter "serve.req.cutoffs"
-let m_req_success_rate = Obs.Metrics.counter "serve.req.success_rate"
-let m_req_sweep = Obs.Metrics.counter "serve.req.sweep"
-let m_req_health = Obs.Metrics.counter "serve.req.health"
-let m_req_stats = Obs.Metrics.counter "serve.req.stats"
-let m_req_route = Obs.Metrics.counter "serve.req.route"
-let m_req_quote = Obs.Metrics.counter "serve.req.quote"
-
-let m_kind = function
-  | "cutoffs" -> m_req_cutoffs
-  | "success_rate" -> m_req_success_rate
-  | "sweep" -> m_req_sweep
-  | "health" -> m_req_health
-  | "stats" -> m_req_stats
-  | "route" -> m_req_route
-  | _ -> m_req_quote
 
 (* --- evaluation ---------------------------------------------------------- *)
 
@@ -155,13 +129,11 @@ let computed_body t ?(clock = Telemetry.none) (req : Request.t) kind =
       | Ok result ->
         Telemetry.stamp_compute_stop clock;
         Atomic.incr t.n_ok;
-        Obs.Metrics.incr m_ok;
         Response.ok_body ~req:kind ~result
       | Error (code, message) ->
         Telemetry.stamp_compute_stop clock;
         Telemetry.set_status clock "error";
         Atomic.incr t.n_errors;
-        Obs.Metrics.incr m_errors;
         Response.error_body ~req:kind ~code ~message ())
 
 (* A cached body may be an ok or a cached error body ([invalid_params]
@@ -204,10 +176,7 @@ let respond ?(clock = Telemetry.none) t (req : Request.t) =
   Telemetry.set_kind clock kind;
   Telemetry.set_id clock req.id;
   Atomic.incr t.n_requests;
-  Obs.Metrics.incr m_requests;
-  Obs.Metrics.incr (m_kind kind);
   crash_if_armed t req;
-  let t0 = if Obs.Metrics.enabled () then Obs.Monotonic.now_int_ns () else 0 in
   let body =
     match req.body with
     | Health | Stats ->
@@ -228,8 +197,6 @@ let respond ?(clock = Telemetry.none) t (req : Request.t) =
         Cache.add t.cache key body;
         body)
   in
-  if t0 <> 0 then
-    Obs.Metrics.observe_ns m_latency (Obs.Monotonic.now_int_ns () - t0);
   let resp = Response.assemble ~id:req.id body in
   Telemetry.stamp_encode clock;
   resp
@@ -241,7 +208,6 @@ let reject ?(clock = Telemetry.none) t (err : Request.error) =
     Telemetry.set_status clock "error"
   end;
   Atomic.incr t.n_parse_errors;
-  Obs.Metrics.incr m_parse_errors;
   let resp = Response.error ~id:err.err_id ~code:err.code ~message:err.message () in
   Telemetry.stamp_encode clock;
   resp
@@ -252,7 +218,6 @@ let handle_decoded ?(clock = Telemetry.none) t (req : Request.t) =
   try respond ~clock t req
   with exn ->
     Atomic.incr t.n_internal;
-    Obs.Metrics.incr m_internal;
     Telemetry.set_status clock "error";
     (* Flight-recorder crash trigger: the last N completed requests at
        the moment a handler crashed, written to the configured dump

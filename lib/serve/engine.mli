@@ -13,8 +13,8 @@
 
     {b Crash absorption.}  A request whose evaluation raises is
     answered with a structured [internal_error] response echoing its id
-    and kind (counted in [serve.internal_errors] and
-    {!stats}[.internal_errors]); the caller's loop keeps serving.
+    and kind (counted in {!stats}[.internal_errors]); the caller's loop
+    keeps serving.
     {!inject_crash} forces one such crash deterministically. *)
 
 type t
@@ -84,5 +84,6 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Exact per-engine counts; the shared [Obs.Metrics] registry carries
-    the process-wide mirrors ([serve.*]). *)
+(** Exact per-engine counts, held only here: nothing copies them into
+    the [Obs.Metrics] registry.  Per-request counts and latencies by
+    kind and codec are {!Telemetry}'s. *)

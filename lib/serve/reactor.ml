@@ -50,7 +50,6 @@ let max_line = Binary.max_frame
 let wbuf_hwm = 1 lsl 20
 
 let m_connections = Obs.Metrics.counter "serve.connections"
-let m_conn_requests = Obs.Metrics.counter "serve.connection_requests"
 let m_conn_errors = Obs.Metrics.counter "serve.connection_errors"
 
 (* Classified sub-counters (the {reason} dimension): registration is
@@ -206,7 +205,6 @@ let detect conn =
 
 let answer_json t conn ~read_ns line =
   if String.trim line <> "" then begin
-    Obs.Metrics.incr m_conn_requests;
     let clock = take_clock conn ~codec:"json" ~read_ns in
     Iobuf.add_string conn.wbuf (Engine.handle ~clock t.engine line);
     Iobuf.add_char conn.wbuf '\n';
@@ -239,7 +237,6 @@ let rec process t conn ~read_ns =
         count_conn_error_reason "protocol";
         kill conn
       | `Frame payload ->
-        Obs.Metrics.incr m_conn_requests;
         let clock = take_clock conn ~codec:"binary" ~read_ns in
         let body =
           match Binary.decode_payload payload with

@@ -1,6 +1,6 @@
 (* Request telemetry for the serve stack: per-request stage clocks, a
-   deterministic trace sampler, latency quantiles, a windowed request
-   rate, and a bounded flight recorder.
+   deterministic trace sampler, latency quantiles, and a bounded flight
+   recorder.
 
    A [clock] is allocated per request by the transport (reactor shard
    or pipe loop) and threaded through the engine; each stage stamps a
@@ -13,10 +13,14 @@
      window, within [Obs.Metrics.relative_error] of the exact values;
    - a per-kind x per-codec latency histogram
      ([serve.latency.<kind>.<codec>_s]);
-   - a windowed req/s meter;
    - the flight recorder — a lock-free ring of the last N completed
      request records, dumped as htlc-obs/v1 JSONL on a handler crash,
      chaos-gate failure, or an explicit trigger.
+
+   Nothing else counts a finished request: the [total] stage
+   histogram's count is the finished-request total, and its window
+   count over the seconds that window spans is the request rate
+   `stats` reports.
 
    The deterministic sampler promotes ~1/[sample_every] requests to
    full [Obs.Trace] spans.  It is a pure function of the request id
@@ -246,9 +250,7 @@ let stage_hists =
     (fun s -> M.histogram (Printf.sprintf "serve.stage.%s_s" s))
     stage_names
 
-let rate = Obs.Rate.create ~window_s:64 ()
 let m_sampled = M.counter "serve.telemetry.sampled"
-let m_finished = M.counter "serve.telemetry.requests"
 
 (* --- flight recorder ------------------------------------------------------ *)
 
@@ -314,7 +316,6 @@ let finish c ~flush_ns =
   if c.real && not c.finalized then begin
     c.finalized <- true;
     c.t_flush <- flush_ns;
-    M.incr m_finished;
     observe_pair 0 c.t_read c.t_decode;
     if c.cache_hit || c.t_cache > 0 then observe_pair 1 c.t_decode c.t_cache;
     observe_pair 2 c.t_compute0 c.t_compute1;
@@ -325,7 +326,6 @@ let finish c ~flush_ns =
       M.observe_ns stage_hists.(5) total;
       M.observe_ns latency_hists.(kind_index c.kind).(codec_index c.codec) total
     end;
-    Obs.Rate.observe_at rate ~now_ns:flush_ns;
     Obs.Recorder.push_copy (Atomic.get recorder) ~blank:blank_clock
       ~copy:copy_clock c;
     if should_sample_id c.id then begin
@@ -351,18 +351,17 @@ type stage_stat = {
 
 let export_qs = [| 0.50; 0.90; 0.99; 0.999 |]
 
-(* The histogram's trailing-window view, or [None] when the window is
-   empty. *)
-let view h =
-  let v = M.hist_view h ~now_ns:(now_ns ()) export_qs in
-  if v.M.v_window > 0 then Some v else None
+let view h = M.hist_view h ~now_ns:(now_ns ()) export_qs
 
-let stage_stats () =
+(* Rows for the stages whose windows hold samples, in stage order. *)
+let stage_rows (views : M.hist_view array) =
   List.filter_map
     (fun i ->
-      Option.map
-        (fun (v : M.hist_view) ->
-          let q = v.v_quantiles in
+      let v = views.(i) in
+      if v.v_window = 0 then None
+      else
+        let q = v.v_quantiles in
+        Some
           {
             st_stage = stage_names.(i);
             st_count = v.v_count;
@@ -373,8 +372,9 @@ let stage_stats () =
             st_p99_s = q.(2);
             st_p999_s = q.(3);
           })
-        (view stage_hists.(i)))
-    (List.init (Array.length stage_names) Fun.id)
+    (List.init (Array.length views) Fun.id)
+
+let stage_stats () = stage_rows (Array.map view stage_hists)
 
 type latency_stat = {
   l_kind : string;
@@ -392,9 +392,11 @@ let latency_stats () =
     (fun k ->
       List.filter_map
         (fun c ->
-          Option.map
-            (fun (v : M.hist_view) ->
-              let q = v.v_quantiles in
+          let v = view latency_hists.(k).(c) in
+          if v.M.v_window = 0 then None
+          else
+            let q = v.v_quantiles in
+            Some
               {
                 l_kind = kind_names.(k);
                 l_codec = codec_names.(c);
@@ -405,14 +407,8 @@ let latency_stats () =
                 l_p99_s = q.(2);
                 l_p999_s = q.(3);
               })
-            (view latency_hists.(k).(c)))
         (List.init (Array.length codec_names) Fun.id))
     (List.init (Array.length kind_names) Fun.id)
-
-let requests_per_second ?(window_s = 10) () =
-  Obs.Rate.per_second rate ~window_s
-
-let total_finished () = Obs.Rate.total rate
 
 (* --- stats document ------------------------------------------------------- *)
 
@@ -421,14 +417,23 @@ let j_str = Obs.Json.str
 let us x = j_num (x *. 1e6)
 
 let stats_json () =
+  (* One read per stage: the [rate] section is the [total] stage's
+     count and its window count over the seconds that window spans, so
+     it agrees with the [stages] rows by construction. *)
+  let stages = Array.map view stage_hists in
+  let total = stages.(Array.length stages - 1) in
+  let rps =
+    if total.v_window_s > 0. then
+      float_of_int total.v_window /. total.v_window_s
+    else 0.
+  in
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf "{\"telemetry\":{\"enabled\":%b,\"sample_every\":%d}"
        (enabled ()) (sample_every ()));
   Buffer.add_string b
-    (Printf.sprintf ",\"rate\":{\"window_s\":10,\"rps\":%s,\"total\":%d}"
-       (j_num (requests_per_second ~window_s:10 ()))
-       (total_finished ()));
+    (Printf.sprintf ",\"rate\":{\"window_s\":%s,\"rps\":%s,\"total\":%d}"
+       (j_num total.v_window_s) (j_num rps) total.v_count);
   Buffer.add_string b ",\"latency\":{";
   List.iteri
     (fun i l ->
@@ -450,7 +455,7 @@ let stats_json () =
            (j_str st.st_stage) st.st_count (us st.st_mean_s) st.st_window
            (us st.st_p50_s) (us st.st_p90_s) (us st.st_p99_s)
            (us st.st_p999_s)))
-    (stage_stats ());
+    (stage_rows stages);
   Buffer.add_string b
     (Printf.sprintf
        "},\"recorder\":{\"capacity\":%d,\"recorded\":%d,\"pushed\":%d,\"dropped\":%d}"
@@ -530,5 +535,4 @@ let reset () =
   let now_ns = now_ns () in
   Array.iter (fun row -> Array.iter (M.rebase ~now_ns) row) latency_hists;
   Array.iter (M.rebase ~now_ns) stage_hists;
-  Obs.Rate.reset rate;
   Obs.Recorder.reset (Atomic.get recorder)

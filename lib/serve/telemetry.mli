@@ -1,7 +1,8 @@
 (** Request telemetry for the serve stack: per-request stage clocks
     recorded into log-linear [Obs.Metrics] histograms, a deterministic
-    trace sampler, a windowed req/s meter, and a bounded flight
-    recorder dumped as htlc-obs/v1 JSONL.
+    trace sampler, and a bounded flight recorder dumped as htlc-obs/v1
+    JSONL.  Each finished request is recorded once per structure: the
+    [total] stage histogram is also the request count and rate.
 
     Telemetry never touches response bytes: the byte-identity contract
     holds with telemetry on or off.  When disabled, {!make} returns a
@@ -70,8 +71,7 @@ val set_status : clock -> string -> unit
 val finish : clock -> flush_ns:int -> unit
 (** Finalise: record each stage duration once into its
     [serve.stage.*_s] histogram and the total once more into
-    [serve.latency.<kind>.<codec>_s], count
-    the request in the rate window, push the record into the flight
+    [serve.latency.<kind>.<codec>_s], push the record into the flight
     recorder, and — when {!should_sample_id} selects it — emit a
     ["serve.request"] span with per-stage annotations.  Idempotent. *)
 
@@ -115,14 +115,13 @@ val latency_stats : unit -> latency_stat list
 (** Total-latency quantiles per (kind, codec) with samples in the
     window. *)
 
-val requests_per_second : ?window_s:int -> unit -> float
-(** Mean finished-requests/s over the trailing window (default 10 s). *)
-
-val total_finished : unit -> int
-
 val stats_json : unit -> string
 (** The `stats` request result: one JSON object with [telemetry],
     [rate], [latency], [stages], [recorder], and [trace] sections.
+    [rate] comes from the same read of the [total] stage histogram as
+    the [stages] row: [total] is its count, [window_s] the seconds its
+    trailing window spans, and [rps] the window's count over
+    [window_s].
     Live state — never cached, outside the byte-identity contract. *)
 
 (** {1 Flight recorder} *)
@@ -154,4 +153,4 @@ val dump_to_path : reason:string -> unit
 
 val reset : unit -> unit
 (** Empty the histograms' trailing windows (their cumulative counts
-    stay), the rate window, and the recorder (tests and bench legs). *)
+    stay) and the recorder (tests and bench legs). *)

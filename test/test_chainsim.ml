@@ -358,71 +358,7 @@ let test_chain_mempool_delay_constraint () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* --- Transaction fees --------------------------------------------------------- *)
-
-let test_fees_on_transfer () =
-  let c = fresh_chain () in
-  Chain.set_fee_per_tx c 0.1;
-  Chain.mint c ~account:"a" ~amount:5.;
-  ignore (Chain.submit c ~at:0. (Tx.Transfer { from_ = "a"; to_ = "b"; amount = 3. }));
-  ignore (Chain.advance c ~until:5.);
-  check_float "sender pays amount + fee" 1.9 (Chain.balance c ~account:"a");
-  check_float "recipient gets full amount" 3. (Chain.balance c ~account:"b");
-  check_float "miner collects" 0.1 (Chain.balance c ~account:Chain.miner_account);
-  check_float "conservation" 5. (Chain.total_supply c)
-
-let test_fees_on_htlc_cycle () =
-  let c = fresh_chain () in
-  Chain.set_fee_per_tx c 0.05;
-  Chain.mint c ~account:"a" ~amount:5.;
-  Chain.mint c ~account:"b" ~amount:1.;
-  let s = Secret.of_preimage "fee" in
-  ignore
-    (Chain.submit c ~at:0.
-       (Tx.Htlc_lock
-          { contract_id = "h"; sender = "a"; recipient = "b"; amount = 4.;
-            hash = s.Secret.hash; expiry = 10. }));
-  ignore
-    (Chain.submit c ~at:3.
-       (Tx.Htlc_claim { contract_id = "h"; preimage = s.Secret.preimage }));
-  ignore (Chain.advance c ~until:8.);
-  (* Lock fee paid by the sender, claim fee by the recipient. *)
-  check_float "sender" 0.95 (Chain.balance c ~account:"a");
-  check_float "recipient" 4.95 (Chain.balance c ~account:"b");
-  check_float "miner" 0.1 (Chain.balance c ~account:Chain.miner_account)
-
-let test_fees_forgiven_when_broke () =
-  let c = fresh_chain () in
-  Chain.set_fee_per_tx c 1.;
-  Chain.mint c ~account:"a" ~amount:2.;
-  (* Transfer everything: the fee exceeds the remaining balance and is
-     partially forgiven rather than failing the transfer. *)
-  ignore (Chain.submit c ~at:0. (Tx.Transfer { from_ = "a"; to_ = "b"; amount = 2. }));
-  let receipts = Chain.advance c ~until:5. in
-  Alcotest.(check bool) "transfer still succeeds" true
-    (Result.is_ok (List.hd receipts).Chain.result);
-  check_float "recipient whole" 2. (Chain.balance c ~account:"b");
-  check_float "no fee collectable" 0.
-    (Chain.balance c ~account:Chain.miner_account)
-
-let test_fees_zero_by_default () =
-  let c = fresh_chain () in
-  Chain.mint c ~account:"a" ~amount:5.;
-  ignore (Chain.submit c ~at:0. (Tx.Transfer { from_ = "a"; to_ = "b"; amount = 3. }));
-  ignore (Chain.advance c ~until:5.);
-  check_float "assumption 2 default" 2. (Chain.balance c ~account:"a");
-  check_float "no fee collected" 0.
-    (Chain.balance c ~account:Chain.miner_account);
-  match Chain.set_fee_per_tx c (-1.) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative fee must be rejected"
-
 (* --- Fault injection ---------------------------------------------------------- *)
-
-let contains_substring haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  go 0
 
 let faulty_chain ?(seed = 7) faults =
   Chain.create ~faults ~fault_seed:seed ~name:"test" ~token:"TKN" ~tau:2.
@@ -531,15 +467,6 @@ let test_fault_seed_replay_identical () =
   Alcotest.(check bool) "same (seed, schedule) replays the same trace" true
     (play () = play ())
 
-let test_fee_forgiveness_recorded_in_receipt () =
-  let c = fresh_chain () in
-  Chain.set_fee_per_tx c 1.;
-  Chain.mint c ~account:"a" ~amount:2.;
-  ignore (Chain.submit c ~at:0. (Tx.Transfer { from_ = "a"; to_ = "b"; amount = 2. }));
-  let receipts = Chain.advance c ~until:5. in
-  Alcotest.(check bool) "receipt records the forgiven fee" true
-    (contains_substring (Chain.describe (List.hd receipts)) "[fee forgiven: 1]")
-
 (* --- Receipt text ------------------------------------------------------------- *)
 
 (* Receipts are built by concatenation; each must read exactly as the
@@ -593,7 +520,7 @@ let test_payload_text () =
     awkward_floats
 
 (* The chain's own descriptions: auto-refund and escrow timeout (done
-   and no-op), a forgiven fee, and the error texts. *)
+   and no-op), and the error texts. *)
 let test_receipt_text () =
   let c = fresh_chain () in
   Chain.mint c ~account:"a" ~amount:10.;
@@ -626,11 +553,6 @@ let test_receipt_text () =
     (Chain.submit c ~at:4.
        (Tx.Transfer { from_ = "z"; to_ = "b"; amount = 1e21 }));
   ignore (Chain.advance c ~until:20.);
-  Chain.set_fee_per_tx c 1e21;
-  ignore
-    (Chain.submit c ~at:20.
-       (Tx.Transfer { from_ = "a"; to_ = "b"; amount = 1. }));
-  ignore (Chain.advance c ~until:30.);
   let texts =
     List.map
       (fun (r : Chain.receipt) ->
@@ -660,9 +582,6 @@ let test_receipt_text () =
       Format.asprintf "auto-refund %s: %g returned to %s" "h2" amount "a";
       Format.asprintf "escrow-timeout %s: %g returned to %s" "e1" 1e-7 "a";
       Format.asprintf "escrow-timeout %s (noop)" "e2";
-      Format.asprintf "%s [fee forgiven: %g]"
-        (format_payload (Tx.Transfer { from_ = "a"; to_ = "b"; amount = 1. }))
-        (1e21 -. (10. -. (2. *. amount) -. 1e-7 -. 1.));
     ]
   in
   Alcotest.(check (list string)) "receipt texts" expected texts
@@ -1037,16 +956,6 @@ let () =
             test_chain_duplicate_contract;
           Alcotest.test_case "eps < tau enforced" `Quick
             test_chain_mempool_delay_constraint;
-        ] );
-      ( "fees",
-        [
-          Alcotest.test_case "transfer fee" `Quick test_fees_on_transfer;
-          Alcotest.test_case "HTLC cycle fees" `Quick test_fees_on_htlc_cycle;
-          Alcotest.test_case "forgiven when broke" `Quick
-            test_fees_forgiven_when_broke;
-          Alcotest.test_case "forgiveness audited in receipt" `Quick
-            test_fee_forgiveness_recorded_in_receipt;
-          Alcotest.test_case "zero by default" `Quick test_fees_zero_by_default;
         ] );
       ( "receipts",
         [

@@ -474,9 +474,6 @@ let is_entry_point (n : Lint.Callgraph.node) =
    own test uses is deleted with that test instead. *)
 let unreached_allowlist =
   [
-    ( "Chainsim.Chain.set_fee_per_tx",
-      "seam: production keeps Assumption 2's zero fee; the fee tests set \
-       one to drive the live fee charging in Chain.advance" );
     ( "Gametree.Game.validate",
       "oracle: test_protocol checks the live Lattice_game trees with it" );
     ( "Lint.Driver.check_source",
@@ -518,9 +515,11 @@ let unreached_allowlist =
 
 (* Under [dune runtest] the cwd is [_build/default/test]; the
    (alias_rec ../check) dep has put the cmts of every directory
-   under "..". *)
+   under "..".  Built once for the two checks below. *)
+let whole_graph = lazy (Lint.Callgraph.build ~cmt_root:".." ())
+
 let test_unreached_allowlist () =
-  let graph = Lint.Callgraph.build ~cmt_root:".." () in
+  let graph = Lazy.force whole_graph in
   check_int "no unreadable cmts" 0 (List.length graph.load_notes);
   let reached =
     Lint.Reach.reachable graph (List.filter is_entry_point graph.nodes)
@@ -549,6 +548,124 @@ let test_unreached_allowlist () =
   check_int "every unreached lib/ binding is allowlisted" 0
     (List.length missing);
   check_int "every allowlist entry is still unreached" 0 (List.length stale)
+
+(* --- doc references: every named lib/ binding exists ---------------------- *)
+
+(* The docs a reader navigates the code by; the (deps) of this test
+   copy them next to the build tree. *)
+let doc_files = [ "docs/paper_map.md"; "DESIGN.md"; "README.md" ]
+
+(* The text of every inline code span of a Markdown file, fenced blocks
+   skipped (a span may wrap a line). *)
+let code_spans file =
+  let lines = In_channel.with_open_text file In_channel.input_lines in
+  let in_fence = ref false in
+  let prose =
+    List.filter
+      (fun l ->
+        if String.starts_with ~prefix:"```" (String.trim l) then begin
+          in_fence := not !in_fence;
+          false
+        end
+        else not !in_fence)
+      lines
+  in
+  List.filteri
+    (fun i _ -> i mod 2 = 1)
+    (String.split_on_char '`' (String.concat "\n" prose))
+
+let is_upper c = c >= 'A' && c <= 'Z'
+
+(* A span that is exactly a dotted path with a capitalised head
+   ([Module.value], [Library.Module], [Library.Module.value]), split
+   into its components. *)
+let dotted_path span =
+  let ident p =
+    p <> ""
+    && (match p.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false)
+    && String.for_all
+         (function
+           | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+           | _ -> false)
+         p
+  in
+  match String.split_on_char '.' span with
+  | (head :: _ :: _) as parts when List.for_all ident parts && is_upper head.[0]
+    ->
+    Some parts
+  | _ -> None
+
+(* Top-level type names a compilation unit's source declares: a [Rng.t]
+   or [Chain.receipt] in the docs names a type, which the call graph
+   (values only) does not hold. *)
+let declared_types file =
+  In_channel.with_open_text ("../" ^ file) (fun ic ->
+      List.concat_map
+        (fun (item : Parsetree.structure_item) ->
+          match item.pstr_desc with
+          | Pstr_type (_, decls) ->
+            List.map
+              (fun (d : Parsetree.type_declaration) -> d.ptype_name.txt)
+              decls
+          | _ -> [])
+        (Parse.implementation (Lexing.from_channel ic)))
+
+(* A reference whose head names a lib/ library or module must resolve
+   in the lib/ half of the call graph: [Library.Module] to a unit,
+   [Module.value] to a binding (or type) of some unit of that name,
+   [Library.Module.value] to one of that unit.  Any other head — the
+   stdlib, a test or bench module, a file name — is not checked. *)
+let test_doc_references () =
+  let graph = Lazy.force whole_graph in
+  let lib_nodes =
+    List.filter
+      (fun (n : Lint.Callgraph.node) -> Lint.Config.in_any [ "lib/" ] n.file)
+      graph.nodes
+  in
+  let unit_ids =
+    List.sort_uniq compare
+      (List.map (fun (n : Lint.Callgraph.node) -> n.unit_id) lib_nodes)
+  in
+  let library u = List.hd (String.split_on_char '.' u) in
+  let modname u = List.nth (String.split_on_char '.' u) 1 in
+  let unit_file u =
+    (List.find (fun (n : Lint.Callgraph.node) -> n.unit_id = u) lib_nodes).file
+  in
+  let has_value u v =
+    Hashtbl.mem graph.index (u ^ "." ^ v)
+    || List.mem v (declared_types (unit_file u))
+  in
+  let resolves = function
+    | [ lib; m ] when List.exists (fun u -> library u = lib) unit_ids ->
+      Some (List.mem (lib ^ "." ^ m) unit_ids)
+    | [ m; v ] when List.exists (fun u -> modname u = m) unit_ids ->
+      if is_upper v.[0] then None (* a constructor or nested module *)
+      else
+        Some
+          (List.exists (fun u -> modname u = m && has_value u v) unit_ids)
+    | [ lib; m; v ] when List.exists (fun u -> library u = lib) unit_ids ->
+      let u = lib ^ "." ^ m in
+      Some (List.mem u unit_ids && has_value u v)
+    | _ -> None
+  in
+  let checked = ref 0 in
+  let broken =
+    List.concat_map
+      (fun doc ->
+        List.filter_map
+          (fun span ->
+            match Option.bind (dotted_path span) resolves with
+            | Some true ->
+              incr checked;
+              None
+            | Some false -> Some (doc ^ ": " ^ span)
+            | None -> None)
+          (code_spans ("../" ^ doc)))
+      doc_files
+  in
+  List.iter (Printf.eprintf "names no lib/ binding or unit: %s\n") broken;
+  check_bool "the docs name lib/ code at all" true (!checked > 100);
+  check_int "every lib/ reference resolves" 0 (List.length broken)
 
 let () =
   Alcotest.run "lint"
@@ -592,5 +709,7 @@ let () =
             test_repo_deep_lints_clean;
           Alcotest.test_case "every lib/ binding reached or allowlisted"
             `Quick test_unreached_allowlist;
+          Alcotest.test_case "doc references resolve" `Quick
+            test_doc_references;
         ] );
     ]

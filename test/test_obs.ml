@@ -270,6 +270,7 @@ let test_histogram_window () =
     Float.abs (v.v_quantiles.(0) -. want)
     <= Obs.Metrics.relative_error *. want
   in
+  let spans secs (v : Obs.Metrics.hist_view) = v.v_window_s = float_of_int secs in
   let record n ns =
     for _ = 1 to n do
       Obs.Metrics.observe_ns h ns
@@ -281,19 +282,23 @@ let test_histogram_window () =
   check_int "no re-base within 10 s" 8 (read (t0 + (5 * s))).v_window;
   let v = read (t0 + (11 * s)) in
   check_bool "after 10 s the window starts at the first read" true
-    (v.v_window = 3 && v.v_count = 8 && near 1e-3 v);
+    (v.v_window = 3 && v.v_count = 8 && near 1e-3 v && spans 11 v);
   record 2 s;
-  check_int "the older base holds until the next re-base" 5
-    (read (t0 + (12 * s))).v_window;
+  let v = read (t0 + (12 * s)) in
+  check_bool "the older base holds until the next re-base" true
+    (v.v_window = 5 && spans 12 v);
   let v = read (t0 + (22 * s)) in
   check_bool "the second re-base drops what came before the first" true
-    (v.v_window = 2 && v.v_count = 10 && near 1. v);
+    (v.v_window = 2 && v.v_count = 10 && near 1. v && spans 11 v);
   Obs.Metrics.rebase h ~now_ns:(t0 + (23 * s));
   let v = read (t0 + (24 * s)) in
   check_bool "rebase empties the window, not the count" true
-    (v.v_window = 0 && v.v_count = 10 && Float.is_nan v.v_quantiles.(0));
+    (v.v_window = 0 && v.v_count = 10 && Float.is_nan v.v_quantiles.(0)
+    && spans 1 v);
   record 1 1_000;
-  check_int "and it refills" 1 (read (t0 + (25 * s))).v_window
+  let v = read (t0 + (25 * s)) in
+  check_bool "and it refills, spanning from the rebase" true
+    (v.v_window = 1 && spans 2 v)
 
 let test_histogram_record_allocates_nothing () =
   let h = Obs.Metrics.histogram "test.hist_alloc" in
@@ -304,30 +309,6 @@ let test_histogram_record_allocates_nothing () =
   done;
   check_bool "no words allocated by 100k records" true
     (Gc.minor_words () -. w0 < 100.)
-
-(* --- windowed rate meter -------------------------------------------------- *)
-
-let test_rate_window () =
-  let r = Obs.Rate.create ~window_s:16 () in
-  let ns_of_s s = s * 1_000_000_000 in
-  for sec = 100 to 103 do
-    for _ = 1 to 5 do
-      Obs.Rate.observe_at r ~now_ns:(ns_of_s sec)
-    done
-  done;
-  check_int "total is exact" 20 (Obs.Rate.total r);
-  check_int "window sees all four seconds" 20
-    (Obs.Rate.events_in_window r ~window_s:10 ~now_ns:(ns_of_s 103));
-  check (Alcotest.float 1e-9) "mean rate over the window" 2.
-    (Obs.Rate.per_second_at r ~window_s:10 ~now_ns:(ns_of_s 103));
-  check_int "a narrow window clips old seconds" 10
-    (Obs.Rate.events_in_window r ~window_s:2 ~now_ns:(ns_of_s 103));
-  check_int "events age out" 0
-    (Obs.Rate.events_in_window r ~window_s:4 ~now_ns:(ns_of_s 150));
-  Obs.Rate.observe_at r ~now_ns:(ns_of_s 150);
-  check_int "total stays cumulative" 21 (Obs.Rate.total r);
-  Obs.Rate.reset r;
-  check_int "reset" 0 (Obs.Rate.total r)
 
 (* --- flight recorder ------------------------------------------------------ *)
 
@@ -642,8 +623,6 @@ let () =
           Alcotest.test_case "str bytes match the escaper" `Quick
             test_json_str_bytes;
         ] );
-      ( "rate",
-        [ Alcotest.test_case "trailing window" `Quick test_rate_window ] );
       ( "recorder",
         [ Alcotest.test_case "last-N ring" `Quick test_recorder_last_n ] );
       ( "prometheus",

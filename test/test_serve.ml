@@ -1345,13 +1345,38 @@ let test_crash_dump () =
   check_int "one internal error" 1 (Serve.Engine.stats e).internal_errors;
   Sys.remove dump
 
+(* The finished-request counts of a stats body — [rate.total],
+   [stages.total.count], [recorder.pushed] — and [rate.rps]. *)
+let finished_counts resp =
+  let module J = Obs.Json_parse in
+  let r = J.member "response" (J.parse resp) "result" in
+  let num path o key = J.as_num (path ^ "." ^ key) (J.member path o key) in
+  let rate = J.member "result" r "rate" in
+  let total = J.member "stages" (J.member "result" r "stages") "total" in
+  let recorder = J.member "result" r "recorder" in
+  ( ( int_of_float (num "rate" rate "total"),
+      int_of_float (num "stages.total" total "count"),
+      int_of_float (num "recorder" recorder "pushed") ),
+    num "rate" rate "rps" )
+
 let test_stats_request () =
   let e = make_engine () in
   let stats_line id =
     Printf.sprintf
       "{\"schema\":\"htlc-serve/v1\",\"id\":\"%s\",\"req\":\"stats\"}" id
   in
-  let resp = Serve.Engine.handle e (stats_line "st1") in
+  (* Through a real stage clock finished at flush, as a transport
+     serves a request. *)
+  let serve line =
+    let clock =
+      Serve.Telemetry.make ~codec:"pipe" ~read_ns:(Serve.Telemetry.now_ns ())
+    in
+    let resp = Serve.Engine.handle ~clock e line in
+    Serve.Telemetry.finish_now clock;
+    resp
+  in
+  ignore (serve (sr_line "warm"));
+  let resp = serve (stats_line "st1") in
   check_bool "stats answers ok with the telemetry sections" true
     (contains resp "\"id\":\"st1\",\"req\":\"stats\",\"status\":\"ok\""
     && contains resp "\"latency\""
@@ -1365,10 +1390,31 @@ let test_stats_request () =
   let hits_before =
     (Serve.Engine.stats e).Serve.Engine.cache.Serve.Cache.hits
   in
-  ignore (Serve.Engine.handle e (stats_line "st1"));
+  ignore (serve (stats_line "st1"));
   let after = (Serve.Engine.stats e).Serve.Engine.cache in
   check_int "no cache miss recorded" misses_before after.Serve.Cache.misses;
   check_int "no cache hit recorded" hits_before after.Serve.Cache.hits;
+  (* One recorder per fact: the rate is the total stage's histogram,
+     so its total is that stage's count, and all three counts advance
+     by the requests finished in between — st1 (finished after its
+     body was built), its repeat, and five more. *)
+  for i = 1 to 5 do
+    ignore (serve (sr_line (Printf.sprintf "n%d" i)))
+  done;
+  let (rate1, stage1, pushed1), rps1 = finished_counts resp in
+  let (rate2, stage2, pushed2), rps2 =
+    finished_counts (serve (stats_line "st3"))
+  in
+  check_int "rate.total = stages.total.count" stage1 rate1;
+  check_int "and in the later body" stage2 rate2;
+  check_int "rate.total advances by the finished requests" 7 (rate2 - rate1);
+  check_int "stages.total.count too" 7 (stage2 - stage1);
+  check_int "recorder.pushed too" 7 (pushed2 - pushed1);
+  List.iter
+    (fun rps ->
+      check_bool "rate.rps is finite and positive" true
+        (Float.is_finite rps && rps > 0.))
+    [ rps1; rps2 ];
   (* Both codecs carry the kind. *)
   let req = { Serve.Request.id = Some "st2"; body = Serve.Request.Stats } in
   check_str "canonical JSON roundtrip" (Serve.Request.encode req)
@@ -1377,6 +1423,37 @@ let test_stats_request () =
   | Ok got ->
     check_bool "binary roundtrip preserves stats" true (got = req)
   | Error err -> Alcotest.failf "binary stats decode failed: %s" err.message
+
+(* Each served-request fact has one recorder — the engine's and cache's
+   exact counts, Telemetry's histograms and flight recorder — and
+   nothing copies it into the global registry. *)
+let test_no_registry_copies () =
+  let e = Serve.Engine.create ~mus ~sigmas ~cache_shards:1 ~cache_capacity:1 () in
+  List.iter
+    (fun line -> ignore (Serve.Engine.handle e line))
+    [ sr_line "c1"; sr_line "c1"; "not a request";
+      "{\"schema\":\"htlc-serve/v1\",\"id\":\"c2\",\"req\":\"cutoffs\",\"p_star\":2}" ];
+  let s = Serve.Engine.stats e in
+  check_bool "the engine counted the traffic" true
+    (s.requests = 3 && s.parse_errors = 1 && s.cache.Serve.Cache.hits = 1
+    && s.cache.Serve.Cache.evictions = 1);
+  let snap = Obs.Metrics.snapshot () in
+  let names =
+    List.map fst snap.counters @ List.map fst snap.gauges
+    @ List.map fst snap.histograms
+  in
+  List.iter
+    (fun name ->
+      check_bool (name ^ " is not in the registry") false
+        (List.mem name names))
+    ([ "serve.requests"; "serve.ok"; "serve.errors"; "serve.parse_errors";
+       "serve.internal_errors"; "serve.cache.hits"; "serve.cache.misses";
+       "serve.cache.evictions"; "serve.connection_requests";
+       "serve.telemetry.requests"; "serve.handle_latency_s" ]
+    @ List.map
+        (fun k -> "serve.req." ^ k)
+        [ "cutoffs"; "success_rate"; "sweep"; "quote"; "health"; "stats";
+          "route" ])
 
 let () =
   Alcotest.run "serve"
@@ -1456,5 +1533,7 @@ let () =
             test_flight_recorder_dump;
           Alcotest.test_case "crash dump" `Quick test_crash_dump;
           Alcotest.test_case "stats request kind" `Quick test_stats_request;
+          Alcotest.test_case "no registry copies" `Quick
+            test_no_registry_copies;
         ] );
     ]
