@@ -32,10 +32,17 @@
    at full precision in 8 bytes) and in framing (no newline scan).
 
    Decoding applies the same value checks as [Request.decode] so both
-   codecs answer identical [invalid_params]/[parse_error] taxonomies;
-   omitted params decode to the {e physically} shared
-   [Swap.Params.defaults], preserving [Request.key]'s memoised fast
-   path. *)
+   codecs answer identical [invalid_params]/[parse_error] taxonomies.
+   Only the {e physically} shared [Swap.Params.defaults] travels as
+   "omitted" (flags bit1 clear), and an omitted block decodes back to
+   that same record, so re-encoding a decoded payload gives its bytes
+   back and no params record is built for it.  A structurally equal
+   copy travels in full; [Request.key] compares values, not records,
+   so both spellings share one cache entry.
+
+   Encoding refuses what the widths cannot carry (an id or token over
+   65535 bytes, a sweep [n] outside u32, [max_hops] outside u8) rather
+   than truncate it into a different question. *)
 
 let magic = "HSB1"
 let max_frame = 1 lsl 20
@@ -107,6 +114,8 @@ let encode_payload (req : Request.t) =
     add_f64 b p_star;
     add_f64 b q
   | Request.Sweep { q; spec; _ } ->
+    if spec.n < 0 || spec.n > 0xffff_ffff then
+      invalid_arg "Binary.encode_payload: sweep n outside the u32 range";
     add_f64 b q;
     add_f64 b spec.lo;
     add_f64 b spec.hi;
@@ -126,7 +135,9 @@ let encode_payload (req : Request.t) =
     in
     add_token "from" from_tok;
     add_token "to" to_tok;
-    Buffer.add_char b (Char.chr (max_hops land 0xff))
+    if max_hops < 0 || max_hops > 0xff then
+      invalid_arg "Binary.encode_payload: max_hops outside the u8 range";
+    Buffer.add_char b (Char.chr max_hops)
   | Request.Health | Request.Stats -> ());
   Buffer.contents b
 

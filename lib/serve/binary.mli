@@ -11,8 +11,9 @@
 
     Decoding applies the same value checks as [Request.decode], so the
     two codecs answer identical [parse_error] / [invalid_params]
-    taxonomies; a payload without a params block decodes to the
-    physically shared [Swap.Params.defaults]. *)
+    taxonomies.  Only the physically shared [Swap.Params.defaults]
+    travels without a params block, and a payload without one decodes
+    back to that record. *)
 
 val magic : string
 (** ["HSB1"] — never a prefix of canonical JSON, which starts ['{']. *)
@@ -23,7 +24,9 @@ val max_frame : int
 
 val encode_payload : Request.t -> string
 (** Unframed request payload (golden-vector tests pin these bytes).
-    @raise Invalid_argument when the id exceeds 65535 bytes. *)
+    @raise Invalid_argument when the id or a route token exceeds 65535
+    bytes, a sweep's [n] does not fit in 32 bits or a route's
+    [max_hops] in 8: truncating either would ask another question. *)
 
 val encode_request : Request.t -> string
 (** [frame (encode_payload req)] — what a client writes per request

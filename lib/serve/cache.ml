@@ -1,4 +1,4 @@
-(* Sharded result cache: canonical request bytes -> response body.
+(* Sharded result cache: Request.key -> response body.
 
    Reads are lock-free: each shard publishes an immutable map snapshot
    through an [Atomic.t], so [find] is one atomic load plus a purely

@@ -1,4 +1,7 @@
-(** Sharded result cache (canonical request bytes → response body).
+(** Sharded result cache ([Request.key] → response body).  A key is
+    equal for two requests exactly when their id-less canonical
+    encodings are, so each entry answers one question however it was
+    spelled or framed.
 
     {b Reads are lock-free}: each shard publishes an immutable map
     snapshot through an [Atomic.t], so {!find} is one atomic load plus
@@ -27,7 +30,7 @@ val find : t -> string -> string option
 val add : t -> string -> string -> unit
 (** Insert, evicting within the key's shard when full.  A key already
     present keeps its incumbent value (racing computations of the same
-    canonical request are identical by construction). *)
+    question are identical by construction). *)
 
 val length : t -> int
 (** Entries across all shards. *)

@@ -16,9 +16,10 @@
 
    Byte-identity contract: computed bodies depend only on the canonical
    request and the engine's configuration (base params + quote grid +
-   route universe).  The cache stores bodies keyed by canonical request
-   bytes and the id is spliced in at assembly, so cached and socket
-   responses are byte-identical to a direct [handle] call.  [Health]
+   route universe).  The cache stores bodies under [Request.key], which
+   is equal for two requests exactly when their id-less canonical
+   encodings are, and the id is spliced in at assembly, so cached and
+   socket responses are byte-identical to a direct [handle] call.  [Health]
    and [Stats] are the deliberate exceptions: they report live state,
    are never cached, and sit outside the contract. *)
 

@@ -1,14 +1,16 @@
 (* Typed requests for the swap-quote service, with a canonical JSON-line
-   codec (schema htlc-serve/v1).
+   codec (schema htlc-serve/v1) and the cache key.
 
    The canonical form fixes field order and number formatting (via
-   Obs.Json, which round-trips floats), so [key] — the canonical bytes
-   without the client-chosen [id] — is a stable cache key: two requests
-   asking the same question produce the same bytes no matter how the
-   client ordered or spaced its JSON.  Decoding is strict: unknown keys
-   are rejected (typos must not silently select defaults in a versioned
-   protocol), and value errors are separated from syntax errors so the
-   service can answer [invalid_params] vs [parse_error]. *)
+   Obs.Json, which round-trips floats): two requests asking the same
+   question encode to the same bytes no matter how the client ordered
+   or spaced its JSON.  [key] is a binary encoding of the typed
+   question, equal for two requests exactly when their id-less
+   canonical encodings are equal, built without formatting a single
+   float.  Decoding is strict: unknown keys are rejected (typos must
+   not silently select defaults in a versioned protocol), and value
+   errors are separated from syntax errors so the service can answer
+   [invalid_params] vs [parse_error]. *)
 
 module J = Obs.Json
 module P = Obs.Json_parse
@@ -42,9 +44,8 @@ let kind t =
 
 (* --- canonical encoding ------------------------------------------------- *)
 
-(* Joined with [String.concat] rather than [Printf.sprintf]: [key] runs
-   on every request, and the format interpreter cost more than the
-   number conversions it wrapped. *)
+(* Joined with [String.concat] rather than [Printf.sprintf]: the format
+   interpreter cost more than the number conversions it wrapped. *)
 let cat = String.concat ""
 
 let params_json_raw (p : Swap.Params.t) =
@@ -59,9 +60,9 @@ let params_json_raw (p : Swap.Params.t) =
 
 (* Requests that omit [params] decode to the physically shared
    [Swap.Params.defaults] (both codecs), and default-params requests
-   dominate real traffic — so the canonical bytes of the defaults are
-   computed once.  Float formatting here is ~60% of [key]'s cost, which
-   is on the per-request path of every transport. *)
+   dominate real traffic, so the canonical bytes of the defaults are
+   formatted once: [encode] reuses them, and the fast decoder matches
+   them as one literal. *)
 let defaults_params_json = params_json_raw Swap.Params.defaults
 
 let params_json p =
@@ -91,12 +92,93 @@ let body_fields = function
   | Stats -> [ "\"req\":\"stats\"}" ]
 
 let schema_prefix = "{\"schema\":" ^ J.str schema ^ ","
-let key t = cat (schema_prefix :: body_fields t.body)
 
 let encode t =
   match t.id with
-  | None -> key t
+  | None -> cat (schema_prefix :: body_fields t.body)
   | Some id -> cat (schema_prefix :: "\"id\":" :: J.str id :: "," :: body_fields t.body)
+
+(* --- cache key ----------------------------------------------------------- *)
+
+(* [key] runs on every cacheable request, so it formats nothing.  One
+   exactly sized [Bytes] holds a kind tag, the kind's own fields, then
+   (for the three model kinds) all ten params fields in [params_json]'s
+   order: a float as its IEEE-754 bits, an int in 8 bytes, a route
+   token as its length in 8 bytes and then its bytes.
+
+   For finite values two keys are equal exactly when the id-less
+   canonical encodings are: [Obs.Json.num] prints distinct finite
+   floats (0. and -0. too) as distinct text, just as their bits differ,
+   and each kind's layout is fixed once the token lengths are read.
+   The kind's own fields come before the params, so keys that share
+   the defaults differ early, where [Cache]'s map compares them.
+   Native byte order: the key never leaves the process. *)
+
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] put_float b off x = set64 b off (Int64.bits_of_float x)
+let[@inline] put_int b off n = set64 b off (Int64.of_int n)
+
+let params_bytes = 80
+
+let put_params b off (p : Swap.Params.t) =
+  put_float b off p.alice.alpha;
+  put_float b (off + 8) p.bob.alpha;
+  put_float b (off + 16) p.alice.r;
+  put_float b (off + 24) p.bob.r;
+  put_float b (off + 32) p.tau_a;
+  put_float b (off + 40) p.tau_b;
+  put_float b (off + 48) p.eps_b;
+  put_float b (off + 56) p.p0;
+  put_float b (off + 64) p.mu;
+  put_float b (off + 72) p.sigma
+
+let tagged tag len =
+  let b = Bytes.create len in
+  Bytes.unsafe_set b 0 (Char.unsafe_chr tag);
+  b
+
+let key t =
+  let b =
+    match t.body with
+    | Cutoffs { params; p_star } ->
+      let b = tagged 1 (9 + params_bytes) in
+      put_float b 1 p_star;
+      put_params b 9 params;
+      b
+    | Success_rate { params; p_star; q } ->
+      let b = tagged 2 (17 + params_bytes) in
+      put_float b 1 p_star;
+      put_float b 9 q;
+      put_params b 17 params;
+      b
+    | Sweep { params; q; spec } ->
+      let b = tagged 3 (33 + params_bytes) in
+      put_float b 1 q;
+      put_float b 9 spec.lo;
+      put_float b 17 spec.hi;
+      put_int b 25 spec.n;
+      put_params b 33 params;
+      b
+    | Quote { mu; sigma; spot } ->
+      let b = tagged 4 25 in
+      put_float b 1 mu;
+      put_float b 9 sigma;
+      put_float b 17 spot;
+      b
+    | Route { from_tok; to_tok; max_hops } ->
+      let nf = String.length from_tok and nt = String.length to_tok in
+      let b = tagged 7 (25 + nf + nt) in
+      put_int b 1 nf;
+      Bytes.unsafe_blit_string from_tok 0 b 9 nf;
+      put_int b (9 + nf) nt;
+      Bytes.unsafe_blit_string to_tok 0 b (17 + nf) nt;
+      put_int b (17 + nf + nt) max_hops;
+      b
+    | Health -> tagged 5 1
+    | Stats -> tagged 6 1
+  in
+  Bytes.unsafe_to_string b
 
 (* --- decoding ----------------------------------------------------------- *)
 
@@ -156,10 +238,7 @@ let decode_params root =
     (match Swap.Params.validate p with
     | Ok () -> ()
     | Error msg -> invalid "params: %s" msg);
-    (* Resurrect the shared defaults record when the values coincide:
-       [key] then takes the memoised params fast path — decoded-then-
-       re-encoded requests must not be slower than constructed ones. *)
-    if p = Swap.Params.defaults then Swap.Params.defaults else p
+    p
 
 let require root name =
   match P.member_opt root name with
@@ -285,24 +364,29 @@ exception Slow
 
 type scan = { s : string; mutable sp : int }
 
-let lit sc lit =
-  let n = String.length lit in
-  if sc.sp + n > String.length sc.s then raise Slow;
-  for i = 0 to n - 1 do
-    if sc.s.[sc.sp + i] <> lit.[i] then raise Slow
-  done;
-  sc.sp <- sc.sp + n
+external get64 : string -> int -> int64 = "%caml_string_get64u"
+
+(* Whether [s] holds [lit] at [pos]: 8 bytes at a time, then the tail
+   byte by byte.  A mismatch is a [false], not an exception: the kind
+   dispatch below probes up to seven literals per request.  Toplevel
+   recursion, not local closures, so a comparison allocates nothing. *)
+let rec tail_at s pos lit i n =
+  i >= n
+  || (String.unsafe_get s (pos + i) = String.unsafe_get lit i
+     && tail_at s pos lit (i + 1) n)
+
+let rec words_at s pos lit i n =
+  if i + 8 > n then tail_at s pos lit i n
+  else
+    (get64 s (pos + i) : int64) = get64 lit i && words_at s pos lit (i + 8) n
 
 let looking_at sc lit =
   let n = String.length lit in
-  sc.sp + n <= String.length sc.s
-  &&
-  try
-    for i = 0 to n - 1 do
-      if sc.s.[sc.sp + i] <> lit.[i] then raise Exit
-    done;
-    true
-  with Exit -> false
+  sc.sp + n <= String.length sc.s && words_at sc.s sc.sp lit 0 n
+
+let lit sc lit =
+  if not (looking_at sc lit) then raise Slow;
+  sc.sp <- sc.sp + String.length lit
 
 let is_num_char = function
   | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
@@ -341,7 +425,7 @@ let scan_id sc =
 
 (* Only the canonical defaults bytes take the fast path; any other
    params object (default-valued or not) goes through the general
-   parser, whose defaults-resurrection keeps the key memoised. *)
+   parser. *)
 let scan_params sc =
   lit sc defaults_params_json;
   Swap.Params.defaults

@@ -2,10 +2,10 @@
     JSON-line codec (schema [htlc-serve/v1]).
 
     Canonical form = fixed field order + round-tripping float format,
-    so {!key} (canonical bytes without the client's [id]) is a stable
-    cache key.  Decoding is strict: unknown keys and out-of-range
-    values are rejected with distinct [parse_error] /
-    [invalid_params] codes. *)
+    so one question has one encoding whatever the client's field order
+    or spacing; {!key} is the cache key for that question.  Decoding is
+    strict: unknown keys and out-of-range values are rejected with
+    distinct [parse_error] / [invalid_params] codes. *)
 
 val schema : string
 (** ["htlc-serve/v1"]. *)
@@ -60,8 +60,13 @@ val encode : t -> string
     [decode (encode t) = Ok t]. *)
 
 val key : t -> string
-(** Canonical bytes {e without} [id]: the cache key.  Equal questions
-    have equal keys regardless of client field order or whitespace. *)
+(** The cache key: a binary encoding of the question without its [id]
+    (kind tag, floats as IEEE-754 bits, ints in 8 bytes, all ten params
+    fields, length-prefixed route tokens), built without formatting a
+    float.  For requests with finite values (all that either codec
+    decodes), [key a = key b] exactly when
+    [encode {a with id = None} = encode {b with id = None}].  The bytes
+    are not a wire format and are in native byte order. *)
 
 val params_json : Swap.Params.t -> string
 (** The canonical [params] object on its own (reused by

@@ -23,8 +23,8 @@ let make_engine () = Serve.Engine.create ~mus ~sigmas ()
 (* --- codec --------------------------------------------------------------- *)
 
 let test_codec_golden () =
-  (* The canonical bytes are the cache key and the wire format: pin them
-     exactly so neither field order nor float formatting can drift. *)
+  (* The canonical bytes are the wire format: pin them exactly so
+     neither field order nor float formatting can drift. *)
   (* 0.125 is exactly representable, so the %.17g round-trip format
      prints it short and the golden stays readable. *)
   let req =
@@ -36,9 +36,14 @@ let test_codec_golden () =
   check_str "canonical quote encoding"
     "{\"schema\":\"htlc-serve/v1\",\"id\":\"r1\",\"req\":\"quote\",\"mu\":0,\"sigma\":0.125,\"spot\":2}"
     (Serve.Request.encode req);
-  check_str "key drops the id only"
+  (* The cache key is binary; what it must agree with is the id-less
+     canonical encoding, pinned here, and it must not see the id. *)
+  check_str "id-less quote encoding"
     "{\"schema\":\"htlc-serve/v1\",\"req\":\"quote\",\"mu\":0,\"sigma\":0.125,\"spot\":2}"
-    (Serve.Request.key req);
+    (Serve.Request.encode { req with id = None });
+  check_str "quote key ignores the id"
+    (Serve.Request.key { req with id = None })
+    (Serve.Request.key { req with id = Some "other" });
   let sweep =
     {
       Serve.Request.id = None;
@@ -65,8 +70,11 @@ let test_codec_golden () =
   check_str "canonical route encoding"
     "{\"schema\":\"htlc-serve/v1\",\"id\":\"rt\",\"req\":\"route\",\"from\":\"BTC\",\"to\":\"USDC\",\"max_hops\":4}"
     (Serve.Request.encode route);
-  check_str "route key drops the id only"
+  check_str "id-less route encoding"
     "{\"schema\":\"htlc-serve/v1\",\"req\":\"route\",\"from\":\"BTC\",\"to\":\"USDC\",\"max_hops\":4}"
+    (Serve.Request.encode { route with id = None });
+  check_str "route key ignores the id"
+    (Serve.Request.key { route with id = None })
     (Serve.Request.key route)
 
 let roundtrip line =
@@ -249,6 +257,127 @@ let test_decode_fastpath_agreement () =
       (Serve.Request.key b) (Serve.Request.key a)
   | _ -> Alcotest.fail "both spellings must decode"
 
+(* [key] is binary, so what pins it is the question it stands for: two
+   requests share a key exactly when their id-less canonical encodings
+   are equal.  The draws sit where a binary key and printed JSON could
+   part ways: 0. against -0., integers just below, at and above 1e15
+   (where [Obs.Json.num] switches format), neighbours one ulp apart,
+   subnormals; params that are the shared defaults, a structural copy
+   or a one-field variant; route tokens that are prefixes of each
+   other; a sweep [n] above 2^32.  The second request of a pair is
+   mostly the first with one field redrawn, so equal and unequal keys
+   both come up often. *)
+let key_property =
+  let open QCheck in
+  let module R = Serve.Request in
+  let d = Swap.Params.defaults in
+  let fl =
+    Gen.oneofl
+      [ 0.; -0.; 2.; -2.; Float.succ 2.; Float.pred 2.; 0.1; Float.succ 0.1;
+        999_999_999_999_999.; 1e15; 1_000_000_000_000_001.; -1e15;
+        Float.succ 1e15; Float.succ 0.; 2.5e-320; Float.pred Float.min_float;
+        1e300 ]
+  in
+  let with_field (p : Swap.Params.t) i x =
+    match i with
+    | 0 -> { p with alice = { p.alice with alpha = x } }
+    | 1 -> { p with bob = { p.bob with alpha = x } }
+    | 2 -> { p with alice = { p.alice with r = x } }
+    | 3 -> { p with bob = { p.bob with r = x } }
+    | 4 -> { p with tau_a = x }
+    | 5 -> { p with tau_b = x }
+    | 6 -> { p with eps_b = x }
+    | 7 -> { p with p0 = x }
+    | 8 -> { p with mu = x }
+    | _ -> { p with sigma = x }
+  in
+  let params =
+    Gen.frequency
+      [ (2, Gen.return d);
+        (1, Gen.return { d with tau_a = d.tau_a });
+        (4, Gen.map2 (with_field d) (Gen.int_bound 9) fl) ]
+  in
+  let n = Gen.oneofl [ 2; 5; 6; (1 lsl 32) + 5; (1 lsl 32) + 6; 1 lsl 40 ] in
+  let token = Gen.oneofl [ "A"; "AB"; "ABC"; "B"; "BC"; "C"; "\"A"; "A\\" ] in
+  let hops = Gen.oneofl [ 1; 3; 4 ] in
+  let cutoffs = Gen.map2 (fun params p_star -> R.Cutoffs { params; p_star }) params fl in
+  let success_rate =
+    Gen.map3 (fun params p_star q -> R.Success_rate { params; p_star; q }) params fl fl
+  in
+  let sweep =
+    Gen.(
+      let+ params = params and+ q = fl and+ lo = fl and+ hi = fl and+ n = n in
+      R.Sweep { params; q; spec = { R.lo; hi; n } })
+  in
+  let quote = Gen.map3 (fun mu sigma spot -> R.Quote { mu; sigma; spot }) fl fl fl in
+  let route =
+    Gen.map3 (fun from_tok to_tok max_hops -> R.Route { from_tok; to_tok; max_hops }) token token hops
+  in
+  let body =
+    Gen.oneof
+      [ cutoffs; success_rate; sweep; quote; route; Gen.return R.Health; Gen.return R.Stats ]
+  in
+  (* [b] redraws one field of [a] (or its params), or is [a] again
+     with a structurally copied params record. *)
+  let redraw a =
+    let open Gen in
+    let fresh (p : Swap.Params.t) = { p with tau_a = p.tau_a } in
+    match a with
+    | R.Cutoffs { params = p; p_star } ->
+      oneof
+        [ map (fun p_star -> R.Cutoffs { params = p; p_star }) fl;
+          map (fun params -> R.Cutoffs { params; p_star }) params;
+          return (R.Cutoffs { params = fresh p; p_star }) ]
+    | R.Success_rate { params = p; p_star; q } ->
+      oneof
+        [ map (fun p_star -> R.Success_rate { params = p; p_star; q }) fl;
+          map (fun q -> R.Success_rate { params = p; p_star; q }) fl;
+          map2 (fun i x -> R.Success_rate { params = with_field p i x; p_star; q }) (int_bound 9) fl;
+          return (R.Success_rate { params = fresh p; p_star; q }) ]
+    | R.Sweep { params = p; q; spec } ->
+      oneof
+        [ map (fun q -> R.Sweep { params = p; q; spec }) fl;
+          map (fun lo -> R.Sweep { params = p; q; spec = { spec with lo } }) fl;
+          map (fun hi -> R.Sweep { params = p; q; spec = { spec with hi } }) fl;
+          map (fun n -> R.Sweep { params = p; q; spec = { spec with n } }) n;
+          map2 (fun i x -> R.Sweep { params = with_field p i x; q; spec }) (int_bound 9) fl;
+          return (R.Sweep { params = fresh p; q; spec }) ]
+    | R.Quote { mu; sigma; spot } ->
+      oneof
+        [ map (fun mu -> R.Quote { mu; sigma; spot }) fl;
+          map (fun sigma -> R.Quote { mu; sigma; spot }) fl;
+          map (fun spot -> R.Quote { mu; sigma; spot }) fl ]
+    | R.Route { from_tok; to_tok; max_hops } ->
+      (* Re-splitting the two tokens' concatenation elsewhere keeps
+         their bytes and changes the question. *)
+      let joined = from_tok ^ to_tok in
+      let resplit k =
+        let k = 1 + (k mod (String.length joined - 1)) in
+        R.Route
+          { from_tok = String.sub joined 0 k;
+            to_tok = String.sub joined k (String.length joined - k);
+            max_hops }
+      in
+      oneof
+        [ map (fun from_tok -> R.Route { from_tok; to_tok; max_hops }) token;
+          map (fun to_tok -> R.Route { from_tok; to_tok; max_hops }) token;
+          map (fun max_hops -> R.Route { from_tok; to_tok; max_hops }) hops;
+          map resplit (int_bound 7) ]
+    | R.Health | R.Stats -> body
+  in
+  let pair =
+    Gen.(
+      body >>= fun a ->
+      frequency [ (4, redraw a); (1, body) ] >|= fun b ->
+      ({ R.id = Some "a"; body = a }, { R.id = Some "b"; body = b }))
+  in
+  let print (a, b) = R.encode a ^ "\n" ^ R.encode b in
+  Test.make ~name:"key equality is id-less encoding equality" ~count:3000
+    (make ~print pair)
+    (fun (a, b) ->
+      String.equal (R.key a) (R.key b)
+      = String.equal (R.encode { a with id = None }) (R.encode { b with id = None }))
+
 (* --- binary codec (htlc-serve/b1) ---------------------------------------- *)
 
 let f64_be x =
@@ -343,8 +472,9 @@ let test_binary_roundtrip () =
           (Serve.Request.key t) (Serve.Request.key t')
       | Error e -> Alcotest.failf "roundtrip #%d rejected: %s" i e.message)
     bodies;
-  (* Omitted params must decode to the physically shared defaults so the
-     memoised key fast path applies to wire-decoded requests too. *)
+  (* Omitted params must decode to the physically shared defaults: the
+     encoder omits only that record, so a decoded payload re-encodes to
+     its own bytes. *)
   let t =
     {
       Serve.Request.id = None;
@@ -352,9 +482,11 @@ let test_binary_roundtrip () =
     }
   in
   match Serve.Binary.decode_payload (Serve.Binary.encode_payload t) with
-  | Ok { body = Serve.Request.Cutoffs { params; _ }; _ } ->
+  | Ok ({ body = Serve.Request.Cutoffs { params; _ }; _ } as t') ->
     check_bool "decoded defaults are physically shared" true
-      (params == Swap.Params.defaults)
+      (params == Swap.Params.defaults);
+    check_str "decoded defaults re-encode to the same payload"
+      (Serve.Binary.encode_payload t) (Serve.Binary.encode_payload t')
   | _ -> Alcotest.fail "cutoffs must roundtrip"
 
 let bin_err payload =
@@ -397,7 +529,35 @@ let test_binary_errors () =
   check_str "route hop bound must be >= 1 (binary)" "invalid_params"
     e.Serve.Request.code;
   let e = bin_err "\x07\x00\x00\x05BT" in
-  check_str "truncated route token" "parse_error" e.Serve.Request.code
+  check_str "truncated route token" "parse_error" e.Serve.Request.code;
+  (* The encoder refuses what b1's widths cannot carry: truncated, a
+     sweep's n = 2^32 + 5 would come back as 5 and max_hops 257 as 1. *)
+  let sweep n =
+    {
+      Serve.Request.id = None;
+      body =
+        Serve.Request.Sweep
+          { params = Swap.Params.defaults; q = 0.; spec = { lo = 1.6; hi = 2.4; n } };
+    }
+  in
+  let refused name req =
+    match Serve.Binary.encode_payload req with
+    | _ -> Alcotest.failf "%s must not encode" name
+    | exception Invalid_argument _ -> ()
+  in
+  refused "sweep n above 2^32" (sweep ((1 lsl 32) + 5));
+  refused "negative sweep n" (sweep (-1));
+  check_bool "the largest u32 n round-trips" true
+    (Serve.Binary.decode_payload (Serve.Binary.encode_payload (sweep 0xffff_ffff))
+    = Ok (sweep 0xffff_ffff));
+  let route max_hops =
+    {
+      Serve.Request.id = None;
+      body = Serve.Request.Route { from_tok = "BTC"; to_tok = "ETH"; max_hops };
+    }
+  in
+  refused "max_hops above 255" (route 257);
+  refused "negative max_hops" (route (-1))
 
 let test_binary_incremental () =
   (* The incremental decoder must reassemble frames identically no
@@ -717,6 +877,61 @@ let test_engine_route () =
   | Error err -> Alcotest.failf "route payload must decode: %s" err.message);
   let hits_after = (Serve.Engine.stats e).cache.Serve.Cache.hits in
   check_int "route is cache-keyed across codecs" (hits_before + 1) hits_after
+
+(* --- allocation on the hit path ------------------------------------------ *)
+
+(* Words, not time: a count is exact on any host.  One fixed request per
+   cacheable kind, with the shared defaults as params like perfbench's
+   hot set; (kind, request, key bound, cached-answer bound).  The key
+   allocates only its own string (13, 14, 16, 5 and 5 words) and a
+   cached [handle_decoded] 71, 59, 80, 53 and 56; each bound sits ~1.2x
+   above.  A key that prints its floats as canonical JSON allocates
+   50-80 words by itself, so either bound catches one. *)
+let hit_path_cases =
+  let d = Swap.Params.defaults in
+  [
+    ("cutoffs", Serve.Request.Cutoffs { params = d; p_star = 1.9 }, 16., 85.);
+    ("success_rate", Serve.Request.Success_rate { params = d; p_star = 2.1; q = 0.3 }, 17., 71.);
+    ( "sweep",
+      Serve.Request.Sweep { params = d; q = 0.; spec = { lo = 1.7; hi = 2.3; n = 5 } },
+      19., 96. );
+    ("quote", Serve.Request.Quote { mu = 0.; sigma = 0.075; spot = 2. }, 6., 64.);
+    ("route", Serve.Request.Route { from_tok = "BTC"; to_tok = "ETH"; max_hops = 3 }, 6., 67.);
+  ]
+
+let words_per_call f =
+  f ();
+  let calls = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
+
+let test_alloc_per_hit () =
+  let e = make_engine () in
+  List.iter
+    (fun (kind, body, key_bound, hit_bound) ->
+      let req = { Serve.Request.id = Some "h1"; body } in
+      let key_words =
+        words_per_call (fun () -> ignore (Sys.opaque_identity (Serve.Request.key req)))
+      in
+      ignore (Serve.Engine.handle_decoded e req);
+      let hit_words =
+        words_per_call (fun () ->
+            ignore (Sys.opaque_identity (Serve.Engine.handle_decoded e req)))
+      in
+      if key_words > key_bound then
+        Alcotest.failf "Request.key allocates %.1f words on a %s request (bound %.0f)"
+          key_words kind key_bound;
+      if hit_words > hit_bound then
+        Alcotest.failf "a cached %s answer allocates %.1f words (bound %.0f)" kind
+          hit_words hit_bound)
+    hit_path_cases;
+  let s = Serve.Engine.stats e in
+  check_int "every measured answer was a cache hit"
+    (1001 * List.length hit_path_cases)
+    s.Serve.Engine.cache.Serve.Cache.hits
 
 let test_determinism_guard () =
   (* Two identically configured engines, one answering on one domain
@@ -1465,6 +1680,15 @@ let () =
           Alcotest.test_case "error taxonomy" `Quick test_codec_errors;
           Alcotest.test_case "fast/slow path agreement" `Quick
             test_decode_fastpath_agreement;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            ~rand:
+              (Random.State.make [| 22 |]
+              [@lint.allow
+                nondet_random
+                  "a private state made from a fixed seed, not the global \
+                   RNG: QCheck draws from a Random.State, and this one \
+                   makes every run draw the same pairs"])
+            key_property;
         ] );
       ( "binary",
         [
@@ -1489,6 +1713,8 @@ let () =
           Alcotest.test_case "route kind" `Quick test_engine_route;
           Alcotest.test_case "jobs invariance" `Quick test_determinism_guard;
         ] );
+      ( "serve",
+        [ Alcotest.test_case "allocation per cache hit" `Quick test_alloc_per_hit ] );
       ( "supervision",
         [
           Alcotest.test_case "crash on a live shard" `Quick
