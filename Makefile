@@ -7,12 +7,17 @@ test:
 	dune runtest
 
 # Everything CI gates on: all targets (including bench/ and examples/),
-# the full test suite, and the bench-smoke JSON shape check.
+# the full test suite, and the smoke checks (bench-smoke's traced
+# ladder gated against BENCH_mc.json among them).
 ci:
 	dune build @ci
 
-# Fast perf-plumbing check: emit the bench JSON with tiny trial counts
-# and validate its shape (also part of @ci).
+# Fast perf-plumbing check: two 3 s traced runs of the repository
+# benchmark recorded in the baseline's schema (tiny Monte-Carlo trial
+# counts), its shape validated and every layer timed at 1 us or more
+# in BENCH_mc.json gated at 3x its recorded max, read as the better of
+# the two runs; a second run of the validator at factor 0.01 must
+# exit 1 (also part of @ci).
 bench-smoke:
 	dune build @bench-smoke
 
@@ -83,10 +88,24 @@ lint-smoke:
 lint-deep-smoke:
 	dune build @lint-deep-smoke
 
-# Full recorded perf baseline: every kernel + the 20k-trial Monte-Carlo
-# wall clock at jobs=1 vs jobs=N, written to BENCH_mc.json.
+# Full recorded perf baseline, written to BENCH_mc.json: the traced
+# per-layer ladder (perfbench/run.py --trace 1, each run a fresh
+# process pinned to one CPU) over BENCH_SEEDS, as min/median/max per
+# layer, plus the 20k-trial Monte-Carlo wall clock at jobs=1 vs jobs=N
+# (N = the CPUs available).
+BENCH_SEEDS = 1 2 3 4 5
+BENCH_SECONDS = 10
+BENCH_LADDER = _build/bench-ladder
+
 bench-baseline:
-	dune exec bench/main.exe -- --json BENCH_mc.json
+	mkdir -p $(BENCH_LADDER)
+	for s in $(BENCH_SEEDS); do \
+	  python3 perfbench/run.py --workload simulate --seed $$s \
+	    --seconds $(BENCH_SECONDS) --trace 1 > $(BENCH_LADDER)/seed-$$s.out \
+	    || exit 1; \
+	done
+	dune exec bench/main.exe -- --json BENCH_mc.json \
+	  $(foreach s,$(BENCH_SEEDS),$(BENCH_LADDER)/seed-$(s).out)
 
 # Full serve load run: 100k requests against the socket reactor (4
 # pipelined clients, both codecs), byte-compared against direct

@@ -1,367 +1,95 @@
 (* Benchmark harness.
 
-   Default run (no flags) does two things:
+   [bench --json FILE [--mc-trials N] [--jobs N] [--smoke] LADDER...]
+   writes the recorded perf baseline (schema htlc-bench/v1):
 
-   1. Regenerates every table and figure of the paper (the same rows
-      and series the paper reports) by running the full experiment
-      registry — this is the reproduction output.
+   - "layers": the cost of each layer with its run-to-run spread, read
+     from traced perfbench runs (perfbench/bench.exe --trace 1), one
+     stdout file per run passed as LADDER: per layer its unit, the
+     number of runs that measured it, and the min, median and max;
+   - "mc": the wall clock of a Monte-Carlo run at jobs=1 and jobs=N,
+     and whether the two results were bit-identical (the determinism
+     contract, recorded on every baseline).
 
-   2. Times the computational kernel behind each table/figure with
-      Bechamel (one [Test.make] per experiment), plus the substrate
-      micro-kernels, and prints an OLS summary.
-
-   With [--json FILE] it instead writes the machine-readable perf
-   baseline: per-kernel ns/op plus the wall-clock of the 20k-trial
-   Monte-Carlo kernel at jobs=1 and jobs=N (and whether the two results
-   were bit-identical — the determinism contract, recorded on every
-   baseline).  Flags: [--json FILE] [--mc-trials N] [--jobs N]
-   [--smoke] (tiny kernel subset + quota, for CI). *)
-
-open Bechamel
-open Toolkit
+   [--smoke] is for tiny trial counts, where spawn overhead may leave
+   the parallel run slower than the sequential one.  [bench serve] is
+   the socket load generator below. *)
 
 let p = Swap.Params.defaults
 
-(* --- kernels: one per table/figure ------------------------------------ *)
+(* --- the traced ladder ---------------------------------------------------- *)
 
-let stage = Staged.stage
-
-let kernel_tab1 =
-  Test.make ~name:"tab1/protocol-run"
-    (stage (fun () -> ignore (Swap.Protocol.run p ~p_star:2.)))
-
-let kernel_tab3 =
-  Test.make ~name:"tab3/params-validate"
-    (stage (fun () -> ignore (Swap.Params.validate p)))
-
-let kernel_fig2 =
-  Test.make ~name:"fig2/timeline"
-    (stage (fun () ->
-         let tl = Swap.Timeline.ideal p in
-         ignore (Swap.Timeline.check p tl)))
-
-let kernel_fig3 =
-  Test.make ~name:"fig3/a-t3-utilities"
-    (stage (fun () ->
-         for i = 1 to 100 do
-           let x = 0.04 *. float_of_int i in
-           ignore (Swap.Utility.a_t3_cont p ~p_t3:x)
-         done;
-         ignore (Swap.Cutoff.p_t3_low p ~p_star:2.)))
-
-let kernel_fig4 =
-  let k3 = Swap.Cutoff.p_t3_low p ~p_star:2. in
-  Test.make ~name:"fig4/b-t2-curve"
-    (stage (fun () ->
-         for i = 1 to 100 do
-           let x = 0.045 *. float_of_int i in
-           ignore (Swap.Utility.b_t2_cont p ~p_star:2. ~k3 ~p_t2:x)
-         done))
-
-let kernel_fig5 =
-  let k3 = Swap.Cutoff.p_t3_low p ~p_star:2. in
-  let band = Swap.Cutoff.p_t2_band p ~p_star:2. in
-  Test.make ~name:"fig5/a-t1-cont"
-    (stage (fun () -> ignore (Swap.Utility.a_t1_cont p ~p_star:2. ~k3 ~band)))
-
-let kernel_eq29 =
-  Test.make ~name:"eq29/p-star-band"
-    (stage (fun () -> ignore (Swap.Cutoff.p_star_band_endpoints p)))
-
-let kernel_fig6 =
-  Test.make ~name:"fig6/sr-eval"
-    (stage (fun () -> ignore (Swap.Success.analytic p ~p_star:2.)))
-
-let kernel_fig7 =
-  let c = Swap.Collateral.symmetric p ~q:0.5 in
-  Test.make ~name:"fig7/t2-cont-set"
-    (stage (fun () -> ignore (Swap.Collateral.cont_set_t2 c ~p_star:2.)))
-
-let kernel_fig8 =
-  let c = Swap.Collateral.symmetric p ~q:0.5 in
-  Test.make ~name:"fig8/t1-utilities"
-    (stage (fun () ->
-         ignore (Swap.Collateral.a_t1_cont c ~p_star:2.);
-         ignore (Swap.Collateral.b_t1_cont c ~p_star:2.)))
-
-let kernel_fig9 =
-  let c = Swap.Collateral.symmetric p ~q:0.5 in
-  Test.make ~name:"fig9/sr-collateral"
-    (stage (fun () -> ignore (Swap.Collateral.success_rate c ~p_star:2.)))
-
-let kernel_mc =
-  let policy = Swap.Agent.rational p ~p_star:2. in
-  Test.make ~name:"mc/simulate-1k"
-    (stage (fun () ->
-         ignore (Swap.Montecarlo.run ~trials:1_000 p ~p_star:2. ~policy)))
-
-let kernel_lattice =
-  Test.make ~name:"lattice/solve-30x30"
-    (stage (fun () ->
-         let spec =
-           Swap.Lattice_game.make_spec ~steps_a:30 ~steps_b:30 p ~p_star:2.
-         in
-         ignore (Swap.Lattice_game.solve spec)))
-
-let kernel_baselines =
-  let c = Swap.Collateral.symmetric p ~q:0.5 in
-  Test.make ~name:"baselines/mc-collateral-1k"
-    (stage (fun () ->
-         ignore (Swap.Montecarlo.run_collateral ~trials:1_000 c ~p_star:2.)))
-
-let kernel_jumps =
-  let policy = Swap.Agent.rational p ~p_star:2. in
-  let jd =
-    Stochastic.Jump_diffusion.create ~mu:p.Swap.Params.mu ~sigma:0.07
-      ~lambda:0.05 ~jump_mean:(-0.02) ~jump_stddev:0.3
+(* The metrics of one traced perfbench run: its stdout ends with the
+   result line {"correct": ..., "metrics": {NAME: {"value", "unit"}}},
+   as (name, unit, value) with a null value read as [None].  A run that
+   reports itself incorrect measured nothing worth recording. *)
+let ladder_metrics file =
+  let open Obs.Json_parse in
+  let root =
+    match
+      In_channel.with_open_text file In_channel.input_lines
+      |> List.filter (fun l -> String.trim l <> "")
+      |> List.rev
+    with
+    | last :: _ -> parse last
+    | [] -> bad "%s: empty, no result line" file
   in
-  Test.make ~name:"jumps/mc-1k"
-    (stage (fun () ->
-         ignore
-           (Swap.Montecarlo.run ~trials:1_000
-              ~sampler:(Swap.Montecarlo.jump_sampler jd)
-              p ~p_star:2. ~policy)))
+  if not (as_bool (file ^ ": correct") (member file root "correct")) then
+    bad "%s: the run reports correct = false" file;
+  List.map
+    (fun (name, m) ->
+      let path = Printf.sprintf "%s: metrics[%S]" file name in
+      let unit_ = as_str (path ^ ".unit") (member path m "unit") in
+      match member path m "value" with
+      | Num x -> (name, unit_, Some x)
+      | Null -> (name, unit_, None)
+      | _ -> bad "%s.value: expected a number or null" path)
+    (as_obj (file ^ ": metrics") (member file root "metrics"))
 
-let kernel_optionality =
-  Test.make ~name:"optionality/option-values"
-    (stage (fun () -> ignore (Swap.Optionality.option_values p ~p_star:2.)))
+type layer = {
+  name : string;
+  unit_ : string;
+  runs : int;  (** Runs that measured the layer (a null is no measurement). *)
+  min : float;  (** NaN, written null, when [runs] is 0. *)
+  median : float;
+  max : float;
+}
 
-let kernel_selection =
-  Test.make ~name:"selection/assess-menu"
-    (stage (fun () ->
-         ignore
-           (Swap.Selection.menu p ~p_star:2.
-              [ Swap.Selection.Plain; Swap.Selection.Collateral 0.5 ])))
-
-let kernel_frictions =
-  Test.make ~name:"frictions/staking-and-fees"
-    (stage (fun () ->
-         let s = Swap.Staking.create p ~yield_a:0.002 ~yield_b:0.002 in
-         ignore (Swap.Staking.success_rate s ~p_star:2.);
-         let f = Swap.Fees.create p ~fee_a:0.05 ~fee_b:0.05 in
-         ignore (Swap.Fees.success_rate f ~p_star:2.)))
-
-let kernel_backtest =
-  (* A small fixed market so the kernel stays sub-second. *)
-  let path, _ =
-    Market.Regimes.sample
-      (Numerics.Rng.create ~seed:7 ())
-      Market.Regimes.default_spec ~p0:2. ~dt:0.5 ~steps:600
+(* One row per layer, in the order the runs first report them; with an
+   even run count the median is the lower of the two middle values. *)
+let summarise runs =
+  let all = List.concat runs in
+  let names =
+    List.fold_left
+      (fun acc (name, _, _) -> if List.mem name acc then acc else name :: acc)
+      [] all
+    |> List.rev
   in
-  Test.make ~name:"backtest/fit-quote-one-trade"
-    (stage (fun () ->
-         match Market.Calibrate.fit_window path ~until:250. ~window:168. with
-         | Error _ -> ()
-         | Ok fit ->
-           let params =
-             Market.Calibrate.to_params fit
-               ~spot:(Stochastic.Path.at path 250.)
-           in
-           ignore (Swap.Success.maximize params)))
-
-let kernel_crash =
-  Test.make ~name:"crash/protocol-with-crash"
-    (stage (fun () ->
-         ignore (Swap.Protocol.run ~bob_offline_from:7.5 p ~p_star:2.)))
-
-let kernel_chaos =
-  let faults =
-    Chainsim.Faults.create ~drop_prob:0.2
-      ~delay:(Chainsim.Faults.Shifted_exponential { mean = 0.8; cap = 6. })
-      ~reorg_prob:0.1 ()
-  in
-  Test.make ~name:"chaos/protocol-with-faults"
-    (stage (fun () ->
-         ignore
-           (Swap.Protocol.run ~faults_a:faults ~faults_b:faults
-              ~retry:Swap.Agent.default_retry ~delay_t2:2. ~delay_t3:2. p
-              ~p_star:2.)))
-
-let kernel_ac3 =
-  Test.make ~name:"ac3/witness-protocol-run"
-    (stage (fun () -> ignore (Swap.Ac3.run p ~p_star:2.)))
-
-let kernel_waiting =
-  Test.make ~name:"waiting/slacked-sr"
-    (stage (fun () ->
-         let m = Swap.Margins.create p ~delay_t2:2. ~delay_t3:2. in
-         ignore (Swap.Margins.success_rate m ~p_star:2.)))
-
-let kernel_stablecoin =
-  let ou = Stochastic.Exp_ou.create ~kappa:0.1 ~theta_price:2. ~sigma:0.1 in
-  let model = Swap.Generic_model.exp_ou ou in
-  Test.make ~name:"stablecoin/generic-sr"
-    (stage (fun () -> ignore (Swap.Generic_model.success_rate p model ~p_star:2.)))
-
-let kernel_negotiation =
-  Test.make ~name:"negotiation/nash-rate"
-    (stage (fun () -> ignore (Swap.Bargaining.nash_rate ~grid:20 p)))
-
-let kernel_security =
-  Test.make ~name:"security/griefing+reputation"
-    (stage (fun () ->
-         ignore (Swap.Griefing.analyse p ~p_star:2.);
-         ignore
-           (Swap.Repeated.solve p ~p_star:2.
-              { Swap.Repeated.trades_per_week = 14.; horizon_weeks = 26. })))
-
-let kernel_presets =
-  Test.make ~name:"presets/pair-assessment"
-    (stage (fun () ->
-         ignore (Swap.Presets.assess Swap.Presets.btc_like Swap.Presets.eth_like)))
-
-let kernel_scorecard =
-  Test.make ~name:"scorecard/eq18-claim"
-    (stage (fun () -> ignore (Swap.Cutoff.p_t3_low p ~p_star:2.)))
-
-let kernel_attribution =
-  Test.make ~name:"attribution/decomposition"
-    (stage (fun () -> ignore (Swap.Outcomes.distribution p ~p_star:2.)))
-
-let kernel_ac3wn =
-  Test.make ~name:"ac3/witness-network-run"
-    (stage (fun () -> ignore (Swap.Ac3wn.run p ~p_star:2.)))
-
-let kernel_uncertainty =
-  let b = Swap.Bayesian.belief [ (0.5, 0.1); (0.5, 0.5) ] in
-  Test.make ~name:"uncertainty/ex-ante-sr"
-    (stage (fun () ->
-         ignore (Swap.Bayesian.ex_ante_success_rate p ~belief_on_alice:b ~p_star:2.)))
-
-let kernel_graph_assign =
-  let g = Swapgraph.Topology.generate Swapgraph.Topology.Random ~n:64 ~seed:7 in
-  Test.make ~name:"swapgraph/assign-timelocks"
-    (stage (fun () ->
-         let s = Swapgraph.Timelock.assign g ~tau:4. ~eps:1. in
-         match Swapgraph.Timelock.validate g s with
-         | Ok () -> ()
-         | Error e -> failwith e))
-
-let kernel_graph_solve =
-  let g = Swapgraph.Topology.cycle 8 in
-  let s = Swap.Graphlink.schedule p g in
-  Test.make ~name:"swapgraph/solve-cycle-8"
-    (stage (fun () ->
-         ignore (Swapgraph.Game.analyse g (Swap.Graphlink.payoffs p g s))))
-
-let kernel_graph_sweep =
-  let specs =
-    List.init 100 (fun i ->
-        {
-          Swapgraph.Sweep.family = Swapgraph.Topology.Random;
-          size = 4 + (i mod 5);
-          slack = 0.;
-          topo_seed = i;
-        })
-  in
-  Test.make ~name:"swapgraph/sweep-100-topologies"
-    (stage (fun () ->
-         ignore
-           (Swapgraph.Sweep.run ~jobs:1 ~trials:64 ~tau:p.Swap.Params.tau_b
-              ~eps:p.Swap.Params.eps_b
-              ~policy:(Swap.Graphlink.depth_aware_policy p ~p_star:2.)
-              ~payoffs:(Swap.Graphlink.payoffs p) specs)))
-
-(* --- substrate micro-kernels -------------------------------------------- *)
-
-let kernel_sha256 =
-  let payload = String.make 1024 'x' in
-  Test.make ~name:"substrate/sha256-1KiB"
-    (stage (fun () -> ignore (Chainsim.Sha256.digest payload)))
-
-let kernel_erfc =
-  Test.make ~name:"substrate/erfc"
-    (stage (fun () -> ignore (Numerics.Special.erfc 1.234)))
-
-let kernel_gbm_sample =
-  let rng = Numerics.Rng.create ~seed:1 () in
-  let gbm = Swap.Params.gbm p in
-  Test.make ~name:"substrate/gbm-sample"
-    (stage (fun () -> ignore (Stochastic.Gbm.sample rng gbm ~p0:2. ~tau:4.)))
-
-let kernel_quadrature =
-  Test.make ~name:"substrate/gauss-legendre-96"
-    (stage (fun () ->
-         ignore
-           (Numerics.Integrate.gauss_legendre ~n:96
-              (fun x -> exp (-.x *. x))
-              ~a:0. ~b:3.)))
-
-let kernel_chain_cycle =
-  Test.make ~name:"substrate/chain-htlc-cycle"
-    (stage (fun () ->
-         let c =
-           Chainsim.Chain.create ~name:"bench" ~token:"T" ~tau:1.
-             ~mempool_delay:0.1 ()
-         in
-         Chainsim.Chain.mint c ~account:"a" ~amount:10.;
-         let s = Chainsim.Secret.of_preimage "bench" in
-         ignore
-           (Chainsim.Chain.submit c ~at:0.
-              (Chainsim.Tx.Htlc_lock
-                 { contract_id = "h"; sender = "a"; recipient = "b";
-                   amount = 4.; hash = s.Chainsim.Secret.hash; expiry = 5. }));
-         ignore
-           (Chainsim.Chain.submit c ~at:1.5
-              (Chainsim.Tx.Htlc_claim
-                 { contract_id = "h"; preimage = s.Chainsim.Secret.preimage }));
-         ignore (Chainsim.Chain.advance c ~until:10.)))
-
-let all_tests =
-  [
-    kernel_tab1; kernel_tab3; kernel_fig2; kernel_fig3; kernel_fig4;
-    kernel_fig5; kernel_eq29; kernel_fig6; kernel_fig7; kernel_fig8;
-    kernel_fig9; kernel_mc; kernel_lattice; kernel_baselines; kernel_jumps;
-    kernel_optionality; kernel_selection; kernel_frictions; kernel_backtest;
-    kernel_crash; kernel_chaos; kernel_ac3; kernel_waiting; kernel_stablecoin;
-    kernel_negotiation; kernel_security; kernel_graph_assign;
-    kernel_graph_solve; kernel_graph_sweep; kernel_uncertainty;
-    kernel_ac3wn; kernel_attribution; kernel_presets; kernel_scorecard;
-    kernel_sha256; kernel_erfc; kernel_gbm_sample; kernel_quadrature;
-    kernel_chain_cycle;
-  ]
-
-(* The MC kernels in smoke mode: just enough to keep the JSON plumbing
-   and the determinism record exercised in CI without a full sweep. *)
-let smoke_tests = [ kernel_mc; kernel_baselines; kernel_gbm_sample ]
-
-let run_benchmarks ~quota tests =
-  let grouped = Test.make_grouped ~name:"swap" tests in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.to_seq results |> List.of_seq
-  |> List.map (fun (name, ols_result) ->
-         let estimate =
-           match Analyze.OLS.estimates ols_result with
-           | Some (x :: _) -> x
-           | _ -> nan
-         in
-         let r2 =
-           Option.value ~default:nan (Analyze.OLS.r_square ols_result)
-         in
-         (name, estimate, r2))
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-
-let print_benchmarks rows =
-  Printf.printf "%-38s %16s %8s\n" "benchmark" "time/run" "r^2";
-  Printf.printf "%s\n" (String.make 64 '-');
-  List.iter
-    (fun (name, ns, r2) ->
-      let human =
-        if Float.is_nan ns then "n/a"
-        else if ns >= 1e9 then Printf.sprintf "%.3f s" (ns /. 1e9)
-        else if ns >= 1e6 then Printf.sprintf "%.3f ms" (ns /. 1e6)
-        else if ns >= 1e3 then Printf.sprintf "%.3f us" (ns /. 1e3)
-        else Printf.sprintf "%.1f ns" ns
+  List.map
+    (fun name ->
+      let rows = List.filter (fun (n, _, _) -> n = name) all in
+      let unit_ =
+        match List.sort_uniq compare (List.map (fun (_, u, _) -> u) rows) with
+        | [ u ] -> u
+        | us ->
+          Obs.Json_parse.bad "layer %s: the runs disagree on its unit (%s)"
+            name (String.concat ", " us)
       in
-      Printf.printf "%-38s %16s %8.4f\n" name human r2)
-    rows
+      let v =
+        List.filter_map (fun (_, _, v) -> v) rows
+        |> List.sort Float.compare |> Array.of_list
+      in
+      let n = Array.length v in
+      let at i = if n = 0 then nan else v.(i) in
+      {
+        name;
+        unit_;
+        runs = n;
+        min = at 0;
+        median = at ((n - 1) / 2);
+        max = at (n - 1);
+      })
+    names
 
 (* --- machine-readable baseline ------------------------------------------ *)
 
@@ -379,33 +107,36 @@ let time_wall f =
   done;
   (!best, Option.get !result)
 
-let json_num x = if Float.is_nan x then "null" else Printf.sprintf "%.6g" x
+let json_num x = if Float.is_finite x then Printf.sprintf "%.6g" x else "null"
 
-let write_baseline ~file ~rows ~jobs_n ~trials ~wall_1 ~wall_n ~identical
-    ~obs_json =
+(* [speedup] compares the two legs, so it is written only when they ran
+   at different jobs counts; [cpus] says what the host offered. *)
+let write_baseline ~file ~layers ~jobs_n ~cpus ~trials ~wall_1 ~wall_n
+    ~identical =
   let oc = open_out file in
-  let speedup = if wall_n > 0. then wall_1 /. wall_n else nan in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"schema\": \"htlc-bench/v1\",\n";
-  (* Embedded htlc-obs/v1 metrics snapshot (already serialised JSON). *)
-  Printf.fprintf oc "  \"obs\": %s,\n" obs_json;
   Printf.fprintf oc "  \"jobs\": { \"sequential\": 1, \"parallel\": %d },\n"
     jobs_n;
-  Printf.fprintf oc "  \"kernels\": [\n";
-  let n_rows = List.length rows in
+  Printf.fprintf oc "  \"layers\": {\n";
+  let n_layers = List.length layers in
   List.iteri
-    (fun i (name, ns, r2) ->
+    (fun i l ->
       Printf.fprintf oc
-        "    { \"name\": %s, \"ns_per_run\": %s, \"r_square\": %s }%s\n"
-        (Obs.Json.str name) (json_num ns) (json_num r2)
-        (if i = n_rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
+        "    %s: { \"unit\": %s, \"runs\": %d, \"min\": %s, \"median\": %s, \
+         \"max\": %s }%s\n"
+        (Obs.Json.str l.name) (Obs.Json.str l.unit_) l.runs (json_num l.min)
+        (json_num l.median) (json_num l.max)
+        (if i = n_layers - 1 then "" else ","))
+    layers;
+  Printf.fprintf oc "  },\n";
   Printf.fprintf oc "  \"mc\": {\n";
   Printf.fprintf oc "    \"trials\": %d,\n" trials;
+  Printf.fprintf oc "    \"cpus\": %d,\n" cpus;
   Printf.fprintf oc "    \"wall_s_jobs1\": %s,\n" (json_num wall_1);
   Printf.fprintf oc "    \"wall_s_jobsN\": %s,\n" (json_num wall_n);
-  Printf.fprintf oc "    \"speedup\": %s,\n" (json_num speedup);
+  if jobs_n > 1 then
+    Printf.fprintf oc "    \"speedup\": %s,\n" (json_num (wall_1 /. wall_n));
   Printf.fprintf oc "    \"identical_results\": %b\n" identical;
   Printf.fprintf oc "  }\n";
   Printf.fprintf oc "}\n";
@@ -1078,15 +809,16 @@ let serve_bench ~json ~requests:n ~clients ~shards ~smoke ~chaos ~budget_s =
 (* --- entry point -------------------------------------------------------- *)
 
 type opts = {
-  json : string option;
+  json : string;
   mc_trials : int;
   jobs : int option;
   smoke : bool;
+  ladders : string list;
 }
 
 let usage () =
   prerr_endline
-    "usage: bench [--json FILE] [--mc-trials N] [--jobs N] [--smoke]\n\
+    "usage: bench --json FILE [--mc-trials N] [--jobs N] [--smoke] LADDER...\n\
     \       bench serve [--json FILE] [--requests N] [--clients N] \
      [--shards N]\n\
     \                   [--chaos] [--seed N] [--budget-s X] [--smoke]";
@@ -1153,11 +885,12 @@ let parse_serve_args args =
     ~chaos:(if !chaos then Some !seed else None)
     ~budget_s
 
-let parse_args () =
+let parse_args args =
   let json = ref None
   and mc_trials = ref 20_000
   and jobs = ref None
-  and smoke = ref false in
+  and smoke = ref false
+  and ladders = ref [] in
   let rec go = function
     | [] -> ()
     | "--json" :: file :: rest ->
@@ -1172,66 +905,40 @@ let parse_args () =
     | "--smoke" :: rest ->
       smoke := true;
       go rest
+    | file :: rest when not (String.starts_with ~prefix:"-" file) ->
+      ladders := file :: !ladders;
+      go rest
     | _ -> usage ()
   in
-  go (List.tl (Array.to_list Sys.argv));
-  { json = !json; mc_trials = !mc_trials; jobs = !jobs; smoke = !smoke }
+  go args;
+  match (!json, List.rev !ladders) with
+  | Some json, (_ :: _ as ladders) ->
+    { json; mc_trials = !mc_trials; jobs = !jobs; smoke = !smoke; ladders }
+  | _ -> usage ()
 
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: "serve" :: rest -> parse_serve_args rest
-  | _ ->
-  let o = parse_args () in
-  Option.iter Numerics.Pool.set_jobs o.jobs;
-  match o.json with
-  | None ->
-    print_endline
-      "================================================================";
-    print_endline " Reproduction output: every table and figure of the paper";
-    print_endline
-      "================================================================\n";
-    print_string (Experiments.Registry.run_all ());
-    print_endline
-      "\n================================================================";
-    print_endline
-      " Bechamel timings (one kernel per table/figure + substrates)";
-    print_endline
-      "================================================================\n";
-    print_benchmarks (run_benchmarks ~quota:0.3 all_tests)
-  | Some file ->
-    let tests = if o.smoke then smoke_tests else all_tests in
-    let quota = if o.smoke then 0.02 else 0.3 in
-    (* Kernel rows are sequential per-run costs: pin the pool to one
-       domain while timing so a --jobs flag (which the determinism
-       record below applies explicitly) cannot thrash the timed runs
-       on a small host — otherwise a smoke run at --jobs 2 on one core
-       measures scheduler contention, not the kernel, and trips the
-       budget gate against a jobs=1 baseline. *)
-    Numerics.Pool.set_jobs 1;
-    let rows = run_benchmarks ~quota tests in
-    print_benchmarks rows;
-    (* A junk OLS fit means the ns/run column is noise, not a
-       measurement — say so instead of recording it silently. *)
-    List.iter
-      (fun (name, _, r2) ->
-        if Float.is_nan r2 || r2 < 0.5 then
-          Printf.eprintf
-            "bench: WARNING: %s: poor timing fit (r_square = %s); \
-             ns_per_run is unreliable\n\
-             %!"
-            name
-            (if Float.is_nan r2 then "nan" else Printf.sprintf "%.3f" r2))
-      rows;
+  match List.tl (Array.to_list Sys.argv) with
+  | "serve" :: rest -> parse_serve_args rest
+  | args ->
+    let o = parse_args args in
+    let layers =
+      match summarise (List.map ladder_metrics o.ladders) with
+      | layers -> layers
+      | exception (Obs.Json_parse.Bad msg | Sys_error msg) ->
+        Printf.eprintf "bench: %s\n" msg;
+        exit 1
+    in
+    let cpus = Domain.recommended_domain_count () in
     let jobs_n =
       match o.jobs with Some j -> j | None -> Numerics.Pool.recommended ()
     in
     let wall_1, wall_n, identical =
       mc_wall_clock ~trials:o.mc_trials ~jobs_n
     in
-    (* A multicore baseline recorded with jobs=1 (or with a parallel run
-       slower than sequential) is not a baseline — refuse to write one.
-       Smoke runs pass tiny trial counts where spawn overhead dominates,
-       so the assertion only bites on full recordings. *)
+    (* A multicore baseline with a parallel run slower than the
+       sequential one is not a baseline — refuse to write one.  Smoke
+       runs pass tiny trial counts where spawn overhead dominates, so
+       the refusal only bites on full recordings. *)
     if jobs_n = 1 then
       Printf.eprintf
         "bench: note: single core available (jobs=1); parallel speedup \
@@ -1246,13 +953,11 @@ let () =
         jobs_n wall_n wall_1;
       exit 1
     end;
-    write_baseline ~file ~rows ~jobs_n ~trials:o.mc_trials ~wall_1 ~wall_n
-      ~identical
-      ~obs_json:(Obs.Metrics.to_json (Obs.Metrics.snapshot ()));
+    write_baseline ~file:o.json ~layers ~jobs_n ~cpus ~trials:o.mc_trials
+      ~wall_1 ~wall_n ~identical;
     Printf.printf
       "\nmc/%d-trials wall clock: jobs=1 %.4fs, jobs=%d %.4fs (%.2fx), \
        results %s\n"
-      o.mc_trials wall_1 jobs_n wall_n
-      (if wall_n > 0. then wall_1 /. wall_n else nan)
+      o.mc_trials wall_1 jobs_n wall_n (wall_1 /. wall_n)
       (if identical then "bit-identical" else "DIFFERENT");
-    Printf.printf "wrote %s\n" file
+    Printf.printf "wrote %s\n" o.json

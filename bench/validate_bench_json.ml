@@ -4,58 +4,16 @@
    Used by the @bench-smoke alias so the perf plumbing cannot rot
    silently: it fully parses the emitted file with the shared minimal
    JSON reader (Obs.Json_parse) and checks every field the baseline
-   contract promises — including that the jobs=1 and jobs=N Monte-Carlo
-   runs were bit-identical, that a "serve" load-test section (when
+   contract promises — that each recorded layer's spread is ordered
+   (min <= median <= max), that the jobs=1 and jobs=N Monte-Carlo runs
+   were bit-identical, and that a "serve" load-test section (when
    present) reports sane latency quantiles and a clean
-   identical-to-direct record, and that the embedded "obs" metrics
-   snapshot carries the htlc-obs/v1 schema.  A `bench serve` baseline
-   carries only the "serve" section; the kernel run carries
-   "kernels" + "mc". *)
+   identical-to-direct record.  A `bench serve` baseline carries only
+   the "serve" section; the baseline run carries "layers" + "mc".
+   With [--budget BASELINE] it also gates the file's layers against
+   the recorded ones. *)
 
 open Obs.Json_parse
-
-(* One exported histogram: nonzero buckets in strictly increasing [le]
-   order whose counts add up to [count]. *)
-let validate_histogram name h =
-  let path key = Printf.sprintf "obs.histograms[%S].%s" name key in
-  let count = as_num (path "count") (member (path "") h "count") in
-  ignore (as_num (path "sum") (member (path "") h "sum"));
-  let buckets = as_arr (path "buckets") (member (path "") h "buckets") in
-  let total =
-    List.fold_left
-      (fun (prev_le, total) b ->
-        let le = as_num (path "buckets.le") (member (path "buckets") b "le") in
-        let n = as_num (path "buckets.n") (member (path "buckets") b "n") in
-        if le <= prev_le then bad "%s: le %g does not increase" (path "buckets") le;
-        if n < 1. then bad "%s: bucket le %g has n = %g < 1" (path "buckets") le n;
-        (le, total +. n))
-      (neg_infinity, 0.) buckets
-    |> snd
-  in
-  if total <> count then
-    bad "%s: bucket counts sum to %g, count is %g" (path "buckets") total count
-
-(* The optional "obs" member embeds the Obs.Metrics snapshot taken after
-   the Monte-Carlo wall-clock runs; when a baseline carries one it must
-   be a well-formed htlc-obs/v1 metrics document with integer counters
-   and consistent histograms. *)
-let validate_obs_member obs =
-  let schema = as_str "obs.schema" (member "obs" obs "schema") in
-  if schema <> "htlc-obs/v1" then bad "obs: unknown schema %S" schema;
-  let doc_type = as_str "obs.type" (member "obs" obs "type") in
-  if doc_type <> "metrics" then bad "obs.type must be \"metrics\" (got %S)" doc_type;
-  let counters = as_obj "obs.counters" (member "obs" obs "counters") in
-  if counters = [] then bad "obs.counters is empty";
-  List.iter
-    (fun (name, v) ->
-      let c = as_num (Printf.sprintf "obs.counters[%S]" name) v in
-      if c < 0. || Float.rem c 1. <> 0. then
-        bad "obs.counters[%S] must be a non-negative integer (got %g)" name c)
-    counters;
-  ignore (as_obj "obs.gauges" (member "obs" obs "gauges"));
-  List.iter
-    (fun (name, h) -> validate_histogram name h)
-    (as_obj "obs.histograms" (member "obs" obs "histograms"))
 
 (* One codec leg under serve.codecs: the per-wire-format measurement of
    the head-to-head (the reactor serves htlc-serve/v1 JSON and
@@ -177,52 +135,67 @@ let opt_num path v =
   | Num x when not (Float.is_nan x) -> Some x
   | _ -> None
 
-(* An OLS fit this poor means ns_per_run is noise, not a measurement:
-   unusable as a budget baseline, and worth flagging loudly. *)
-let junk_fit r2 = match r2 with None -> true | Some r2 -> r2 < 0.5
+(* One recorded layer: its unit, the number of runs that measured it,
+   and the spread of those runs ([None] throughout when [runs] is 0). *)
+type layer = {
+  unit_ : string;
+  runs : int;
+  median : float option;
+  max : float option;
+}
 
-(* name -> (ns_per_run, r_square) for every kernel row, shape-checking
-   as it goes. *)
-let kernel_rows root =
-  let kernels = as_arr "kernels" (member "top level" root "kernels") in
-  List.mapi
-    (fun i k ->
-      let path = Printf.sprintf "kernels[%d]" i in
-      let name = as_str (path ^ ".name") (member path k "name") in
-      if name = "" then bad "%s.name is empty" path;
-      let ns = opt_num (path ^ ".ns_per_run") (member path k "ns_per_run") in
-      let r2 = opt_num (path ^ ".r_square") (member path k "r_square") in
-      (name, ns, r2))
-    kernels
+(* name -> layer for every row under "layers", shape-checking as it
+   goes. *)
+let layer_rows root =
+  List.map
+    (fun (name, l) ->
+      let path = Printf.sprintf "layers[%S]" name in
+      let unit_ = as_str (path ^ ".unit") (member path l "unit") in
+      let runs = as_num (path ^ ".runs") (member path l "runs") in
+      if runs < 0. || Float.rem runs 1. <> 0. then
+        bad "%s.runs must be a non-negative integer (got %g)" path runs;
+      let num key = opt_num (path ^ "." ^ key) (member path l key) in
+      let lo = num "min" and median = num "median" and hi = num "max" in
+      (match (lo, median, hi) with
+      | None, None, None when runs = 0. -> ()
+      | Some lo, Some mid, Some hi when runs >= 1. ->
+        if not (lo <= mid && mid <= hi) then
+          bad "%s: min <= median <= max fails (%g, %g, %g)" path lo mid hi
+      | _ ->
+        bad "%s: min, median and max must be numbers when runs >= 1 and \
+             null when runs = 0"
+          path);
+      (name, { unit_; runs = int_of_float runs; median; max = hi }))
+    (as_obj "layers" (member "top level" root "layers"))
 
-let validate_kernels_and_mc root =
+let validate_layers_and_mc root =
   let jobs = member "top level" root "jobs" in
   let seq = as_num "jobs.sequential" (member "jobs" jobs "sequential") in
   if seq <> 1. then bad "jobs.sequential must be 1 (got %g)" seq;
   let par = as_num "jobs.parallel" (member "jobs" jobs "parallel") in
   if par < 1. then bad "jobs.parallel must be >= 1 (got %g)" par;
-  let kernels = kernel_rows root in
-  if kernels = [] then bad "kernels must be non-empty";
-  List.iter
-    (fun (name, _, r2) ->
-      if junk_fit r2 then
-        Printf.eprintf
-          "WARNING: kernel %s: poor timing fit (r_square = %s); ns_per_run \
-           is unreliable\n\
-           %!"
-          name
-          (match r2 with None -> "null" | Some r2 -> Printf.sprintf "%.3f" r2))
-    kernels;
+  let layers = layer_rows root in
+  if layers = [] then bad "layers must be non-empty";
   let mc = member "top level" root "mc" in
   let trials = as_num "mc.trials" (member "mc" mc "trials") in
   if trials < 1. then bad "mc.trials must be >= 1 (got %g)" trials;
+  let cpus = as_num "mc.cpus" (member "mc" mc "cpus") in
+  if cpus < 1. || Float.rem cpus 1. <> 0. then
+    bad "mc.cpus must be a positive integer (got %g)" cpus;
   let wall_1 = as_num "mc.wall_s_jobs1" (member "mc" mc "wall_s_jobs1") in
   let wall_n = as_num "mc.wall_s_jobsN" (member "mc" mc "wall_s_jobsN") in
   if wall_1 < 0. || wall_n < 0. then bad "mc wall clocks must be >= 0";
-  ignore (as_num "mc.speedup" (member "mc" mc "speedup"));
+  (* A speedup compares the two jobs counts: present exactly when they
+     differ. *)
+  (match member_opt mc "speedup" with
+  | Some v when par <> seq -> ignore (as_num "mc.speedup" v)
+  | None when par = seq -> ()
+  | Some _ ->
+    bad "mc.speedup must be absent when jobs.parallel = jobs.sequential"
+  | None -> bad "mc.speedup is missing: jobs.parallel is %g" par);
   if not (as_bool "mc.identical_results" (member "mc" mc "identical_results"))
   then bad "mc.identical_results is false: jobs=1 and jobs=N diverged";
-  List.length kernels
+  List.length layers
 
 let validate root =
   (match root with
@@ -232,56 +205,80 @@ let validate root =
   if schema <> "htlc-bench/v1" then bad "unknown schema %S" schema;
   let serve = member_opt root "serve" in
   Option.iter validate_serve_member serve;
-  (* A serve-only baseline has no kernel table; every other baseline
-     must carry the kernels + Monte-Carlo determinism record. *)
-  let n_kernels =
-    match member_opt root "kernels" with
-    | None when serve <> None -> 0
-    | _ -> validate_kernels_and_mc root
-  in
-  (match member_opt root "obs" with
-  | Some obs -> validate_obs_member obs
-  | None -> ());
-  n_kernels
+  (* A serve-only baseline has no layer record; every other baseline
+     must carry the layers + Monte-Carlo determinism record. *)
+  match member_opt root "layers" with
+  | None when serve <> None -> 0
+  | _ -> validate_layers_and_mc root
 
-(* --- per-kernel budgets --------------------------------------------------- *)
+(* --- per-layer budgets ---------------------------------------------------- *)
 
-(* Compare the new file's kernels against a recorded baseline: any
-   kernel slower than [factor] x its baseline ns_per_run fails.  Rows
-   are skipped — not silently, the count is printed — when either side
-   has a junk fit or the baseline sits under the noise floor where
-   scheduler jitter swamps the signal. *)
-let noise_floor_ns = 500.
+(* Compare the new file's layers against a recorded baseline, which
+   must hold at least [min_baseline_runs] runs of every layer so that
+   its max is a spread, not one draw.  Gated: each baseline layer timed
+   in ns, us, ms or s whose recorded median is at least the noise
+   floor (below it, one short run on a shared host is mostly jitter),
+   except transport.gap_us, a difference of two per-request rates.  A
+   gated layer fails when the new file lacks it, reads null, or its
+   median exceeds [factor] x the recorded max. *)
+let noise_floor_ns = 1000.
+let min_baseline_runs = 3
+let derived_layers = [ "transport.gap_us" ]
+
+let ns_per_unit = function
+  | "ns" -> Some 1.
+  | "us" -> Some 1e3
+  | "ms" -> Some 1e6
+  | "s" -> Some 1e9
+  | _ -> None
 
 let check_budget ~file ~baseline_file ~factor root base =
-  let base_rows =
-    List.map (fun (name, ns, r2) -> (name, (ns, r2))) (kernel_rows base)
-  in
-  let checked = ref 0 and skipped = ref 0 and failed = ref 0 in
+  let base_rows = layer_rows base in
+  if base_rows = [] then bad "budget baseline %s has no layers" baseline_file;
   List.iter
-    (fun (name, ns, r2) ->
-      match List.assoc_opt name base_rows with
-      | None -> ()  (* new kernel: no recorded budget yet *)
-      | Some (base_ns, base_r2) -> (
-        match (ns, base_ns) with
-        | Some ns, Some base_ns
-          when (not (junk_fit r2))
-               && (not (junk_fit base_r2))
-               && base_ns >= noise_floor_ns ->
-          incr checked;
-          if ns > factor *. base_ns then begin
-            incr failed;
-            Printf.eprintf
-              "%s: BUDGET EXCEEDED: %s: %.0f ns/run is %.2fx the recorded \
-               baseline %.0f ns/run (budget %.1fx)\n"
-              file name ns (ns /. base_ns) base_ns factor
-          end
-        | _ -> incr skipped))
-    (kernel_rows root);
+    (fun (name, b) ->
+      if b.runs < min_baseline_runs then
+        bad "budget baseline %s: layers[%S] has %d runs, a budget needs %d"
+          baseline_file name b.runs min_baseline_runs)
+    base_rows;
+  let gated =
+    List.filter_map
+      (fun (name, b) ->
+        match (ns_per_unit b.unit_, b.median, b.max) with
+        | Some scale, Some median, Some max
+          when median *. scale >= noise_floor_ns
+               && not (List.mem name derived_layers) ->
+          Some (name, b.unit_, max)
+        | _ -> None)
+      base_rows
+  in
+  let rows = layer_rows root in
+  let failed = ref 0 in
+  List.iter
+    (fun (name, unit_, base_max) ->
+      let fail why =
+        incr failed;
+        Printf.eprintf "%s: BUDGET EXCEEDED: %s: %s\n" file name why
+      in
+      match List.assoc_opt name rows with
+      | None -> fail "missing: the layer was not measured"
+      | Some l when l.unit_ <> unit_ ->
+        fail (Printf.sprintf "unit %s, the baseline's is %s" l.unit_ unit_)
+      | Some { median = None; _ } ->
+        fail "reads null: the layer was not measured"
+      | Some { median = Some v; _ } ->
+        if v > factor *. base_max then
+          fail
+            (Printf.sprintf "%g %s is %.2fx the recorded max %g %s (budget %gx)"
+               v unit_ (v /. base_max) base_max unit_ factor))
+    gated;
   Printf.printf
-    "%s: budget vs %s: %d kernels within %.1fx, %d skipped (junk fit or \
-     sub-%.0fns baseline)\n"
-    file baseline_file !checked factor !skipped noise_floor_ns;
+    "%s: budget vs %s: %d of %d gated layers within %gx the recorded max \
+     (gated: timed, recorded median >= %.0f ns, not %s)\n"
+    file baseline_file
+    (List.length gated - !failed)
+    (List.length gated) factor noise_floor_ns
+    (String.concat ", " derived_layers);
   if !failed > 0 then exit 1
 
 let usage () =
@@ -324,7 +321,7 @@ let () =
       !budget;
     n
   with
-  | n -> Printf.printf "%s: ok (%d kernels)\n" file n
+  | n -> Printf.printf "%s: ok (%d layers)\n" file n
   | exception Bad msg ->
     Printf.eprintf "%s: INVALID baseline: %s\n" file msg;
     exit 1

@@ -6,9 +6,32 @@
    probe workload actually moved the counters it is supposed to move —
    pool chunks ran, Monte-Carlo trials were recorded, the cutoff cache
    saw misses, a protocol run completed, the fault counters exist, and
-   the pool's chunk-latency histogram observed samples. *)
+   the pool's chunk-latency histogram observed samples — and that every
+   counter is a non-negative integer, the gauges form an object, and
+   every exported histogram is consistent. *)
 
 open Obs.Json_parse
+
+(* One exported histogram: nonzero buckets in strictly increasing [le]
+   order whose counts add up to [count]. *)
+let validate_histogram name h =
+  let path key = Printf.sprintf "histograms[%S].%s" name key in
+  let count = as_num (path "count") (member (path "") h "count") in
+  ignore (as_num (path "sum") (member (path "") h "sum"));
+  let buckets = as_arr (path "buckets") (member (path "") h "buckets") in
+  let total =
+    List.fold_left
+      (fun (prev_le, total) b ->
+        let le = as_num (path "buckets.le") (member (path "buckets") b "le") in
+        let n = as_num (path "buckets.n") (member (path "buckets") b "n") in
+        if le <= prev_le then bad "%s: le %g does not increase" (path "buckets") le;
+        if n < 1. then bad "%s: bucket le %g has n = %g < 1" (path "buckets") le n;
+        (le, total +. n))
+      (neg_infinity, 0.) buckets
+    |> snd
+  in
+  if total <> count then
+    bad "%s: bucket counts sum to %g, count is %g" (path "buckets") total count
 
 let counter counters name =
   match List.assoc_opt name counters with
@@ -22,6 +45,14 @@ let validate_metrics root =
   let doc_type = as_str "type" (member "top level" root "type") in
   if doc_type <> "metrics" then bad "type must be \"metrics\" (got %S)" doc_type;
   let counters = as_obj "counters" (member "top level" root "counters") in
+  if counters = [] then bad "counters is empty";
+  List.iter
+    (fun (name, v) ->
+      let c = as_num (Printf.sprintf "counters[%S]" name) v in
+      if c < 0. || Float.rem c 1. <> 0. then
+        bad "counters[%S] must be a non-negative integer (got %g)" name c)
+    counters;
+  ignore (as_obj "gauges" (member "top level" root "gauges"));
   let require_positive name =
     if counter counters name < 1. then bad "counter %S did not move" name
   in
@@ -41,26 +72,14 @@ let validate_metrics root =
       "chain.faults.halted"; "cutoff.cache.evictions"; "protocol.retries";
     ];
   let histograms = as_obj "histograms" (member "top level" root "histograms") in
+  List.iter (fun (name, h) -> validate_histogram name h) histograms;
   let latency =
     match List.assoc_opt "pool.chunk_latency_s" histograms with
     | Some h -> h
     | None -> bad "histograms: missing \"pool.chunk_latency_s\""
   in
-  let count =
-    as_num "pool.chunk_latency_s.count" (member "latency" latency "count")
-  in
-  if count < 1. then bad "pool.chunk_latency_s observed no samples";
-  ignore (as_num "pool.chunk_latency_s.sum" (member "latency" latency "sum"));
-  let buckets =
-    as_arr "pool.chunk_latency_s.buckets" (member "latency" latency "buckets")
-  in
-  List.iteri
-    (fun i b ->
-      let path = Printf.sprintf "buckets[%d]" i in
-      ignore (as_num (path ^ ".le") (member path b "le"));
-      if as_num (path ^ ".n") (member path b "n") < 1. then
-        bad "%s: snapshot buckets must be nonzero" path)
-    buckets;
+  if as_num "pool.chunk_latency_s.count" (member "latency" latency "count") < 1.
+  then bad "pool.chunk_latency_s observed no samples";
   List.length counters
 
 let validate_trace_line lineno line =
