@@ -887,7 +887,10 @@ let parse_serve_args args =
 
 let parse_args args =
   let json = ref None
-  and mc_trials = ref 20_000
+  (* A million trials keep each timed leg near 100 ms or more on a
+     2-CPU host, so the parallel leg times trials, not domain
+     start-up. *)
+  and mc_trials = ref 1_000_000
   and jobs = ref None
   and smoke = ref false
   and ladders = ref [] in

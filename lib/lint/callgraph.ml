@@ -264,16 +264,22 @@ let alloc_of ~modules ~unit_id (vb : Typedtree.value_binding) =
 
 (* --- cmt discovery ------------------------------------------------------- *)
 
+(* As [Driver]'s source walk: an entry that vanished between
+   [Sys.readdir] and the look at it (a build temporary) is absent. *)
 let rec walk_cmts ~skip_dirs acc path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort compare
-    |> List.fold_left
-         (fun acc entry ->
-           if List.mem entry skip_dirs then acc
-           else walk_cmts ~skip_dirs acc (Filename.concat path entry))
-         acc
-  else if Filename.check_suffix path ".cmt" then path :: acc
-  else acc
+  match Sys.is_directory path with
+  | exception Sys_error _ -> acc
+  | true -> (
+    match Sys.readdir path with
+    | exception Sys_error _ -> acc
+    | entries ->
+      Array.to_list entries |> List.sort compare
+      |> List.fold_left
+           (fun acc entry ->
+             if List.mem entry skip_dirs then acc
+             else walk_cmts ~skip_dirs acc (Filename.concat path entry))
+           acc)
+  | false -> if Filename.check_suffix path ".cmt" then path :: acc else acc
 
 (* --- the build ----------------------------------------------------------- *)
 
@@ -299,6 +305,10 @@ let build ?(config = Config.default) ~cmt_root () =
         notes := (cmt_path, "unreadable cmi payload") :: !notes
       | exception Cmt_format.Error _ ->
         notes := (cmt_path, "not a valid cmt file") :: !notes
+      | exception End_of_file ->
+        (* Shorter than its magic number: cut off, or still being
+           written by the build. *)
+        notes := (cmt_path, "truncated cmt file") :: !notes
       | cmt -> (
         match (cmt.cmt_annots, cmt.cmt_sourcefile) with
         (* "Dune__exe" is the generated namespace wrapper for

@@ -41,17 +41,26 @@ type result = {
 
 (* --- file discovery ------------------------------------------------------ *)
 
+(* The build writes and deletes temporaries under the walked trees while
+   a walk runs, so an entry [Sys.readdir] listed may be gone (or be a
+   dangling link) when it is looked at: such an entry is absent. *)
 let rec walk ~(config : Config.t) acc path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort compare
-    |> List.fold_left
-         (fun acc entry ->
-           if List.mem entry config.skip_dirs then acc
-           else walk ~config acc (Filename.concat path entry))
-         acc
-  else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
-  then path :: acc
-  else acc
+  match Sys.is_directory path with
+  | exception Sys_error _ -> acc
+  | true -> (
+    match Sys.readdir path with
+    | exception Sys_error _ -> acc
+    | entries ->
+      Array.to_list entries |> List.sort compare
+      |> List.fold_left
+           (fun acc entry ->
+             if List.mem entry config.skip_dirs then acc
+             else walk ~config acc (Filename.concat path entry))
+           acc)
+  | false ->
+    if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
+    then path :: acc
+    else acc
 
 let list_files ~config roots =
   List.sort compare (List.fold_left (walk ~config) [] roots)

@@ -3,28 +3,52 @@
    emitter's own code to check itself.  [str] and [num] build every
    serve key and response, so neither goes through [Printf]. *)
 
-let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+(* Bytes [c] takes inside a JSON string literal: [str], [str_length]
+   and [blit_str] share this one escaping rule. *)
+let escaped_width c =
+  match c with
+  | '"' | '\\' | '\n' | '\t' | '\r' -> 2
+  | c when Char.code c < 0x20 -> 6
+  | _ -> 1
+
+let str_length s =
+  let n = ref 2 in
+  for i = 0 to String.length s - 1 do
+    n := !n + escaped_width (String.unsafe_get s i)
+  done;
+  !n
+
+let hex = "0123456789abcdef"
+
+let blit_str s b off =
+  Bytes.unsafe_set b off '"';
+  let o = ref (off + 1) in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    match escaped_width c with
+    | 1 ->
+      Bytes.unsafe_set b !o c;
+      o := !o + 1
+    | 2 ->
+      Bytes.unsafe_set b !o '\\';
+      Bytes.unsafe_set b (!o + 1)
+        (match c with '\n' -> 'n' | '\t' -> 't' | '\r' -> 'r' | c -> c);
+      o := !o + 2
+    | _ ->
+      (* Backslash, u, then four lowercase hex digits; every such byte
+         is below 0x20. *)
+      Bytes.blit_string "\\u00" 0 b !o 4;
+      Bytes.unsafe_set b (!o + 4) hex.[Char.code c lsr 4];
+      Bytes.unsafe_set b (!o + 5) hex.[Char.code c land 15];
+      o := !o + 6
+  done;
+  Bytes.unsafe_set b !o '"';
+  !o + 1
 
 let str s =
-  if not (String.exists needs_escape s) then String.concat "" [ "\""; s; "\"" ]
-  else begin
-    let b = Buffer.create (String.length s + 8) in
-    Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | '\r' -> Buffer.add_string b "\\r"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"';
-    Buffer.contents b
-  end
+  let b = Bytes.create (str_length s) in
+  ignore (blit_str s b 0);
+  Bytes.unsafe_to_string b
 
 (* The C conversion that [Printf]'s "%.17g", "%.0f" and "%g" end in. *)
 external format_float : string -> float -> string = "caml_format_float"

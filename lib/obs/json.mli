@@ -7,6 +7,14 @@
 val str : string -> string
 (** A quoted JSON string literal, backslash-escaped where needed. *)
 
+val str_length : string -> int
+(** [String.length (str s)], without building the literal. *)
+
+val blit_str : string -> Bytes.t -> int -> int
+(** [blit_str s b off] writes [str s] into [b] at [off] (the caller
+    reserved {!str_length}[ s] bytes there) and returns the offset just
+    past it. *)
+
 val num : float -> string
 (** A JSON number, byte-identical to [Printf.sprintf "%.0f"] for
     integral values below 1e15 in magnitude and to ["%.17g"] (which

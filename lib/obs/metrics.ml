@@ -242,14 +242,17 @@ let hist_view h ~now_ns qs =
   then shift h shards ~now_ns;
   let n = count - base h.older slot_n in
   let nq = Array.length qs in
-  let rank q = max 1 (int_of_float (Float.ceil (q *. float_of_int n))) in
+  (* Each rank once, not once per bucket walked. *)
+  let ranks =
+    Array.map (fun q -> max 1 (int_of_float (Float.ceil (q *. float_of_int n)))) qs
+  in
   let out = Array.make nq nan in
   let k = ref 0 and seen = ref 0 and i = ref 0 and last = ref 0 in
   while n > 0 && !k < nq && !i < n_buckets do
     let c = merged shards !i - base h.older !i in
     if c > 0 then last := !i;
     seen := !seen + c;
-    while !k < nq && !seen >= rank qs.(!k) do
+    while !k < nq && !seen >= ranks.(!k) do
       out.(!k) <- estimate_s !i;
       k := !k + 1
     done;

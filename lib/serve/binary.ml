@@ -23,7 +23,9 @@
          stats         (none)
          route         [u16 from_len][from][u16 to_len][to][u8 max_hops]
    - Response frame: [u32 len][body] where [body] is byte-for-byte the
-     canonical htlc-serve/v1 JSON response (sans trailing newline).
+     canonical htlc-serve/v1 JSON response (sans trailing newline);
+     [Response.splice] writes it straight into the reactor's write
+     buffer.
 
    Re-using the JSON response bytes is deliberate: responses stay pure
    functions of the canonical request, both codecs share one cache and
@@ -150,7 +152,6 @@ let frame payload =
   Buffer.contents b
 
 let encode_request req = frame (encode_payload req)
-let frame_response body = frame body
 
 (* --- payload decoding ---------------------------------------------------- *)
 

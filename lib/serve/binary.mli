@@ -32,9 +32,6 @@ val encode_request : Request.t -> string
 (** [frame (encode_payload req)] — what a client writes per request
     (after the one-time {!magic}). *)
 
-val frame_response : string -> string
-(** Length-prefix a response body for the wire. *)
-
 val decode_payload : string -> (Request.t, Request.error) result
 (** Strict decode of one request payload.  [Error] mirrors the JSON
     taxonomy: malformed bytes (truncation, unknown tag/flags, trailing

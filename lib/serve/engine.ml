@@ -1,27 +1,33 @@
 (* The serve engine: request evaluation behind a sharded result cache,
    with crash absorption.
 
-   Every transport computes inline on its own domain: the pipe loop on
-   the caller through [handle], the reactor on each shard through
-   [handle] (JSON lines) or [handle_decoded] (binary frames, decoded by
-   the reactor).  One compute path ([respond]) serves both.
+   Every transport computes inline on its own domain through one
+   request path, [answer], which returns the response body: the
+   reactor decodes each request itself (JSON line or b1 frame), asks
+   [answer] (or [reject] for a request that failed decoding) and
+   splices the body into the connection's write buffer with
+   [Response.splice]; the pipe loop, tests and benches call [handle] /
+   [handle_decoded], the string form of that same path through
+   [Response.assemble].
 
    Crash absorption: a request whose evaluation raises is answered with
-   a structured [internal_error] response that echoes its id and kind,
-   so every transport keeps its one-response-per-request contract and a
-   handler bug costs one answer, never a connection or a shard.
-   [inject_crash] arms exactly this failure for the next request that
-   carries a given id — the hook the crash tests and the chaos bench
-   drive on a live reactor shard.
+   a structured [internal_error] body that echoes its kind (the
+   assembler adds its id), so every transport keeps its
+   one-response-per-request contract and a handler bug costs one
+   answer, never a connection or a shard.  [inject_crash] arms exactly
+   this failure for the next request that carries a given id — the
+   hook the crash tests and the chaos bench drive on a live reactor
+   shard.
 
    Byte-identity contract: computed bodies depend only on the canonical
    request and the engine's configuration (base params + quote grid +
-   route universe).  The cache stores bodies under [Request.key], which
-   is equal for two requests exactly when their id-less canonical
-   encodings are, and the id is spliced in at assembly, so cached and
-   socket responses are byte-identical to a direct [handle] call.  [Health]
-   and [Stats] are the deliberate exceptions: they report live state,
-   are never cached, and sit outside the contract. *)
+   route universe).  The cache stores each body, with its status, under
+   [Request.key], which is equal for two requests exactly when their
+   id-less canonical encodings are, and one assembler writes the id and
+   the body, so cached and socket responses are byte-identical to a
+   direct [handle] call.  [Health] and [Stats] are the deliberate
+   exceptions: they report live state, are never cached, and sit
+   outside the contract. *)
 
 type stats = {
   requests : int;
@@ -32,10 +38,15 @@ type stats = {
   cache : Cache.stats;
 }
 
+(* What the cache stores for a question: the body, and whether it is an
+   ok one, found once when the body is made so that a hit sets the
+   stage clock's status without reading the body. *)
+type cached = { body : string; ok : bool }
+
 type t = {
   table : Market.Quote_table.t;
   universe : Swapgraph.Router.t;
-  cache : Cache.t;
+  cache : cached Cache.t;
   max_sweep_n : int;
   (* The id [inject_crash] armed; the first request carrying it takes
      it back out and crashes. *)
@@ -122,7 +133,7 @@ let compute_result t (req : Request.t) =
     (* Live telemetry: like Health, never cached. *)
     Ok (Telemetry.stats_json ())
 
-let computed_body t ?(clock = Telemetry.none) (req : Request.t) kind =
+let computed t clock (req : Request.t) kind =
   Obs.Trace.with_span "serve.compute" (fun span ->
       Obs.Trace.annotate span "req" kind;
       Telemetry.stamp_compute_start clock;
@@ -130,31 +141,12 @@ let computed_body t ?(clock = Telemetry.none) (req : Request.t) kind =
       | Ok result ->
         Telemetry.stamp_compute_stop clock;
         Atomic.incr t.n_ok;
-        Response.ok_body ~req:kind ~result
+        { body = Response.ok_body ~req:kind ~result; ok = true }
       | Error (code, message) ->
         Telemetry.stamp_compute_stop clock;
         Telemetry.set_status clock "error";
         Atomic.incr t.n_errors;
-        Response.error_body ~req:kind ~code ~message ())
-
-(* A cached body may be an ok or a cached error body ([invalid_params]
-   sweeps, quote misses); the stage clock wants the status without
-   re-deriving it, so scan the fixed [..,"status":".."] field near the
-   front of the body.  Only runs on real clocks (cache hits with
-   telemetry enabled). *)
-let body_is_ok body =
-  let pat = "\"status\":\"ok\"" in
-  let m = String.length pat in
-  let limit = min (String.length body - m) 48 in
-  (* Char-by-char, not [String.sub = pat]: the sub would allocate per
-     probe position, and this scans on every cache hit. *)
-  let rec matches i j =
-    j >= m
-    || (String.unsafe_get body (i + j) = String.unsafe_get pat j
-       && matches i (j + 1))
-  in
-  let rec go i = i <= limit && (matches i 0 || go (i + 1)) in
-  go 0
+        { body = Response.error_body ~req:kind ~code ~message (); ok = false })
 
 (* The [inject_crash] trigger: one [Atomic.get] per request while
    nothing is armed.  The compare-and-set disarms before raising, so
@@ -170,37 +162,49 @@ let crash_if_armed t (req : Request.t) =
       failwith "injected handler crash"
     | _ -> ())
 
-(* Compute (or fetch) the response body for a parsed request, then
-   assemble with the caller's id. *)
-let respond ?(clock = Telemetry.none) t (req : Request.t) =
+(* The body for a parsed request: live kinds computed, the rest from
+   the cache or computed and inserted. *)
+let lookup clock t (req : Request.t) =
   let kind = Request.kind req in
   Telemetry.set_kind clock kind;
   Telemetry.set_id clock req.id;
   Atomic.incr t.n_requests;
   crash_if_armed t req;
-  let body =
-    match req.body with
-    | Health | Stats ->
-      (* Live state: never cached, recomputed on every ask. *)
-      computed_body t ~clock req kind
-    | _ -> (
-      let key = Request.key req in
-      match Cache.find t.cache key with
-      | Some body ->
-        if Telemetry.is_real clock then begin
-          Telemetry.stamp_cache clock ~hit:true;
-          if not (body_is_ok body) then Telemetry.set_status clock "error"
-        end;
-        body
-      | None ->
-        Telemetry.stamp_cache clock ~hit:false;
-        let body = computed_body t ~clock req kind in
-        Cache.add t.cache key body;
-        body)
-  in
-  let resp = Response.assemble ~id:req.id body in
-  Telemetry.stamp_encode clock;
-  resp
+  match req.body with
+  | Health | Stats ->
+    (* Live state: never cached, recomputed on every ask. *)
+    (computed t clock req kind).body
+  | _ -> (
+    let key = Request.key req in
+    match Cache.find t.cache key with
+    | Some a ->
+      if Telemetry.is_real clock then begin
+        Telemetry.stamp_cache clock ~hit:true;
+        if not a.ok then Telemetry.set_status clock "error"
+      end;
+      a.body
+    | None ->
+      Telemetry.stamp_cache clock ~hit:false;
+      let a = computed t clock req kind in
+      Cache.add t.cache key a;
+      a.body)
+
+(* Absorb a crash into a structured body so every transport keeps its
+   one-response-per-request contract: nothing is written until the body
+   is in hand. *)
+let answer ?(clock = Telemetry.none) t (req : Request.t) =
+  try lookup clock t req
+  with exn ->
+    Atomic.incr t.n_internal;
+    Telemetry.set_status clock "error";
+    (* Flight-recorder crash trigger: the last N completed requests at
+       the moment a handler crashed, written to the configured dump
+       path (no-op when none is set). *)
+    Telemetry.dump_to_path ~reason:"handler_crash";
+    Response.error_body ~req:(Request.kind req) ~code:"internal_error"
+      ~message:
+        (Printf.sprintf "request handler crashed: %s" (Printexc.to_string exn))
+      ()
 
 let reject ?(clock = Telemetry.none) t (err : Request.error) =
   if Telemetry.is_real clock then begin
@@ -209,37 +213,22 @@ let reject ?(clock = Telemetry.none) t (err : Request.error) =
     Telemetry.set_status clock "error"
   end;
   Atomic.incr t.n_parse_errors;
-  let resp = Response.error ~id:err.err_id ~code:err.code ~message:err.message () in
+  Response.error_body ~code:err.code ~message:err.message ()
+
+(* The string forms of what the reactor splices into its write
+   buffers. *)
+let handle_decoded ?(clock = Telemetry.none) t (req : Request.t) =
+  let resp = Response.assemble ~id:req.id (answer ~clock t req) in
   Telemetry.stamp_encode clock;
   resp
-
-(* Absorb a crash into a structured response so pipe servers and the
-   reactor keep their one-response-per-request contract. *)
-let handle_decoded ?(clock = Telemetry.none) t (req : Request.t) =
-  try respond ~clock t req
-  with exn ->
-    Atomic.incr t.n_internal;
-    Telemetry.set_status clock "error";
-    (* Flight-recorder crash trigger: the last N completed requests at
-       the moment a handler crashed, written to the configured dump
-       path (no-op when none is set). *)
-    Telemetry.dump_to_path ~reason:"handler_crash";
-    let resp =
-      Response.error ~id:req.Request.id ~req:(Request.kind req)
-        ~code:"internal_error"
-        ~message:
-          (Printf.sprintf "request handler crashed: %s"
-             (Printexc.to_string exn))
-        ()
-    in
-    Telemetry.stamp_encode clock;
-    resp
 
 let handle ?(clock = Telemetry.none) t line =
   match Request.decode line with
   | Error err ->
     Telemetry.stamp_decode clock;
-    reject ~clock t err
+    let resp = Response.assemble ~id:err.err_id (reject ~clock t err) in
+    Telemetry.stamp_encode clock;
+    resp
   | Ok req ->
     Telemetry.stamp_decode clock;
     handle_decoded ~clock t req

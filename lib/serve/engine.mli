@@ -5,11 +5,12 @@
     {b Byte-identity contract.}  Response bodies depend only on the
     canonical request bytes and the engine's configuration (base
     parameters + quote grid + route universe); the cache stores bodies
-    and the id is spliced in at assembly.  Cached and socket-served
-    responses are therefore byte-identical to a direct {!handle} call
-    on an identically configured engine, from any domain.  [Health]
-    and [Stats] are the deliberate exceptions: they report live engine
-    state / telemetry and are never cached.
+    and the id is spliced in at assembly, by one assembler that writes
+    either into a connection's write buffer or into a string.  Cached
+    and socket-served responses are therefore byte-identical to a
+    direct {!handle} call on an identically configured engine, from any
+    domain.  [Health] and [Stats] are the deliberate exceptions: they
+    report live engine state / telemetry and are never cached.
 
     {b Crash absorption.}  A request whose evaluation raises is
     answered with a structured [internal_error] response echoing its id
@@ -46,30 +47,38 @@ val create :
     {!Cache.create} ([cache_shards < 1] or
     [cache_capacity < cache_shards]). *)
 
-val handle : ?clock:Telemetry.clock -> t -> string -> string
-(** Parse, answer from the cache or compute, and encode — synchronously
-    on the calling domain.  Never raises on request evaluation (crashes
-    become [internal_error] responses).  [clock] (default
-    {!Telemetry.none}) receives the decode / cache-lookup / compute /
-    encode stage stamps; the transport that owns the clock finalises it
-    at flush. *)
-
-val handle_decoded : ?clock:Telemetry.clock -> t -> Request.t -> string
-(** {!handle} for an already-decoded request — the binary codec's
-    compute path (its decoder is not line-based, so the reactor decodes
-    and hands the typed request straight in).  Same crash absorption,
-    caching and byte-identity contract as {!handle}.  A crash also
-    triggers {!Telemetry.dump_to_path} with reason ["handler_crash"]. *)
+val answer : ?clock:Telemetry.clock -> t -> Request.t -> string
+(** The response body for a decoded request, synchronously on the
+    calling domain: stamps the kind and id on [clock], fires an armed
+    {!inject_crash}, then answers from the cache or computes and
+    inserts ([health] and [stats] are computed every time).  Never
+    raises on request evaluation: a crash becomes an [internal_error]
+    body and triggers {!Telemetry.dump_to_path} with reason
+    ["handler_crash"].  [clock] (default {!Telemetry.none}) receives the
+    cache-lookup and compute stage stamps; the caller assembles the
+    response with the request's id ({!Response.splice} or
+    {!Response.assemble}) and stamps encode. *)
 
 val reject : ?clock:Telemetry.clock -> t -> Request.error -> string
-(** The structured response for a request that failed decoding
-    (either codec): counts the parse error and encodes
-    [code]/[message] with the best-effort id echo. *)
+(** The body for a request that failed decoding (either codec): counts
+    the parse error and encodes [code]/[message]; its response carries
+    the best-effort id echo [err_id]. *)
+
+val handle_decoded : ?clock:Telemetry.clock -> t -> Request.t -> string
+(** The string form of the reactor's answer: {!answer}'s body assembled
+    with the request's id, byte for byte what a socket connection
+    receives (less the line's newline or the frame's length prefix),
+    then the encode stamp. *)
+
+val handle : ?clock:Telemetry.clock -> t -> string -> string
+(** {!handle_decoded} for a JSON line: decode (stamping decode), then
+    {!handle_decoded}, or {!reject}'s body assembled with the recovered
+    id.  The pipe loop's path.  Never raises on request evaluation. *)
 
 val inject_crash : t -> id:string -> unit
 (** Arm a one-shot crash: the next request carrying [id] raises inside
-    {!handle_decoded}'s handler and is answered [internal_error], like
-    any evaluation crash.  Re-arming replaces the pending id.  Costs
+    {!answer} and is answered [internal_error], like any evaluation
+    crash.  Re-arming replaces the pending id.  Costs
     one [Atomic.get] per request. *)
 
 type stats = {

@@ -2,13 +2,13 @@
    read/write staging area of the reactor.
 
    One [Bytes.t] backs both roles: producers append at the tail
-   ([add_string] / [refill] from an fd), consumers take from the head
-   ([consume] after parsing, [write] to an fd).  The head offset slides
-   instead of shifting bytes on every consume; the buffer compacts
-   (blit to offset 0) only when the tail runs out of room, and doubles
-   when the live span itself does not fit.  An emptied buffer resets
-   its offset so a long-lived idle connection does not pin a large
-   window.
+   ([extend] then write in place, or [refill] from an fd), consumers
+   take from the head ([consume] after parsing, [write] to an fd).  The
+   head offset slides instead of shifting bytes on every consume; the
+   buffer compacts (blit to offset 0) only when the tail runs out of
+   room, and doubles when the live span itself does not fit.  An
+   emptied buffer resets its offset so a long-lived idle connection
+   does not pin a large window.
 
    Not domain-safe: each buffer is owned by exactly one reactor shard
    domain. *)
@@ -43,16 +43,14 @@ let reserve t n =
       t.off <- 0
     end
 
-let add_string t s =
-  let n = String.length s in
+let extend t n =
+  if n < 0 then invalid_arg "Iobuf.extend: negative length";
   reserve t n;
-  Bytes.blit_string s 0 t.buf (t.off + t.len) n;
-  t.len <- t.len + n
+  let at = t.off + t.len in
+  t.len <- t.len + n;
+  at
 
-let add_char t c =
-  reserve t 1;
-  Bytes.set t.buf (t.off + t.len) c;
-  t.len <- t.len + 1
+let storage t = t.buf
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Iobuf.get: out of bounds";
@@ -63,12 +61,32 @@ let get_u32_be t pos =
   let b i = Char.code (Bytes.get t.buf (t.off + pos + i)) in
   (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* Only the live span [off, off + len) is searched: eight bytes at a
+   time while a whole word fits, with the has-zero-byte test on [word
+   xor (c repeated)] (it flags exactly the words that hold [c]), then
+   byte by byte from the first flagged word or for the tail. *)
 let index t c =
-  (* index_from searches the raw storage; a hit beyond the live span is
-     stale garbage and must read as "not found". *)
-  match Bytes.index_from_opt t.buf t.off c with
-  | Some j when j < t.off + t.len -> j - t.off
-  | Some _ | None -> -1
+  let b = t.buf and stop = t.off + t.len in
+  let pat = Int64.mul 0x0101010101010101L (Int64.of_int (Char.code c)) in
+  let i = ref t.off in
+  while
+    !i + 8 <= stop
+    &&
+    let x = Int64.logxor (get64u b !i) pat in
+    Int64.equal
+      (Int64.logand
+         (Int64.logand (Int64.sub x 0x0101010101010101L) (Int64.lognot x))
+         0x8080808080808080L)
+      0L
+  do
+    i := !i + 8
+  done;
+  while !i < stop && Bytes.unsafe_get b !i <> c do
+    incr i
+  done;
+  if !i < stop then !i - t.off else -1
 
 let sub t pos n =
   if pos < 0 || n < 0 || pos + n > t.len then

@@ -1,7 +1,7 @@
 (** Growable byte buffer with a consumption cursor — the reactor's
     per-connection read/write staging area.
 
-    Producers append at the tail ({!add_string}, {!refill}); consumers
+    Producers append at the tail ({!extend}, {!refill}); consumers
     take from the head ({!consume}, {!write}).  Amortised O(1) appends
     (slide-offset + compact-on-demand + geometric growth).  {b Not}
     domain-safe: a buffer is owned by one reactor shard domain. *)
@@ -17,8 +17,17 @@ val length : t -> int
 
 val is_empty : t -> bool
 
-val add_string : t -> string -> unit
-val add_char : t -> char -> unit
+val extend : t -> int -> int
+(** [extend t n] appends [n] unwritten bytes at the tail and returns
+    where they start in {!storage}: the caller fills
+    [storage t] at [[at, at + n)] before any other call on [t].  Lets a
+    producer write its bytes in place instead of building a string to
+    copy in.
+    @raise Invalid_argument when [n < 0]. *)
+
+val storage : t -> Bytes.t
+(** The backing store {!extend} offsets index; valid until the next
+    call that adds to [t]. *)
 
 val get : t -> int -> char
 (** Byte at logical position [i] ([0] = next byte to consume).
@@ -29,7 +38,8 @@ val get_u32_be : t -> int -> int
     @raise Invalid_argument when fewer than 4 bytes are available. *)
 
 val index : t -> char -> int
-(** Logical position of the first occurrence of a byte, or [-1]. *)
+(** Logical position of the first occurrence of a byte among the
+    buffered ones, or [-1]. *)
 
 val sub : t -> int -> int -> string
 (** Copy of [n] bytes from logical position [pos]; does not consume.

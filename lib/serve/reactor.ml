@@ -15,12 +15,18 @@
    non-blocking writes (response batching: a 64-request burst costs a
    couple of syscalls each way, not 128).
 
-   Compute runs inline on the shard domain via the engine's
-   crash-absorbing [handle]/[handle_decoded] — at the observed ~90%
-   cache hit rate a handoff to another domain would cost more in
-   wake-ups than the lookup itself.  A handler crash comes back as an
-   [internal_error] response like any other answer, so it costs that
-   one request: the connection and the shard keep serving.
+   Compute runs inline on the shard domain: the shard decodes each
+   request (a JSON line, or a b1 frame) and hands it to the engine's
+   one request path, [Engine.answer] ([Engine.reject] for bytes that did
+   not decode), which returns the response body — from the cache at the
+   observed ~90% hit rate, where a handoff to another domain would cost
+   more in wake-ups than the lookup itself.  [Response.splice] then
+   writes the schema prefix, the id and the body straight into the
+   connection's write buffer, as a line or a length-prefixed frame, so
+   no response string is built.  A handler crash comes back as an
+   [internal_error] body like any other answer, before anything is
+   written, so it costs that one request: the connection and the shard
+   keep serving.
 
    Codec negotiation is first-bytes sniffing, per connection: payloads
    starting with [Binary.magic] speak length-prefixed [htlc-serve/b1],
@@ -36,10 +42,14 @@
    [input_line]; a torn trailing binary frame is dropped — its length
    prefix promises bytes that never arrived.
 
-   Limits: [select]'s FD_SETSIZE bounds each shard to ~1024 live fds
-   (the portable stdlib ceiling — spread load over more shards), and
-   readiness scans are O(conns) per wake, which is fine into the
-   thousands of connections this targets. *)
+   Limits: [select] takes only fds below FD_SETSIZE (1024), so the
+   accepter refuses a connection whose fd is at or above it — closed
+   at once and counted under [.fd_limit] — rather than hand a shard a
+   set that [select] rejects.  A select that fails anyway is counted
+   under [.select]; the shard closes the connections select refuses on
+   their own and keeps serving the rest.  Readiness scans are
+   O(conns) per wake, which is fine into the thousands of connections
+   this targets. *)
 
 let read_chunk = 65536
 let max_line = Binary.max_frame
@@ -203,12 +213,27 @@ let detect conn =
   end
   else false
 
+(* Answer one request into the connection's write buffer: the engine's
+   body ([reject]'s for bytes that did not decode) spliced in place
+   with the request's id, as a JSON line or a b1 frame — no response
+   string is built.  The body is in hand before anything is appended,
+   so a handler crash still writes exactly one answer. *)
+let respond t conn clock ~framed decoded =
+  Telemetry.stamp_decode clock;
+  (match decoded with
+  | Ok (req : Request.t) ->
+    Response.splice conn.wbuf ~framed ~id:req.id
+      (Engine.answer ~clock t.engine req)
+  | Error (err : Request.error) ->
+    Response.splice conn.wbuf ~framed ~id:err.err_id
+      (Engine.reject ~clock t.engine err));
+  Telemetry.stamp_encode clock;
+  if Telemetry.is_real clock then add_pending conn clock
+
 let answer_json t conn ~read_ns line =
   if String.trim line <> "" then begin
     let clock = take_clock conn ~codec:"json" ~read_ns in
-    Iobuf.add_string conn.wbuf (Engine.handle ~clock t.engine line);
-    Iobuf.add_char conn.wbuf '\n';
-    if Telemetry.is_real clock then add_pending conn clock
+    respond t conn clock ~framed:false (Request.decode line)
   end
 
 (* [read_ns] is the read-complete stamp for every request in this
@@ -238,17 +263,7 @@ let rec process t conn ~read_ns =
         kill conn
       | `Frame payload ->
         let clock = take_clock conn ~codec:"binary" ~read_ns in
-        let body =
-          match Binary.decode_payload payload with
-          | Ok req ->
-            Telemetry.stamp_decode clock;
-            Engine.handle_decoded ~clock t.engine req
-          | Error err ->
-            Telemetry.stamp_decode clock;
-            Engine.reject ~clock t.engine err
-        in
-        Iobuf.add_string conn.wbuf (Binary.frame_response body);
-        if Telemetry.is_real clock then add_pending conn clock;
+        respond t conn clock ~framed:true (Binary.decode_payload payload);
         process t conn ~read_ns)
 
 let rec try_flush conn =
@@ -307,6 +322,16 @@ let handle_read t conn =
 
 (* --- shard event loop ------------------------------------------------------ *)
 
+(* [select] takes only fds below FD_SETSIZE and refuses, with EINVAL
+   and before any syscall, a set holding one that is not; so a
+   zero-timeout select on [fd] alone says whether a shard can wait on
+   it (EBADF says it is gone). *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0. with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+  | exception Unix.Unix_error (_, _, _) -> false
+
 let make_conn fd =
   {
     fd;
@@ -354,6 +379,15 @@ let shard_loop t s =
       in
       (match Unix.select rds wrs [] (-1.) with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception Unix.Unix_error (_, _, _) ->
+        (* select refused the whole set: count it, close what select
+           refuses on its own, and keep serving the rest — the shard
+           domain must not end with its connections. *)
+        count_conn_error_reason "select";
+        List.iter
+          (fun c -> if (not c.dead) && not (selectable c.fd) then kill c)
+          s.conns;
+        s.conns <- List.filter (fun c -> not c.dead) s.conns
       | rready, wready, _ ->
         if List.memq s.wake_r rready then drain_wake s wake_buf;
         (* A bug in per-connection handling must cost that connection,
@@ -394,6 +428,15 @@ let rec accept_loop t =
       (* Shutdown's wake-up self-connect (or a client that lost the
          race with it): drop it and stop accepting. *)
       try Unix.close fd with Unix.Unix_error _ -> ()
+    else if not (selectable fd) then begin
+      (* At or above FD_SETSIZE: no shard can wait on it, and one such
+         fd in a shard's set would make every select there fail.
+         Refuse it; the peer sees EOF. *)
+      Obs.Metrics.incr m_connections;
+      count_conn_error_reason "fd_limit";
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      accept_loop t
+    end
     else begin
       Obs.Metrics.incr m_connections;
       (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());

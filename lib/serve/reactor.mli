@@ -10,6 +10,10 @@
     order, and bodies are byte-identical across codecs — a [b1]
     response frame carries exactly the JSON line's bytes.
 
+    Each answer is the engine's body ({!Engine.answer}) spliced with
+    the request's id straight into the connection's write buffer
+    ({!Response.splice}).
+
     {b Fault behaviour.}  Read/write errors are counted and classified
     under [serve.connection_errors] (sub-counters [.epipe],
     [.econnreset], [.sys_error], [.unix_error], [.handler_crash], plus
@@ -19,9 +23,11 @@
     final un-terminated JSON line is still answered (mirroring the old
     [input_line] transport).  Torn trailing binary frames are dropped.
 
-    {b Limits.}  [select] bounds each shard to ~1024 live fds (spread
-    load over more shards); readiness scans are O(connections) per
-    wake. *)
+    {b Limits.}  [select] takes only fds below FD_SETSIZE (1024): a
+    connection accepted at or above it is closed at once and counted
+    under [.fd_limit], and a select that fails anyway is counted under
+    [.select] while the shard closes what select refuses and keeps
+    serving.  Readiness scans are O(connections) per wake. *)
 
 type t
 

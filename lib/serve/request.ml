@@ -110,8 +110,8 @@ let encode t =
    canonical encodings are: [Obs.Json.num] prints distinct finite
    floats (0. and -0. too) as distinct text, just as their bits differ,
    and each kind's layout is fixed once the token lengths are read.
-   The kind's own fields come before the params, so keys that share
-   the defaults differ early, where [Cache]'s map compares them.
+   [Cache] hashes the whole key to find its bucket and compares the
+   stored hash before the bytes.
    Native byte order: the key never leaves the process. *)
 
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"

@@ -5,7 +5,13 @@
    canonical request and splice in each caller's id without recomputing.
    Splicing is deterministic, which preserves the service's byte-identity
    contract: cached and freshly computed responses for the same (id,
-   request) pair are the same bytes. *)
+   request) pair are the same bytes.
+
+   One assembler, [write], lays the response out: the schema prefix, the
+   id as a JSON literal, a comma, the body.  [splice] runs it in place
+   in a connection's write buffer, as a JSON line or a b1 frame whose
+   length prefix is summed from the same pieces; [assemble] runs it into
+   a string of exactly the response's size. *)
 
 module J = Obs.Json
 
@@ -24,13 +30,50 @@ let error_body ?req ~code ~message () =
 
 let id_prefix = "{\"schema\":" ^ J.str Request.schema ^ ",\"id\":"
 
-let assemble ~id body =
-  cat [ id_prefix; (match id with Some s -> J.str s | None -> "null"); ","; body ]
+let length ~id body =
+  String.length id_prefix
+  + (match id with Some s -> J.str_length s | None -> 4)
+  + 1 + String.length body
 
-(* Convenience for paths that never hit the cache (parse errors,
-   shedding, deadlines). *)
-let error ~id ?req ~code ~message () =
-  assemble ~id (error_body ?req ~code ~message ())
+(* The one assembler: writes the [length ~id body] bytes of the response
+   into [b] at [off]. *)
+let write b off ~id body =
+  let n = String.length id_prefix in
+  Bytes.blit_string id_prefix 0 b off n;
+  let o =
+    match id with
+    | Some s -> J.blit_str s b (off + n)
+    | None ->
+      Bytes.blit_string "null" 0 b (off + n) 4;
+      off + n + 4
+  in
+  Bytes.unsafe_set b o ',';
+  Bytes.blit_string body 0 b (o + 1) (String.length body)
+
+let assemble ~id body =
+  let b = Bytes.create (length ~id body) in
+  write b 0 ~id body;
+  Bytes.unsafe_to_string b
+
+let splice buf ~framed ~id body =
+  let n = length ~id body in
+  if framed then begin
+    if n > Binary.max_frame then
+      invalid_arg "Response.splice: response exceeds Binary.max_frame";
+    let at = Iobuf.extend buf (4 + n) in
+    let b = Iobuf.storage buf in
+    Bytes.unsafe_set b at (Char.unsafe_chr (n lsr 24));
+    Bytes.unsafe_set b (at + 1) (Char.unsafe_chr ((n lsr 16) land 0xff));
+    Bytes.unsafe_set b (at + 2) (Char.unsafe_chr ((n lsr 8) land 0xff));
+    Bytes.unsafe_set b (at + 3) (Char.unsafe_chr (n land 0xff));
+    write b (at + 4) ~id body
+  end
+  else begin
+    let at = Iobuf.extend buf (n + 1) in
+    let b = Iobuf.storage buf in
+    write b at ~id body;
+    Bytes.unsafe_set b (at + n) '\n'
+  end
 
 (* --- result payload helpers --------------------------------------------- *)
 

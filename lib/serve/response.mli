@@ -1,9 +1,10 @@
 (** Response encoding for [htlc-serve/v1].
 
     Responses split into an id-independent {e body} (cached per
-    canonical request) and an {!assemble} step that prepends the schema
-    and the caller's [id] — so cache hits return byte-identical
-    responses without recomputation. *)
+    canonical request) and one assembler that prepends the schema and
+    the caller's [id] — so cache hits return byte-identical responses
+    without recomputation.  {!splice} runs the assembler in place in a
+    connection's write buffer; {!assemble} is its string form. *)
 
 val ok_body : req:string -> result:string -> string
 (** Body of a successful response; [result] is already-serialised JSON. *)
@@ -18,15 +19,12 @@ val assemble : id:string option -> string -> string
     [{"schema":"htlc-serve/v1","id":...,<body>].  [None] renders as
     [null]. *)
 
-val error :
-  id:string option ->
-  ?req:string ->
-  code:string ->
-  message:string ->
-  unit ->
-  string
-(** [assemble] of [error_body] — for paths that bypass the cache
-    (parse errors, load shedding, deadline misses). *)
+val splice : Iobuf.t -> framed:bool -> id:string option -> string -> unit
+(** Append [assemble ~id body]'s bytes to a write buffer without
+    building them as a string: followed by ['\n'] (a JSON line), or
+    behind a big-endian u32 length (a [b1] frame, [framed]).
+    @raise Invalid_argument when a frame would exceed
+    {!Binary.max_frame}; nothing is appended then. *)
 
 val interval_json : (float * float) option -> string
 (** [[lo,hi]] or [null]. *)

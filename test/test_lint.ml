@@ -667,6 +667,41 @@ let test_doc_references () =
   check_bool "the docs name lib/ code at all" true (!checked > 100);
   check_int "every lib/ reference resolves" 0 (List.length broken)
 
+(* A build writes and deletes temporaries while a walk runs.  A dangling
+   link stands in, deterministically, for an entry that vanished between
+   [Sys.readdir] and the look at it: [Sys.is_directory] raises the same
+   [Sys_error] on both.  Both walks must pass over it. *)
+let test_walk_skips_vanished () =
+  let root =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "htlc-lint-walk-%d" (Unix.getpid ()))
+  in
+  let sub = Filename.concat root "sub" in
+  let file path text = Out_channel.with_open_text path (fun oc -> output_string oc text) in
+  let a = Filename.concat root "a.ml"
+  and b = Filename.concat sub "b.mli"
+  and cmt = Filename.concat sub "c.cmt"
+  and gone = Filename.concat root "gone.cmxs.startup.o" in
+  Sys.mkdir root 0o755;
+  Sys.mkdir sub 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ a; b; cmt; gone ];
+      List.iter (fun d -> try Sys.rmdir d with Sys_error _ -> ()) [ sub; root ])
+  @@ fun () ->
+  file a "let x = 1\n";
+  file b "val y : int\n";
+  file cmt "not a cmt";
+  Unix.symlink (Filename.concat root "no-such-file") gone;
+  check_bool "the dangling link makes Sys.is_directory raise" true
+    (match Sys.is_directory gone with _ -> false | exception Sys_error _ -> true);
+  let r = Lint.Driver.run ~deep:true ~cmt_root:root ~roots:[ root ] () in
+  check_int "both sources scanned" 2 r.files_scanned;
+  match r.deep with
+  | Some d -> check_int "the cmt walk found the one cmt" 1 d.cmt_files
+  | None -> Alcotest.fail "the deep pass ran"
+
 let () =
   Alcotest.run "lint"
     [
@@ -711,5 +746,7 @@ let () =
             `Quick test_unreached_allowlist;
           Alcotest.test_case "doc references resolve" `Quick
             test_doc_references;
+          Alcotest.test_case "walks skip entries that vanish" `Quick
+            test_walk_skips_vanished;
         ] );
     ]

@@ -228,6 +228,39 @@ let test_histogram_quantile_error () =
         qs)
     [ 1; 2; 3 ]
 
+(* The window's quantiles against the exact nearest-rank values of the
+   samples it holds, on either side of a re-base: the first read holds
+   [a]; 11 s on, the re-based window holds only [b]; a second later,
+   with no re-base, [b] and [c]. *)
+let test_histogram_window_quantiles () =
+  let qs = [| 0.001; 0.1; 0.5; 0.9; 0.99; 0.999; 1.0 |] in
+  let h = Obs.Metrics.histogram "test.hist_window_quantiles" in
+  let rng = Numerics.Rng.create ~seed:9 () in
+  let a = log_uniform_ns rng 5_000
+  and b = log_uniform_ns rng 3_000
+  and c = log_uniform_ns rng 2_000 in
+  let s = 1_000_000_000 in
+  let read_holds what ~now_ns samples =
+    let held = Array.copy samples in
+    Array.sort compare held;
+    let v = Obs.Metrics.hist_view h ~now_ns qs in
+    check_int (what ^ ": window size") (Array.length held) v.v_window;
+    Array.iteri
+      (fun i q ->
+        let exact = float_of_int (nearest_rank held q) *. 1e-9 in
+        let est = v.v_quantiles.(i) in
+        if Float.abs (est -. exact) > Obs.Metrics.relative_error *. exact then
+          Alcotest.failf "%s q %g: estimate %g vs nearest rank %g" what q est
+            exact)
+      qs
+  in
+  Array.iter (Obs.Metrics.observe_ns h) a;
+  read_holds "first read" ~now_ns:(100 * s) a;
+  Array.iter (Obs.Metrics.observe_ns h) b;
+  read_holds "after the re-base" ~now_ns:(111 * s) b;
+  Array.iter (Obs.Metrics.observe_ns h) c;
+  read_holds "within the window" ~now_ns:(112 * s) (Array.append b c)
+
 let test_histogram_domains_exact () =
   let h = Obs.Metrics.histogram "test.hist_domains" in
   let per = 25_000 in
@@ -453,7 +486,9 @@ let test_json_str_bytes () =
   List.iter
     (fun s ->
       check Alcotest.string (Printf.sprintf "str %S" s) (buffer_str s)
-        (Obs.Json.str s))
+        (Obs.Json.str s);
+      check Alcotest.int (Printf.sprintf "str_length %S" s)
+        (String.length (buffer_str s)) (Obs.Json.str_length s))
     ([ ""; "plain"; "htlc-serve/v1"; "q\"uote"; "back\\slash"; "\x00" ]
     @ List.init 10_000 (fun _ -> random ()))
 
@@ -615,6 +650,8 @@ let () =
             test_histogram_window;
           Alcotest.test_case "record allocates nothing" `Quick
             test_histogram_record_allocates_nothing;
+          Alcotest.test_case "window quantiles are nearest-rank" `Quick
+            test_histogram_window_quantiles;
         ] );
       ( "json",
         [

@@ -559,6 +559,17 @@ let test_binary_errors () =
   refused "max_hops above 255" (route 257);
   refused "negative max_hops" (route (-1))
 
+(* Append [s] to a buffer, as a [refill] would. *)
+let iobuf_add buf s =
+  let at = Serve.Iobuf.extend buf (String.length s) in
+  Bytes.blit_string s 0 (Serve.Iobuf.storage buf) at (String.length s)
+
+(* A b1 frame: the bytes behind their big-endian u32 length. *)
+let frame payload =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_be b 0 (Int32.of_int (String.length payload));
+  Bytes.to_string b ^ payload
+
 let test_binary_incremental () =
   (* The incremental decoder must reassemble frames identically no
      matter how the bytes arrive: whole, byte-at-a-time, or in a
@@ -581,7 +592,7 @@ let test_binary_incremental () =
                    { mu = 0.; sigma = 0.05; spot = 1. +. (0.01 *. float_of_int i) });
           })
   in
-  let stream = String.concat "" (List.map Serve.Binary.frame_response payloads) in
+  let stream = String.concat "" (List.map frame payloads) in
   let feed schedule =
     let buf = Serve.Iobuf.create () in
     let got = ref [] in
@@ -602,7 +613,7 @@ let test_binary_incremental () =
       (* Chunk sizes 1..9 from a seeded LCG: deterministic, lint-clean. *)
       state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
       let chunk = min (1 + (!state mod 9)) (String.length stream - !pos) in
-      Serve.Iobuf.add_string buf (String.sub stream !pos chunk);
+      iobuf_add buf (String.sub stream !pos chunk);
       pos := !pos + chunk;
       drain ()
     done;
@@ -618,13 +629,13 @@ let test_binary_incremental () =
     [ 1; 7; 42; 1337 ];
   (* A partial frame is Need_more, never a frame and never an error. *)
   let buf = Serve.Iobuf.create () in
-  Serve.Iobuf.add_string buf "\x00\x00\x00\x0a\x05\x00";
+  iobuf_add buf "\x00\x00\x00\x0a\x05\x00";
   check_bool "partial frame parks" true
     (Serve.Binary.decode_frame buf = `Need_more);
   check_int "partial frame left buffered" 6 (Serve.Iobuf.length buf);
   (* An oversized header is unrecoverable and reported as such. *)
   let buf = Serve.Iobuf.create () in
-  Serve.Iobuf.add_string buf "\x7f\xff\xff\xff";
+  iobuf_add buf "\x7f\xff\xff\xff";
   match Serve.Binary.decode_frame buf with
   | `Too_large n -> check_int "oversized header reported" 0x7fffffff n
   | _ -> Alcotest.fail "oversized header must be Too_large"
@@ -765,6 +776,154 @@ let test_cache_capacity_bound () =
   | _ -> Alcotest.fail "capacity < shards must be rejected"
   | exception Invalid_argument _ -> ()
 
+(* Readers on three domains while one writer adds past capacity: every
+   find answers nothing or the value added under that key (physically:
+   each key has one value), the hit and miss counts add up to the finds,
+   and the cache never holds more than its capacity. *)
+let test_cache_concurrent () =
+  let c = Serve.Cache.create ~shards:2 ~capacity:16 () in
+  let keys = Array.init 64 (Printf.sprintf "key-%d") in
+  let values = Array.map (fun k -> "value of " ^ k) keys in
+  let writing = Atomic.make true in
+  let reader () =
+    let finds = ref 0 and wrong = ref 0 and over = ref 0 and passes = ref 0 in
+    while Atomic.get writing || !passes < 50 do
+      incr passes;
+      Array.iteri
+        (fun i k ->
+          incr finds;
+          match Serve.Cache.find c k with
+          | None -> ()
+          | Some v -> if v != values.(i) then incr wrong)
+        keys;
+      if Serve.Cache.length c > Serve.Cache.capacity c then incr over
+    done;
+    (!finds, !wrong, !over)
+  in
+  let readers = Array.init 3 (fun _ -> Domain.spawn reader) in
+  for round = 1 to 300 do
+    Array.iteri
+      (fun i k -> if (i + round) mod 3 <> 0 then Serve.Cache.add c k values.(i))
+      keys
+  done;
+  Atomic.set writing false;
+  let results = Array.map Domain.join readers in
+  let finds = Array.fold_left (fun acc (f, _, _) -> acc + f) 0 results in
+  check_int "every find answered nothing or its key's value" 0
+    (Array.fold_left (fun acc (_, w, _) -> acc + w) 0 results);
+  check_int "length never exceeded capacity" 0
+    (Array.fold_left (fun acc (_, _, o) -> acc + o) 0 results);
+  let s = Serve.Cache.stats c in
+  check_int "hits + misses = finds" finds (s.hits + s.misses);
+  check_bool "the writer evicted" true (s.evictions > 0);
+  check_bool "length <= capacity at rest" true
+    (Serve.Cache.length c <= Serve.Cache.capacity c)
+
+(* --- write-buffer splice -------------------------------------------------- *)
+
+let iobuf_take buf =
+  let s = Serve.Iobuf.sub buf 0 (Serve.Iobuf.length buf) in
+  Serve.Iobuf.consume buf (Serve.Iobuf.length buf);
+  s
+
+(* The splice writes, in place, what [assemble] returns: a JSON line
+   with its newline, or a b1 frame.  Both agree with the response as
+   the schema prefix, [Obs.Json.str] of the id ("null" for none), a
+   comma and the body. *)
+let test_splice_matches_assemble () =
+  let ids =
+    [
+      None; Some ""; Some "r1"; Some "q\"uote"; Some "back\\slash";
+      Some "ctl \x00\x01\x08\x0c\x1f\n\t\r end"; Some "\xc3\xa9\x7f";
+      Some (String.make 300 'x');
+    ]
+  in
+  let bodies =
+    [
+      Serve.Response.ok_body ~req:"quote" ~result:"{\"p_star\":2,\"sr\":0.5}";
+      Serve.Response.error_body ~code:"parse_error" ~message:"bad \"json\"" ();
+      Serve.Response.error_body ~req:"sweep" ~code:"invalid_params"
+        ~message:(String.make 5000 'm') ();
+    ]
+  in
+  (* A small buffer holding unconsumed bytes, so splices land at an
+     offset and make it compact and grow. *)
+  let buf = Serve.Iobuf.create ~initial:16 () in
+  List.iter
+    (fun id ->
+      List.iter
+        (fun body ->
+          let want = Serve.Response.assemble ~id body in
+          let id_json = match id with Some s -> Obs.Json.str s | None -> "null" in
+          check_str "assemble = prefix, id literal, comma, body"
+            (String.concat "" [ "{\"schema\":\"htlc-serve/v1\",\"id\":"; id_json; ","; body ])
+            want;
+          iobuf_add buf "held";
+          Serve.Iobuf.consume buf 3;
+          Serve.Response.splice buf ~framed:false ~id body;
+          check_str "a spliced line is the assembled response and a newline"
+            ("d" ^ want ^ "\n") (iobuf_take buf);
+          Serve.Response.splice buf ~framed:true ~id body;
+          check_str "a spliced frame is the assembled response, length-prefixed"
+            (frame want) (iobuf_take buf))
+        bodies)
+    ids;
+  (* A frame over the b1 limit appends nothing. *)
+  let huge = String.make Serve.Binary.max_frame 'b' in
+  (match Serve.Response.splice buf ~framed:true ~id:None huge with
+  | () -> Alcotest.fail "a frame over max_frame must be refused"
+  | exception Invalid_argument _ -> ());
+  check_int "nothing appended" 0 (Serve.Iobuf.length buf)
+
+(* [index] against a plain scan of a model of the live bytes, across
+   random appends and consumes: compaction, growth and the offset reset
+   on an emptied buffer leave stale bytes (newlines among them) in the
+   storage outside the live span, which must never be found. *)
+let test_iobuf_index () =
+  let rng = Numerics.Rng.create ~seed:31 () in
+  let naive live c =
+    match String.index_opt live c with Some i -> i | None -> -1
+  in
+  for trial = 1 to 300 do
+    let buf = Serve.Iobuf.create ~initial:(1 + Numerics.Rng.int_below rng 40) () in
+    let live = ref "" in
+    for _ = 1 to 40 do
+      (if Numerics.Rng.int_below rng 3 = 0 && !live <> "" then begin
+         let k = Numerics.Rng.int_below rng (String.length !live + 1) in
+         Serve.Iobuf.consume buf k;
+         live := String.sub !live k (String.length !live - k)
+       end
+       else
+         let s =
+           String.init (Numerics.Rng.int_below rng 30) (fun _ ->
+               match Numerics.Rng.int_below rng 16 with
+               | 0 -> '\n'
+               | 1 -> '\xff'
+               | 2 -> '\x00'
+               | r -> Char.chr (96 + r))
+         in
+         iobuf_add buf s;
+         live := !live ^ s);
+      List.iter
+        (fun c ->
+          let want = naive !live c and got = Serve.Iobuf.index buf c in
+          if want <> got then
+            Alcotest.failf "trial %d: index %C over %S is %d, want %d" trial c !live
+              got want)
+        [ '\n'; '\xff'; '\x00'; 'a' ]
+    done
+  done;
+  (* Pinned: a newline left in storage past the live span.  The emptied
+     buffer restarts at offset 0 with the old bytes behind it. *)
+  let buf = Serve.Iobuf.create ~initial:64 () in
+  iobuf_add buf (String.make 19 'x' ^ "\n");
+  Serve.Iobuf.consume buf 20;
+  iobuf_add buf (String.make 16 'y');
+  check_int "a stale newline past the span is not found" (-1)
+    (Serve.Iobuf.index buf '\n');
+  iobuf_add buf "z\n";
+  check_int "the live one is" 17 (Serve.Iobuf.index buf '\n')
+
 (* --- engine -------------------------------------------------------------- *)
 
 let test_engine_handle () =
@@ -882,21 +1041,28 @@ let test_engine_route () =
 
 (* Words, not time: a count is exact on any host.  One fixed request per
    cacheable kind, with the shared defaults as params like perfbench's
-   hot set; (kind, request, key bound, cached-answer bound).  The key
-   allocates only its own string (13, 14, 16, 5 and 5 words) and a
-   cached [handle_decoded] 71, 59, 80, 53 and 56; each bound sits ~1.2x
-   above.  A key that prints its floats as canonical JSON allocates
-   50-80 words by itself, so either bound catches one. *)
+   hot set; (kind, request, key bound, cached-answer bound, spliced
+   bound).  The key allocates only its own string (13, 14, 16, 5 and 5
+   words), a cached [handle_decoded] 41, 29, 50, 23 and 26 (the key and
+   the response string), and a cached answer
+   spliced into a write buffer nothing but the key; each bound sits
+   ~1.2x above.  A key that prints its floats as canonical JSON
+   allocates 50-80 words by itself, and a response string built per
+   spliced hit 15-34, so the bounds catch either. *)
 let hit_path_cases =
   let d = Swap.Params.defaults in
   [
-    ("cutoffs", Serve.Request.Cutoffs { params = d; p_star = 1.9 }, 16., 85.);
-    ("success_rate", Serve.Request.Success_rate { params = d; p_star = 2.1; q = 0.3 }, 17., 71.);
+    ("cutoffs", Serve.Request.Cutoffs { params = d; p_star = 1.9 }, 16., 49., 16.);
+    ( "success_rate",
+      Serve.Request.Success_rate { params = d; p_star = 2.1; q = 0.3 },
+      17., 35., 17. );
     ( "sweep",
       Serve.Request.Sweep { params = d; q = 0.; spec = { lo = 1.7; hi = 2.3; n = 5 } },
-      19., 96. );
-    ("quote", Serve.Request.Quote { mu = 0.; sigma = 0.075; spot = 2. }, 6., 64.);
-    ("route", Serve.Request.Route { from_tok = "BTC"; to_tok = "ETH"; max_hops = 3 }, 6., 67.);
+      19., 60., 19. );
+    ("quote", Serve.Request.Quote { mu = 0.; sigma = 0.075; spot = 2. }, 6., 28., 6.);
+    ( "route",
+      Serve.Request.Route { from_tok = "BTC"; to_tok = "ETH"; max_hops = 3 },
+      6., 31., 6. );
   ]
 
 let words_per_call f =
@@ -911,7 +1077,7 @@ let words_per_call f =
 let test_alloc_per_hit () =
   let e = make_engine () in
   List.iter
-    (fun (kind, body, key_bound, hit_bound) ->
+    (fun (kind, body, key_bound, hit_bound, _) ->
       let req = { Serve.Request.id = Some "h1"; body } in
       let key_words =
         words_per_call (fun () -> ignore (Sys.opaque_identity (Serve.Request.key req)))
@@ -932,6 +1098,31 @@ let test_alloc_per_hit () =
   check_int "every measured answer was a cache hit"
     (1001 * List.length hit_path_cases)
     s.Serve.Engine.cache.Serve.Cache.hits
+
+(* What the reactor does per cached request, less the decode: the
+   engine's answer spliced into a connection's write buffer as a b1
+   frame and as a JSON line.  No response string is built, so this
+   allocates the key and little else. *)
+let test_alloc_per_spliced_hit () =
+  let e = make_engine () in
+  let buf = Serve.Iobuf.create () in
+  List.iter
+    (fun (kind, body, _, _, splice_bound) ->
+      let req = { Serve.Request.id = Some "h1"; body } in
+      ignore (Serve.Engine.handle_decoded e req);
+      let spliced framed =
+        words_per_call (fun () ->
+            Serve.Response.splice buf ~framed ~id:req.id (Serve.Engine.answer e req);
+            Serve.Iobuf.consume buf (Serve.Iobuf.length buf))
+      in
+      List.iter
+        (fun framed ->
+          let words = spliced framed in
+          if words > splice_bound then
+            Alcotest.failf "a cached %s answer spliced as a %s allocates %.1f words (bound %.0f)"
+              kind (if framed then "b1 frame" else "JSON line") words splice_bound)
+        [ true; false ])
+    hit_path_cases
 
 let test_determinism_guard () =
   (* Two identically configured engines, one answering on one domain
@@ -1320,6 +1511,76 @@ let test_client_deadline_and_unavailable () =
 
 (* --- socket transport ---------------------------------------------------- *)
 
+let fd_limit_refusals () =
+  Obs.Metrics.counter_value (Obs.Metrics.counter "serve.connection_errors.fd_limit")
+
+(* [select] cannot take an fd at or above FD_SETSIZE (1024), and one in
+   a shard's set made every select there fail, ending the shard.  Linux
+   reserves the fd an [accept] returns when the call starts to wait, so
+   with the fd table filled after c0 is accepted, c1 lands on the
+   reserved low fd and c2 above 1024: c2 must be refused (EOF, counted)
+   while c0 and c1 keep their byte-identical answers.  The clients'
+   own fds above 1024 are read with blocking reads under a receive
+   timeout, never with select. *)
+let test_fd_limit_refused () =
+  let e = make_engine () and reference = make_engine () in
+  let path = Printf.sprintf "/tmp/htlc-serve-fdlimit-%d.sock" (Unix.getpid ()) in
+  let server = Serve.Server.listen e ~path ~shards:1 () in
+  let open_conn () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    (fd, Unix.in_channel_of_descr fd)
+  in
+  (* [None]: the server closed the connection (EPIPE or EOF) or stayed
+     silent past the receive timeout. *)
+  let ask (fd, ic) line =
+    match Unix.write_substring fd (line ^ "\n") 0 (String.length line + 1) with
+    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> None
+    | _ -> (
+      match input_line ic with
+      | resp -> Some resp
+      | exception (End_of_file | Sys_error _) -> None)
+  in
+  let answered what conn id =
+    let line = sr_line id in
+    match ask conn line with
+    | Some resp -> check_str what (Serve.Engine.handle reference line) resp
+    | None -> Alcotest.failf "%s: no answer" what
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let fillers = ref [] in
+  let conns = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (!conns @ !fillers @ [ null ]);
+      Serve.Server.shutdown server)
+  @@ fun () ->
+  let c0 = open_conn () in
+  conns := [ fst c0 ];
+  answered "c0 before the table fills" c0 "c0-a";
+  (* The accepter re-enters accept right after handing c0 over, before
+     c0 could be answered; the pause makes sure it holds the next low
+     fd. *)
+  Unix.sleepf 0.3;
+  let refused_before = fd_limit_refusals () in
+  (try
+     for _ = 1 to 1100 do
+       fillers := Unix.dup null :: !fillers
+     done
+   with Unix.Unix_error (Unix.EMFILE, _, _) -> Alcotest.skip ());
+  let c1 = open_conn () in
+  let c2 = open_conn () in
+  conns := fst c1 :: fst c2 :: !conns;
+  answered "c1 on the reserved fd" c1 "c1-a";
+  check_bool "c2, accepted above FD_SETSIZE, is refused" true
+    (ask c2 (sr_line "c2-a") = None);
+  check_int "one refusal counted" (refused_before + 1) (fd_limit_refusals ());
+  answered "c0 after the refusal" c0 "c0-b";
+  answered "c1 after the refusal" c1 "c1-b"
+
 let test_socket_roundtrip () =
   let e = make_engine () in
   let path = Printf.sprintf "/tmp/htlc-serve-test-%d.sock" (Unix.getpid ()) in
@@ -1642,6 +1903,45 @@ let test_stats_request () =
 (* Each served-request fact has one recorder — the engine's and cache's
    exact counts, Telemetry's histograms and flight recorder — and
    nothing copies it into the global registry. *)
+(* The cache stores each answer's status with its body: a cached error
+   body ([invalid_params] for a sweep past the server's limit) served as
+   a hit still records status "error" in the flight recorder, as the
+   computed one did. *)
+let test_cached_error_status () =
+  Serve.Telemetry.reset ();
+  let e = make_engine () in
+  let line id =
+    Printf.sprintf
+      "{\"schema\":\"htlc-serve/v1\",\"id\":%S,\"req\":\"sweep\",\"lo\":1.6,\"hi\":2.4,\"n\":100000}"
+      id
+  in
+  List.iter
+    (fun id ->
+      let clock = Serve.Telemetry.make ~codec:"pipe" ~read_ns:(Serve.Telemetry.now_ns ()) in
+      let resp = Serve.Engine.handle ~clock e (line id) in
+      Serve.Telemetry.finish_now clock;
+      check_bool (id ^ " answered invalid_params") true
+        (contains resp "\"error\":\"invalid_params\""))
+    [ "computed"; "cached" ];
+  check_int "the second answer was a hit" 1 (Serve.Engine.stats e).cache.hits;
+  let dump = Filename.temp_file "htlc-cached-error" ".jsonl" in
+  Out_channel.with_open_text dump (Serve.Telemetry.write_recorder ~reason:"unit-test");
+  let records =
+    In_channel.with_open_text dump In_channel.input_lines
+    |> List.tl
+    |> List.map Obs.Json_parse.parse
+  in
+  Sys.remove dump;
+  let field r key = Obs.Json_parse.(as_str key (member "record" r key)) in
+  let seen =
+    List.map (fun r -> (field r "id", field r "cache", field r "status")) records
+  in
+  check
+    Alcotest.(list (triple string string string))
+    "both recorded as errors, one computed and one from the cache"
+    [ ("computed", "miss", "error"); ("cached", "hit", "error") ]
+    seen
+
 let test_no_registry_copies () =
   let e = Serve.Engine.create ~mus ~sigmas ~cache_shards:1 ~cache_capacity:1 () in
   List.iter
@@ -1705,6 +2005,8 @@ let () =
           Alcotest.test_case "hit/miss/incumbent" `Quick test_cache_hit_miss;
           Alcotest.test_case "second chance" `Quick test_cache_second_chance;
           Alcotest.test_case "capacity bound" `Quick test_cache_capacity_bound;
+          Alcotest.test_case "concurrent readers and writer" `Quick
+            test_cache_concurrent;
         ] );
       ( "engine",
         [
@@ -1713,8 +2015,18 @@ let () =
           Alcotest.test_case "route kind" `Quick test_engine_route;
           Alcotest.test_case "jobs invariance" `Quick test_determinism_guard;
         ] );
+      ( "iobuf",
+        [
+          Alcotest.test_case "splice matches assemble" `Quick
+            test_splice_matches_assemble;
+          Alcotest.test_case "index scans the live span" `Quick test_iobuf_index;
+        ] );
       ( "serve",
-        [ Alcotest.test_case "allocation per cache hit" `Quick test_alloc_per_hit ] );
+        [
+          Alcotest.test_case "allocation per cache hit" `Quick test_alloc_per_hit;
+          Alcotest.test_case "allocation per spliced cache hit" `Quick
+            test_alloc_per_spliced_hit;
+        ] );
       ( "supervision",
         [
           Alcotest.test_case "crash on a live shard" `Quick
@@ -1746,7 +2058,11 @@ let () =
             test_client_deadline_and_unavailable;
         ] );
       ( "transport",
-        [ Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip ] );
+        [
+          Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip;
+          Alcotest.test_case "fd above FD_SETSIZE refused" `Quick
+            test_fd_limit_refused;
+        ] );
       ( "quote-table",
         [ Alcotest.test_case "reasons + gaps" `Quick test_quote_table_reasons ] );
       ( "telemetry",
@@ -1761,5 +2077,7 @@ let () =
           Alcotest.test_case "stats request kind" `Quick test_stats_request;
           Alcotest.test_case "no registry copies" `Quick
             test_no_registry_copies;
+          Alcotest.test_case "cached error keeps its status" `Quick
+            test_cached_error_status;
         ] );
     ]
