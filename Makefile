@@ -91,8 +91,8 @@ lint-deep-smoke:
 # Full recorded perf baseline, written to BENCH_mc.json: the traced
 # per-layer ladder (perfbench/run.py --trace 1, each run a fresh
 # process pinned to one CPU) over BENCH_SEEDS, as min/median/max per
-# layer, plus the 20k-trial Monte-Carlo wall clock at jobs=1 vs jobs=N
-# (N = the CPUs available).
+# layer, plus the 1,000,000-trial Monte-Carlo wall clock at jobs=1 vs
+# jobs=N (N = the CPUs available).
 BENCH_SEEDS = 1 2 3 4 5
 BENCH_SECONDS = 10
 BENCH_LADDER = _build/bench-ladder
@@ -107,13 +107,14 @@ bench-baseline:
 	dune exec bench/main.exe -- --json BENCH_mc.json \
 	  $(foreach s,$(BENCH_SEEDS),$(BENCH_LADDER)/seed-$(s).out)
 
-# Full serve load run: 100k requests against the socket reactor (4
-# pipelined clients, both codecs), byte-compared against direct
-# library calls, then the first 10k again through the seeded chaos
-# transports (fault-injected clients + one handler crash on a live
-# shard), written to SERVE_bench.json ("serve" + "chaos" sections).
+# Full chaos-serve run: 10k requests from 4 retrying clients through
+# the seeded chaos transports (fault-injected clients + one handler
+# crash on a live shard), byte-compared against direct library calls,
+# written to SERVE_bench.json (its "chaos" section).  Serve load is
+# measured by perfbench's serve-hot (`make bench-baseline` records its
+# layers in BENCH_mc.json).
 serve-bench:
-	dune exec bench/main.exe -- serve --json SERVE_bench.json --chaos
+	dune exec bench/main.exe -- serve --json SERVE_bench.json
 
 # Soak run of the chaos invariant suite (default is 500 schedules).
 chaos:

@@ -1,131 +1,15 @@
-(* Shape validator for the bench baseline JSON (bench --json FILE and
-   bench serve --json FILE).
+(* Shape validator for the bench baseline JSON (bench --json FILE).
 
    Used by the @bench-smoke alias so the perf plumbing cannot rot
    silently: it fully parses the emitted file with the shared minimal
    JSON reader (Obs.Json_parse) and checks every field the baseline
    contract promises — that each recorded layer's spread is ordered
-   (min <= median <= max), that the jobs=1 and jobs=N Monte-Carlo runs
-   were bit-identical, and that a "serve" load-test section (when
-   present) reports sane latency quantiles and a clean
-   identical-to-direct record.  A `bench serve` baseline carries only
-   the "serve" section; the baseline run carries "layers" + "mc".
-   With [--budget BASELINE] it also gates the file's layers against
-   the recorded ones. *)
+   (min <= median <= max) and that the jobs=1 and jobs=N Monte-Carlo
+   runs were bit-identical.  A baseline must carry both "layers" and
+   "mc".  With [--budget BASELINE] it also gates the file's layers
+   against the recorded ones. *)
 
 open Obs.Json_parse
-
-(* One codec leg under serve.codecs: the per-wire-format measurement of
-   the head-to-head (the reactor serves htlc-serve/v1 JSON and
-   htlc-serve/b1 binary over the same engine). *)
-let validate_codec_leg ~codec leg =
-  let path key = Printf.sprintf "serve.codecs.%s.%s" codec key in
-  let num key = as_num (path key) (member ("serve.codecs." ^ codec) leg key) in
-  if num "throughput_rps" <= 0. then bad "%s must be > 0" (path "throughput_rps");
-  let p50 = num "p50_ms" and p99 = num "p99_ms" in
-  if p50 < 0. then bad "%s must be >= 0" (path "p50_ms");
-  if p99 < p50 then bad "%s must be >= p50_ms" (path "p99_ms");
-  let hit_rate = num "cache_hit_rate" in
-  if hit_rate < 0. || hit_rate > 1. then
-    bad "%s must be in [0, 1] (got %g)" (path "cache_hit_rate") hit_rate;
-  if num "mismatches" <> 0. then
-    bad "%s must be 0: a response was corrupted" (path "mismatches");
-  if num "dropped" <> 0. then
-    bad "%s must be 0: a response never arrived" (path "dropped");
-  if
-    not
-      (as_bool
-         (path "identical_to_direct")
-         (member ("serve.codecs." ^ codec) leg "identical_to_direct"))
-  then
-    bad "%s is false: a served response diverged from the direct library call"
-      (path "identical_to_direct")
-
-(* One stage row under serve.stages: the telemetry stage-clock quantiles
-   folded over the measured legs (microseconds, histogram windows). *)
-let known_stages =
-  [ "decode"; "cache"; "compute"; "encode"; "flush"; "total" ]
-
-let validate_stage ~stage row =
-  let path key = Printf.sprintf "serve.stages.%s.%s" stage key in
-  if not (List.mem stage known_stages) then
-    bad "serve.stages: unknown stage %S" stage;
-  let num key = as_num (path key) (member ("serve.stages." ^ stage) row key) in
-  if num "count" < 1. then bad "%s must be >= 1" (path "count");
-  if num "mean_us" < 0. then bad "%s must be >= 0" (path "mean_us");
-  let window = num "window" in
-  if window < 1. || window > num "count" then
-    bad "%s must be in [1, count]" (path "window");
-  let qs =
-    List.map (fun k -> (k, num k)) [ "p50_us"; "p90_us"; "p99_us"; "p999_us" ]
-  in
-  List.iter
-    (fun (k, v) -> if v < 0. then bad "%s must be >= 0" (path k))
-    qs;
-  let rec ordered = function
-    | (ka, a) :: ((kb, b) :: _ as rest) ->
-      if b < a then bad "%s < %s: quantiles out of order" (path kb) (path ka);
-      ordered rest
-    | _ -> ()
-  in
-  ordered qs
-
-(* serve.telemetry: the overhead head-to-head (JSON leg rerun with the
-   stage clocks disabled). *)
-let validate_telemetry_member tel =
-  let num key = as_num ("serve.telemetry." ^ key) (member "serve.telemetry" tel key) in
-  let sample_every = num "sample_every" in
-  if sample_every < 1. || Float.rem sample_every 1. <> 0. then
-    bad "serve.telemetry.sample_every must be a positive integer (got %g)"
-      sample_every;
-  if num "enabled_rps" <= 0. then bad "serve.telemetry.enabled_rps must be > 0";
-  if num "disabled_rps" <= 0. then
-    bad "serve.telemetry.disabled_rps must be > 0";
-  let frac = num "overhead_frac" in
-  if frac >= 1. then
-    bad "serve.telemetry.overhead_frac must be < 1 (got %g)" frac
-
-(* The "serve" member records the socket load test (bench serve): client
-   totals, latency quantiles, cache hit-rate, the byte-identity check
-   against direct in-process calls, and the per-codec breakdown of the
-   JSON vs binary head-to-head. *)
-let validate_serve_member serve =
-  let num key = as_num ("serve." ^ key) (member "serve" serve key) in
-  if num "requests" < 1. then bad "serve.requests must be >= 1";
-  if num "clients" < 1. then bad "serve.clients must be >= 1";
-  if num "reactor_shards" < 1. then bad "serve.reactor_shards must be >= 1";
-  if num "pipeline_window" < 1. then bad "serve.pipeline_window must be >= 1";
-  if num "throughput_rps" <= 0. then bad "serve.throughput_rps must be > 0";
-  let p50 = num "p50_ms" and p99 = num "p99_ms" in
-  if p50 < 0. then bad "serve.p50_ms must be >= 0";
-  if p99 < p50 then bad "serve.p99_ms must be >= p50_ms";
-  let hit_rate = num "cache_hit_rate" in
-  if hit_rate < 0. || hit_rate > 1. then
-    bad "serve.cache_hit_rate must be in [0, 1] (got %g)" hit_rate;
-  if num "mismatches" <> 0. then
-    bad "serve.mismatches must be 0: a response was dropped or corrupted";
-  if
-    not
-      (as_bool "serve.identical_to_direct"
-         (member "serve" serve "identical_to_direct"))
-  then
-    bad
-      "serve.identical_to_direct is false: a served response diverged from \
-       the direct library call";
-  let codecs = member "serve" serve "codecs" in
-  validate_codec_leg ~codec:"json" (member "serve.codecs" codecs "json");
-  validate_codec_leg ~codec:"binary" (member "serve.codecs" codecs "binary");
-  (* Pre-telemetry baselines carry neither member; when present both
-     must be well-formed and stages must include the total clock. *)
-  (match member_opt serve "stages" with
-  | None -> ()
-  | Some stages ->
-    let rows = as_obj "serve.stages" stages in
-    if rows = [] then bad "serve.stages is empty";
-    if not (List.mem_assoc "total" rows) then
-      bad "serve.stages is missing the \"total\" stage";
-    List.iter (fun (stage, row) -> validate_stage ~stage row) rows);
-  Option.iter validate_telemetry_member (member_opt serve "telemetry")
 
 (* A nullable-number member as an option (num_or_null checks shape
    only); NaN — which Obs.Json emits as null — reads back as None. *)
@@ -168,7 +52,12 @@ let layer_rows root =
       (name, { unit_; runs = int_of_float runs; median; max = hi }))
     (as_obj "layers" (member "top level" root "layers"))
 
-let validate_layers_and_mc root =
+let validate root =
+  (match root with
+  | Obj _ -> ()
+  | _ -> bad "top level: expected an object");
+  let schema = as_str "schema" (member "top level" root "schema") in
+  if schema <> "htlc-bench/v1" then bad "unknown schema %S" schema;
   let jobs = member "top level" root "jobs" in
   let seq = as_num "jobs.sequential" (member "jobs" jobs "sequential") in
   if seq <> 1. then bad "jobs.sequential must be 1 (got %g)" seq;
@@ -196,20 +85,6 @@ let validate_layers_and_mc root =
   if not (as_bool "mc.identical_results" (member "mc" mc "identical_results"))
   then bad "mc.identical_results is false: jobs=1 and jobs=N diverged";
   List.length layers
-
-let validate root =
-  (match root with
-  | Obj _ -> ()
-  | _ -> bad "top level: expected an object");
-  let schema = as_str "schema" (member "top level" root "schema") in
-  if schema <> "htlc-bench/v1" then bad "unknown schema %S" schema;
-  let serve = member_opt root "serve" in
-  Option.iter validate_serve_member serve;
-  (* A serve-only baseline has no layer record; every other baseline
-     must carry the layers + Monte-Carlo determinism record. *)
-  match member_opt root "layers" with
-  | None when serve <> None -> 0
-  | _ -> validate_layers_and_mc root
 
 (* --- per-layer budgets ---------------------------------------------------- *)
 

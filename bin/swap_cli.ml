@@ -1,37 +1,50 @@
-(* Command-line interface to the atomic-swap game library.
-
-   Subcommands:
-     cutoffs        decision thresholds for a parameterisation
-     success-rate   analytic SR, optionally with collateral
-     sweep          SR across a range of exchange rates
-     simulate       Monte-Carlo estimate under a chosen policy
-     protocol       run one swap end-to-end on the chain simulator
-     experiment     regenerate a paper table/figure (or all)
-     serve          long-lived htlc-serve/v1 service (pipe or socket) *)
+(* Command-line interface to the atomic-swap game library: one cmdliner
+   command per surface, grouped in [main_cmd] at the end of this file
+   (`swap_cli --help` lists them). *)
 
 open Cmdliner
 
 (* --- argument validation ------------------------------------------------ *)
 
 (* Values the library refuses with [Invalid_argument] (trial counts,
-   sizes, probabilities, windows) are rejected at parse time as usage
-   errors (exit 124), not as an uncaught exception. *)
-let positive_int =
+   sizes, probabilities, windows, job counts, deadlines) are rejected at
+   parse time as usage errors (exit 124), not as an uncaught
+   exception. *)
+let int_conv ~expected ok =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    | Some n when ok n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
-let probability =
+let positive_int = int_conv ~expected:"a positive integer" (fun n -> n >= 1)
+
+(* Grid sizes: [Grid.linspace] needs both endpoints. *)
+let grid_points = int_conv ~expected:"an integer >= 2" (fun n -> n >= 2)
+
+(* Finite floats only: a NaN or infinite value passes no library check
+   meaningfully. *)
+let float_conv ~docv ~expected ok =
   let parse s =
     match float_of_string_opt s with
-    | Some x when x >= 0. && x <= 1. -> Ok x
-    | _ ->
-      Error (`Msg (Printf.sprintf "expected a probability in [0, 1], got %S" s))
+    | Some x when Float.is_finite x && ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
   in
-  Arg.conv ~docv:"P" (parse, Format.pp_print_float)
+  Arg.conv ~docv (parse, Format.pp_print_float)
+
+let probability =
+  float_conv ~docv:"P" ~expected:"a probability in [0, 1]" (fun x ->
+      x >= 0. && x <= 1.)
+
+(* Positive once converted to the seconds [Client.create] takes: a
+   subnormal count of milliseconds divides to 0. *)
+let positive_ms =
+  float_conv ~docv:"MS" ~expected:"a positive number of milliseconds"
+    (fun ms -> ms /. 1000. > 0.)
+
+let non_negative_float =
+  float_conv ~docv:"X" ~expected:"a non-negative number" (fun x -> x >= 0.)
 
 (* [term]'s value, or the usage error [msg] when [ok] rejects it. *)
 let require ok msg term =
@@ -86,7 +99,7 @@ let q_term =
 let jobs_term =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for parallel sections (Monte-Carlo chunks, \
@@ -187,7 +200,11 @@ let success_cmd =
 let sweep_cmd =
   let lo = Arg.(value & opt float 1.5 & info [ "lo" ] ~doc:"Lowest P*.") in
   let hi = Arg.(value & opt float 2.5 & info [ "hi" ] ~doc:"Highest P*.") in
-  let n = Arg.(value & opt int 21 & info [ "n" ] ~doc:"Grid points.") in
+  let n =
+    Arg.(
+      value & opt grid_points 21
+      & info [ "n" ] ~doc:"Grid points (at least 2).")
+  in
   let run params q lo hi n =
     let p_stars = Numerics.Grid.linspace ~lo ~hi ~n in
     Printf.printf "p_star,sr\n";
@@ -704,7 +721,7 @@ let serve_cmd =
   in
   let sample_every =
     Arg.(
-      value & opt int 256
+      value & opt positive_int 256
       & info [ "sample-every" ] ~docv:"N"
           ~doc:
             "Promote ~1/$(docv) of requests to full trace spans \
@@ -922,7 +939,7 @@ let graph_sweep_cmd =
   let slacks =
     Arg.(
       value
-      & opt_all float [ 0. ]
+      & opt_all non_negative_float [ 0. ]
       & info [ "slack" ] ~docv:"H"
           ~doc:
             "Extra stagger per claim level, in hours (repeatable; the \
@@ -1102,14 +1119,14 @@ let call_cmd =
   in
   let max_attempts =
     Arg.(
-      value & opt int 6
+      value & opt positive_int 6
       & info [ "max-attempts" ] ~docv:"N"
           ~doc:"Attempts per request before reporting it unavailable.")
   in
   let deadline_ms =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some positive_ms) None
       & info [ "deadline-ms" ] ~docv:"MS"
           ~doc:
             "Per-request wall deadline (including reconnects and backoff \

@@ -207,7 +207,8 @@ let claims () =
     {
       id = "ac3-regime";
       statement =
-        "Witness commitment's SR equals the alice-committed regime          (Sec. II-C protocols on the same utility model)";
+        "Witness commitment's SR equals the alice-committed regime (Sec. \
+         II-C protocols on the same utility model)";
       expectation = Holds;
       measure =
         bool_measure (fun () ->

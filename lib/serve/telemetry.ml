@@ -336,85 +336,35 @@ let finish c ~flush_ns =
 
 let finish_now c = finish c ~flush_ns:(now_ns ())
 
-(* --- structured reads ----------------------------------------------------- *)
-
-type stage_stat = {
-  st_stage : string;
-  st_count : int; (* samples ever recorded *)
-  st_mean_s : float;
-  st_window : int; (* samples in the trailing window *)
-  st_p50_s : float;
-  st_p90_s : float;
-  st_p99_s : float;
-  st_p999_s : float;
-}
-
-let export_qs = [| 0.50; 0.90; 0.99; 0.999 |]
-
-let view h = M.hist_view h ~now_ns:(now_ns ()) export_qs
-
-(* Rows for the stages whose windows hold samples, in stage order. *)
-let stage_rows (views : M.hist_view array) =
-  List.filter_map
-    (fun i ->
-      let v = views.(i) in
-      if v.v_window = 0 then None
-      else
-        let q = v.v_quantiles in
-        Some
-          {
-            st_stage = stage_names.(i);
-            st_count = v.v_count;
-            st_mean_s = v.v_sum /. float_of_int v.v_count;
-            st_window = v.v_window;
-            st_p50_s = q.(0);
-            st_p90_s = q.(1);
-            st_p99_s = q.(2);
-            st_p999_s = q.(3);
-          })
-    (List.init (Array.length views) Fun.id)
-
-let stage_stats () = stage_rows (Array.map view stage_hists)
-
-type latency_stat = {
-  l_kind : string;
-  l_codec : string;
-  l_count : int; (* samples ever recorded *)
-  l_window : int;
-  l_p50_s : float;
-  l_p90_s : float;
-  l_p99_s : float;
-  l_p999_s : float;
-}
-
-let latency_stats () =
-  List.concat_map
-    (fun k ->
-      List.filter_map
-        (fun c ->
-          let v = view latency_hists.(k).(c) in
-          if v.M.v_window = 0 then None
-          else
-            let q = v.v_quantiles in
-            Some
-              {
-                l_kind = kind_names.(k);
-                l_codec = codec_names.(c);
-                l_count = v.v_count;
-                l_window = v.v_window;
-                l_p50_s = q.(0);
-                l_p90_s = q.(1);
-                l_p99_s = q.(2);
-                l_p999_s = q.(3);
-              })
-        (List.init (Array.length codec_names) Fun.id))
-    (List.init (Array.length kind_names) Fun.id)
-
 (* --- stats document ------------------------------------------------------- *)
 
 let j_num = Obs.Json.num
 let j_str = Obs.Json.str
 let us x = j_num (x *. 1e6)
+
+(* Quantiles come from each histogram's trailing window, within
+   [Obs.Metrics.relative_error] of the exact nearest-rank values. *)
+let export_qs = [| 0.50; 0.90; 0.99; 0.999 |]
+
+let view h = M.hist_view h ~now_ns:(now_ns ()) export_qs
+
+(* One [latency] or [stages] row, in microseconds: written only when the
+   histogram's window holds samples, preceded by a comma unless it is
+   the section's first.  Only the stage rows carry a mean, over every
+   sample ever recorded. *)
+let add_row b ~first ~mean name (v : M.hist_view) =
+  if v.v_window > 0 then begin
+    if not !first then Buffer.add_char b ',';
+    first := false;
+    let q = v.v_quantiles in
+    Printf.bprintf b "%s:{\"count\":%d" (j_str name) v.v_count;
+    if mean then
+      Printf.bprintf b ",\"mean_us\":%s"
+        (us (v.v_sum /. float_of_int v.v_count));
+    Printf.bprintf b
+      ",\"window\":%d,\"p50_us\":%s,\"p90_us\":%s,\"p99_us\":%s,\"p999_us\":%s}"
+      v.v_window (us q.(0)) (us q.(1)) (us q.(2)) (us q.(3))
+  end
 
 let stats_json () =
   (* One read per stage: the [rate] section is the [total] stage's
@@ -428,45 +378,30 @@ let stats_json () =
     else 0.
   in
   let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"telemetry\":{\"enabled\":%b,\"sample_every\":%d}"
-       (enabled ()) (sample_every ()));
-  Buffer.add_string b
-    (Printf.sprintf ",\"rate\":{\"window_s\":%s,\"rps\":%s,\"total\":%d}"
-       (j_num total.v_window_s) (j_num rps) total.v_count);
+  Printf.bprintf b "{\"telemetry\":{\"enabled\":%b,\"sample_every\":%d}"
+    (enabled ()) (sample_every ());
+  Printf.bprintf b ",\"rate\":{\"window_s\":%s,\"rps\":%s,\"total\":%d}"
+    (j_num total.v_window_s) (j_num rps) total.v_count;
   Buffer.add_string b ",\"latency\":{";
-  List.iteri
-    (fun i l ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "%s:{\"count\":%d,\"window\":%d,\"p50_us\":%s,\"p90_us\":%s,\"p99_us\":%s,\"p999_us\":%s}"
-           (j_str (l.l_kind ^ "." ^ l.l_codec))
-           l.l_count l.l_window (us l.l_p50_s) (us l.l_p90_s) (us l.l_p99_s)
-           (us l.l_p999_s)))
-    (latency_stats ());
+  let first = ref true in
+  Array.iteri
+    (fun k row ->
+      Array.iteri
+        (fun c h ->
+          add_row b ~first ~mean:false
+            (kind_names.(k) ^ "." ^ codec_names.(c))
+            (view h))
+        row)
+    latency_hists;
   Buffer.add_string b "},\"stages\":{";
-  List.iteri
-    (fun i st ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "%s:{\"count\":%d,\"mean_us\":%s,\"window\":%d,\"p50_us\":%s,\"p90_us\":%s,\"p99_us\":%s,\"p999_us\":%s}"
-           (j_str st.st_stage) st.st_count (us st.st_mean_s) st.st_window
-           (us st.st_p50_s) (us st.st_p90_s) (us st.st_p99_s)
-           (us st.st_p999_s)))
-    (stage_rows stages);
-  Buffer.add_string b
-    (Printf.sprintf
-       "},\"recorder\":{\"capacity\":%d,\"recorded\":%d,\"pushed\":%d,\"dropped\":%d}"
-       (recorder_capacity ()) (recorder_recorded ()) (recorder_pushed ())
-       (recorder_dropped ()));
-  Buffer.add_string b
-    (Printf.sprintf
-       ",\"trace\":{\"enabled\":%b,\"spans\":%d,\"dropped\":%d}}"
-       (Obs.Trace.enabled ())
-       (Obs.Trace.span_count ())
-       (Obs.Trace.dropped ()));
+  let first = ref true in
+  Array.iteri (fun i v -> add_row b ~first ~mean:true stage_names.(i) v) stages;
+  Printf.bprintf b
+    "},\"recorder\":{\"capacity\":%d,\"recorded\":%d,\"pushed\":%d,\"dropped\":%d}"
+    (recorder_capacity ()) (recorder_recorded ()) (recorder_pushed ())
+    (recorder_dropped ());
+  Printf.bprintf b ",\"trace\":{\"enabled\":%b,\"spans\":%d,\"dropped\":%d}}"
+    (Obs.Trace.enabled ()) (Obs.Trace.span_count ()) (Obs.Trace.dropped ());
   Buffer.contents b
 
 (* --- flight-recorder dump ------------------------------------------------- *)
@@ -529,7 +464,7 @@ let dump_to_path ~reason =
       (try write_recorder ~reason oc with Sys_error _ -> ());
       (try close_out oc with Sys_error _ -> ()))
 
-(* --- reset (tests, bench legs) -------------------------------------------- *)
+(* --- reset (tests, the socket smoke) ------------------------------------- *)
 
 let reset () =
   let now_ns = now_ns () in

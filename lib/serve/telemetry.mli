@@ -78,50 +78,18 @@ val finish : clock -> flush_ns:int -> unit
 val finish_now : clock -> unit
 (** {!finish} at the current monotonic time. *)
 
-(** {1 Structured reads}
-
-    Quantiles come from each histogram's trailing window
-    ({!Obs.Metrics.hist_view}: the last 10–20 s when read at least
-    every 10 s), within [Obs.Metrics.relative_error] of the exact
-    nearest-rank values. *)
-
-type stage_stat = {
-  st_stage : string;
-  st_count : int;  (** samples ever recorded *)
-  st_mean_s : float;  (** over every sample *)
-  st_window : int;  (** samples in the trailing window *)
-  st_p50_s : float;
-  st_p90_s : float;
-  st_p99_s : float;
-  st_p999_s : float;
-}
-
-val stage_stats : unit -> stage_stat list
-(** Per-stage breakdown (stages with samples in the window), in stage
-    order: decode, cache, compute, encode, flush, total. *)
-
-type latency_stat = {
-  l_kind : string;
-  l_codec : string;
-  l_count : int;  (** samples ever recorded *)
-  l_window : int;  (** samples in the trailing window *)
-  l_p50_s : float;
-  l_p90_s : float;
-  l_p99_s : float;
-  l_p999_s : float;
-}
-
-val latency_stats : unit -> latency_stat list
-(** Total-latency quantiles per (kind, codec) with samples in the
-    window. *)
-
 val stats_json : unit -> string
 (** The `stats` request result: one JSON object with [telemetry],
     [rate], [latency], [stages], [recorder], and [trace] sections.
     [rate] comes from the same read of the [total] stage histogram as
     the [stages] row: [total] is its count, [window_s] the seconds its
     trailing window spans, and [rps] the window's count over
-    [window_s].
+    [window_s].  [latency] holds one row per (kind, codec) and
+    [stages] one per stage, in stage order (decode, cache, compute,
+    encode, flush, total), each only when its histogram's trailing
+    window holds samples ({!Obs.Metrics.hist_view}: the last 10–20 s
+    when read at least every 10 s).  Quantiles are within
+    [Obs.Metrics.relative_error] of the exact nearest-rank values.
     Live state — never cached, outside the byte-identity contract. *)
 
 (** {1 Flight recorder} *)
@@ -153,4 +121,4 @@ val dump_to_path : reason:string -> unit
 
 val reset : unit -> unit
 (** Empty the histograms' trailing windows (their cumulative counts
-    stay) and the recorder (tests and bench legs). *)
+    stay) and the recorder (tests and the socket smoke). *)

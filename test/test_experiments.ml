@@ -78,6 +78,16 @@ let test_scorecard_all_pass () =
   if not (Experiments.Scorecard.all_pass ()) then
     Alcotest.fail "a replication claim failed; run 'experiment scorecard'"
 
+(* A statement is printed as one table cell: a run of spaces or a line
+   break inside it (a hand-wrapped literal) misaligns the row. *)
+let test_scorecard_statements_one_line () =
+  List.iter
+    (fun (c : Experiments.Scorecard.claim) ->
+      if contains c.statement "  " || String.contains c.statement '\n' then
+        Alcotest.failf "%s: statement %S holds a double space or a newline"
+          c.id c.statement)
+    (Experiments.Scorecard.claims ())
+
 let test_datasets_produce_csv () =
   List.iter
     (fun id ->
@@ -133,6 +143,8 @@ let () =
             test_key_findings_present;
           Alcotest.test_case "scorecard all PASS" `Slow
             test_scorecard_all_pass;
+          Alcotest.test_case "scorecard statements are one line" `Quick
+            test_scorecard_statements_one_line;
         ] );
       ( "datasets",
         [

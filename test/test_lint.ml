@@ -610,11 +610,51 @@ let declared_types file =
           | _ -> [])
         (Parse.implementation (Lexing.from_channel ic)))
 
+(* The commands of swap_cli's group, read from its own help: under
+   COMMANDS each entry's first line is indented seven columns and starts
+   with the command's name; the next unindented line ends the section.
+   The (deps) of this test build the binary next to the build tree. *)
+let swap_cli_commands () =
+  let ic =
+    Unix.open_process_args_in "../bin/swap_cli.exe"
+      [| "swap_cli"; "--help=plain" |]
+  in
+  let lines = In_channel.input_lines ic in
+  ignore (Unix.close_process_in ic);
+  let rec commands = function
+    | "COMMANDS" :: rest -> entries rest
+    | _ :: rest -> commands rest
+    | [] -> []
+  and entries = function
+    | l :: _ when l <> "" && l.[0] <> ' ' -> []
+    | l :: rest
+      when String.length l > 7
+           && String.starts_with ~prefix:"       " l
+           && l.[7] <> ' ' ->
+      List.hd (String.split_on_char ' ' (String.sub l 7 (String.length l - 7)))
+      :: entries rest
+    | _ :: rest -> entries rest
+    | [] -> []
+  in
+  commands lines
+
+(* A span that runs `swap_cli` with a word after it (across a line
+   break too) names the command that word must be. *)
+let cli_command span =
+  match
+    String.split_on_char ' '
+      (String.map (function '\n' | '\t' -> ' ' | c -> c) span)
+    |> List.filter (( <> ) "")
+  with
+  | "swap_cli" :: command :: _ -> Some command
+  | _ -> None
+
 (* A reference whose head names a lib/ library or module must resolve
    in the lib/ half of the call graph: [Library.Module] to a unit,
    [Module.value] to a binding (or type) of some unit of that name,
    [Library.Module.value] to one of that unit.  Any other head — the
-   stdlib, a test or bench module, a file name — is not checked. *)
+   stdlib, a test or bench module, a file name — is not checked.  A
+   span that runs `swap_cli` must name one of its commands. *)
 let test_doc_references () =
   let graph = Lazy.force whole_graph in
   let lib_nodes =
@@ -648,24 +688,42 @@ let test_doc_references () =
       Some (List.mem u unit_ids && has_value u v)
     | _ -> None
   in
+  let spans = List.map (fun doc -> (doc, code_spans ("../" ^ doc))) doc_files in
+  let failing ok =
+    List.concat_map
+      (fun (doc, spans) ->
+        List.filter_map
+          (fun span -> if ok span then None else Some (doc ^ ": " ^ span))
+          spans)
+      spans
+  in
   let checked = ref 0 in
   let broken =
-    List.concat_map
-      (fun doc ->
-        List.filter_map
-          (fun span ->
-            match Option.bind (dotted_path span) resolves with
-            | Some true ->
-              incr checked;
-              None
-            | Some false -> Some (doc ^ ": " ^ span)
-            | None -> None)
-          (code_spans ("../" ^ doc)))
-      doc_files
+    failing (fun span ->
+        match Option.bind (dotted_path span) resolves with
+        | Some true ->
+          incr checked;
+          true
+        | Some false -> false
+        | None -> true)
   in
   List.iter (Printf.eprintf "names no lib/ binding or unit: %s\n") broken;
   check_bool "the docs name lib/ code at all" true (!checked > 100);
-  check_int "every lib/ reference resolves" 0 (List.length broken)
+  check_int "every lib/ reference resolves" 0 (List.length broken);
+  let commands = swap_cli_commands () in
+  let runs = ref 0 in
+  let unknown =
+    failing (fun span ->
+        match cli_command span with
+        | Some c ->
+          incr runs;
+          List.mem c commands
+        | None -> true)
+  in
+  List.iter (Printf.eprintf "names no swap_cli command: %s\n") unknown;
+  check_bool "swap_cli lists its commands" true (List.length commands >= 10);
+  check_bool "the docs run swap_cli commands at all" true (!runs > 10);
+  check_int "every swap_cli command named exists" 0 (List.length unknown)
 
 (* A build writes and deletes temporaries while a walk runs.  A dangling
    link stands in, deterministically, for an entry that vanished between

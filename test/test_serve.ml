@@ -1619,6 +1619,88 @@ let test_socket_roundtrip () =
   (* Idempotent. *)
   check_bool "socket path unlinked on shutdown" false (Sys.file_exists path)
 
+(* Both codecs at once on a two-shard reactor: four client domains, two
+   speaking JSON and two b1, each pipelining windows of a corpus in
+   which eight questions repeat, so hits and misses interleave across
+   shards and codecs.  Every answer must equal a reference engine's
+   direct one (ids differ per client, so a crossed answer shows), and
+   the served engine must count every request sent. *)
+let test_two_codecs_concurrent () =
+  let e = make_engine () and reference = make_engine () in
+  let path = Printf.sprintf "/tmp/htlc-serve-mixed-%d.sock" (Unix.getpid ()) in
+  let server = Serve.Server.listen e ~path ~shards:2 () in
+  let p = Swap.Params.defaults in
+  let question i =
+    let x = float_of_int (i / 4) in
+    match i mod 4 with
+    | 0 ->
+      Serve.Request.Quote { mu = 0.; sigma = 0.06 +. (0.02 *. x); spot = 2. }
+    | 1 -> Success_rate { params = p; p_star = 1.9 +. (0.2 *. x); q = 0. }
+    | 2 -> Cutoffs { params = p; p_star = 2. +. (0.1 *. x) }
+    | _ ->
+      Sweep
+        { params = p; q = 0.25; spec = { lo = 1.6; hi = 2.4 +. x; n = 5 } }
+  in
+  let per_client = 48 and window = 8 in
+  let corpora =
+    Array.init 4 (fun c ->
+        Array.init per_client (fun j ->
+            {
+              Serve.Request.id = Some (Printf.sprintf "c%d-%d" c j);
+              body = question (j * 5 mod 8);
+            }))
+  in
+  let expected =
+    Array.map (Array.map (Serve.Engine.handle_decoded reference)) corpora
+  in
+  let client c ~binary () =
+    let reqs = corpora.(c) and want = expected.(c) in
+    let fd, ic, oc = connect path in
+    if binary then output_string oc Serve.Binary.magic;
+    let wrong = ref 0 in
+    (try
+       for w = 0 to (per_client / window) - 1 do
+         for j = w * window to ((w + 1) * window) - 1 do
+           if binary then
+             output_string oc (Serve.Binary.encode_request reqs.(j))
+           else begin
+             output_string oc (Serve.Request.encode reqs.(j));
+             output_char oc '\n'
+           end
+         done;
+         flush oc;
+         for j = w * window to ((w + 1) * window) - 1 do
+           let got =
+             if binary then Serve.Binary.input_frame ic
+             else In_channel.input_line ic
+           in
+           if got <> Some want.(j) then incr wrong
+         done
+       done
+     with End_of_file | Sys_error _ -> wrong := per_client);
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    !wrong
+  in
+  let domains =
+    List.map
+      (fun (c, binary) -> Domain.spawn (client c ~binary))
+      [ (0, false); (1, true); (2, false); (3, true) ]
+  in
+  let wrong = List.map Domain.join domains in
+  Serve.Server.shutdown server;
+  List.iteri
+    (fun c n ->
+      check_int
+        (Printf.sprintf "client %d: answers that differ from direct" c)
+        0 n)
+    wrong;
+  let s = Serve.Engine.stats e in
+  check_int "every request counted" (4 * per_client) s.Serve.Engine.requests;
+  check_int "every request looked up" (4 * per_client)
+    (s.cache.Serve.Cache.hits + s.cache.Serve.Cache.misses);
+  check_bool "hits and misses both occurred" true
+    (s.cache.Serve.Cache.hits > 0 && s.cache.Serve.Cache.misses > 0)
+
 (* --- quote table reasons -------------------------------------------------- *)
 
 let test_quote_table_reasons () =
@@ -2062,6 +2144,8 @@ let () =
           Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip;
           Alcotest.test_case "fd above FD_SETSIZE refused" `Quick
             test_fd_limit_refused;
+          Alcotest.test_case "two codecs, four clients, two shards" `Quick
+            test_two_codecs_concurrent;
         ] );
       ( "quote-table",
         [ Alcotest.test_case "reasons + gaps" `Quick test_quote_table_reasons ] );
